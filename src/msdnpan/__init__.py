@@ -3,7 +3,7 @@
 The package is organised as:
 
 - tensor_core / backend: minimal reverse-mode autodiff over numpy, with
-  numba-compiled convolution kernels (numpy fallback via MSDN_BACKEND).
+  shift-and-accumulate GEMM convolution kernels.
 - msdn / injection_net: the detail-synthesis network and the full model.
 - losses: L1 + weighted memorizing (KL + sparsity) objective.
 - classic_fusion: CS/MRA/SFIM baselines and the high-pass extractor.
@@ -13,7 +13,6 @@ The package is organised as:
 - cli: the `msdnpan` command.
 """
 
-from .backend import active_backend, set_backend
 from .errors import (
     DegenerateInputError, FormatError, NumericError, ShapeError,
 )
@@ -24,6 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DegenerateInputError", "FormatError", "ModelConfig", "NumericError",
-    "PansharpenModel", "ShapeError", "Tensor", "active_backend", "backward",
-    "pansharpen", "set_backend", "__version__",
+    "PansharpenModel", "ShapeError", "Tensor", "backward", "pansharpen",
+    "__version__",
 ]

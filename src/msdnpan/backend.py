@@ -1,152 +1,84 @@
-"""Convolution kernels: numba-compiled fast path with a pure-numpy fallback.
+"""Convolution kernels: one shift-and-accumulate GEMM implementation in numpy.
 
 All convolutions in this package are stride-1, same-padded (pad = k // 2)
 cross-correlations over NCHW arrays. The three entry points here are the
 only compute-heavy loops; everything else stays in plain numpy.
 
-Backend selection: the environment variable ``MSDN_BACKEND`` may be set to
-``numpy`` or ``numba`` before import. Default is numba when importable,
-numpy otherwise. ``set_backend`` switches at runtime (used by tests and the
-benchmark script).
+Layout (Anderson et al., "Low-memory GEMM-based convolution algorithms for
+deep neural networks", arXiv:1709.03395): each zero-padded input plane is
+flattened to one row of length (h + 2p) * (w + 2p), plus k - 1 spare zeros.
+Output pixel (i, j) then sits at flat position i * (w + 2p) + j, and for tap
+(u, v) its input is at that position plus u * (w + 2p) + v. So every tap's
+input window is one contiguous column slice of the flat buffer, which BLAS
+reads in place: a convolution is k * k GEMMs with no im2col copy. The
+results land on a grid of width w + 2p; the 2p extra columns of each row
+mix neighbouring rows and are cropped (forward) or multiplied by zeros
+(weight gradient).
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
-    HAS_NUMBA = False
+def _flat_padded(x, k):
+    """x (n, c, h, w) zero-padded by k // 2 into the flat layout above.
 
-    def njit(*a, **k):
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-BACKENDS = ("numpy", "numba")
-
-
-def _resolve(name):
-    name = name.strip().lower()
-    if name in ("", "auto"):
-        return "numba" if HAS_NUMBA else "numpy"
-    if name not in BACKENDS:
-        raise ValueError(f"unknown backend {name!r}, expected one of {BACKENDS}")
-    if name == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return name
-
-
-_active = _resolve(os.environ.get("MSDN_BACKEND", "auto"))
-
-
-def active_backend():
-    """Name of the backend currently in use."""
-    return _active
-
-
-def set_backend(name):
-    """Select the kernel implementation; returns the previous name."""
-    global _active
-    previous = _active
-    _active = _resolve(name)
-    return previous
-
-
-@njit(cache=True)
-def _forward_nb(xp, w, out):
-    n, co, h, wd = out.shape
-    ci = w.shape[1]
-    k = w.shape[2]
-    for b in range(n):
-        for o in range(co):
-            for c in range(ci):
-                for u in range(k):
-                    for v in range(k):
-                        wv = w[o, c, u, v]
-                        for i in range(h):
-                            for j in range(wd):
-                                out[b, o, i, j] += wv * xp[b, c, i + u, j + v]
-
-
-@njit(cache=True)
-def _grad_weight_nb(xp, gy, dw):
-    n, co, h, wd = gy.shape
-    ci = dw.shape[1]
-    k = dw.shape[2]
-    for o in range(co):
-        for c in range(ci):
-            for u in range(k):
-                for v in range(k):
-                    acc = 0.0
-                    for b in range(n):
-                        for i in range(h):
-                            for j in range(wd):
-                                acc += gy[b, o, i, j] * xp[b, c, i + u, j + v]
-                    dw[o, c, u, v] = acc
-
-
-def _windows(xp, k):
-    n, c, hp, wp = xp.shape
-    h, w = hp - k + 1, wp - k + 1
-    sn, sc, sh, sw = xp.strides
-    shape = (n, c, h, w, k, k)
-    strides = (sn, sc, sh, sw, sh, sw)
-    return np.lib.stride_tricks.as_strided(xp, shape, strides, writeable=False)
-
-def _forward_np(xp, w, h, wd):
-    n = xp.shape[0]
-    co, ci, k, _ = w.shape
-    win = _windows(xp, k)
-    mat = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * h * wd, ci * k * k)
-    out = mat @ w.reshape(co, ci * k * k).T
-    return np.ascontiguousarray(out.reshape(n, h, wd, co).transpose(0, 3, 1, 2))
-
-
-def _grad_weight_np(xp, gy, k):
-    n, co, h, wd = gy.shape
-    ci = xp.shape[1]
-    win = _windows(xp, k)
-    lhs = gy.transpose(1, 0, 2, 3).reshape(co, n * h * wd)
-    rhs = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * h * wd, ci * k * k)
-    return (lhs @ rhs).reshape(co, ci, k, k)
-
-
-def _pad_same(x, k):
+    Returns the (n, c, (h + 2p) * (w + 2p) + k - 1) buffer and the padded
+    row width w + 2p."""
+    n, c, h, w = x.shape
+    if k == 1:
+        return x.reshape(n, c, h * w), w
     p = k // 2
-    if p == 0:
-        return np.ascontiguousarray(x)
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    wp = w + 2 * p
+    flat = np.zeros((n, c, (h + 2 * p) * wp + k - 1), dtype=x.dtype)
+    plane = flat[:, :, :(h + 2 * p) * wp].reshape(n, c, h + 2 * p, wp)
+    plane[:, :, p:p + h, p:p + w] = x
+    return flat, wp
 
 
 def conv2d_forward(x, w):
     """Same-padded stride-1 cross-correlation of x (n,ci,h,w) with w (co,ci,k,k)."""
     x = np.ascontiguousarray(x)
-    w = np.ascontiguousarray(w)
-    k = w.shape[2]
-    xp = _pad_same(x, k)
-    if _active == "numba":
-        out = np.zeros((x.shape[0], w.shape[0], x.shape[2], x.shape[3]), dtype=x.dtype)
-        _forward_nb(xp, w.astype(x.dtype, copy=False), out)
-        return out
-    return _forward_np(xp, w.astype(x.dtype, copy=False), x.shape[2], x.shape[3])
+    n, ci, h, wd = x.shape
+    co, _, k, _ = w.shape
+    # with one input channel each tap is an outer product, which numpy's
+    # matmul computes about 10x slower than the same broadcast multiply
+    product = np.multiply if ci == 1 else np.matmul
+    taps = np.ascontiguousarray(w.astype(x.dtype, copy=False).transpose(2, 3, 0, 1))
+    xp, wp = _flat_padded(x, k)
+    size = h * wp
+    out = np.empty((n, co, size), dtype=x.dtype)
+    scratch = np.empty_like(out) if k > 1 else None
+    for u in range(k):
+        for v in range(k):
+            off = u * wp + v
+            window = xp[:, :, off:off + size]
+            if u == 0 and v == 0:
+                product(taps[u, v], window, out=out)
+            else:
+                product(taps[u, v], window, out=scratch)
+                out += scratch
+    return np.ascontiguousarray(out.reshape(n, co, h, wp)[:, :, :, :wd])
 
 
 def conv2d_grad_weight(x, gy, k):
     """Weight gradient for conv2d_forward; x is the unpadded input."""
     x = np.ascontiguousarray(x)
-    gy = np.ascontiguousarray(gy)
-    xp = _pad_same(x, k)
-    if _active == "numba":
-        dw = np.zeros((gy.shape[1], x.shape[1], k, k), dtype=x.dtype)
-        _grad_weight_nb(xp, gy.astype(x.dtype, copy=False), dw)
-        return dw
-    return _grad_weight_np(xp, gy.astype(x.dtype, copy=False), k)
+    n, ci, h, wd = x.shape
+    co = gy.shape[1]
+    xp, wp = _flat_padded(x, k)
+    size = h * wp
+    # gy on the padded-width grid; its zero columns cancel the junk products
+    g = np.zeros((n, co, h, wp), dtype=x.dtype)
+    g[:, :, :, :wd] = gy
+    g = g.reshape(n, co, size)
+    dw = np.empty((co, ci, k, k), dtype=x.dtype)
+    scratch = np.empty((n, co, ci), dtype=x.dtype)
+    for u in range(k):
+        for v in range(k):
+            off = u * wp + v
+            np.matmul(g, xp[:, :, off:off + size].transpose(0, 2, 1), out=scratch)
+            dw[:, :, u, v] = scratch.sum(axis=0)
+    return dw
 
 
 def conv2d_grad_input(gy, w):

@@ -15,6 +15,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import gradcheck
 from .classic_fusion import InjectionConfig, inject
 from .data_pipeline import (
@@ -192,8 +194,13 @@ def cmd_infer(args):
                          f"got rank {ms.ndim}")
     if ms.shape[0] != BANDS:
         raise ShapeError(f"{args.ms}: expected {BANDS} bands, got {ms.shape[0]}")
+    if not np.isfinite(ms.data).all():
+        raise NumericError(f"{args.ms}: input contains NaN or inf")
     out = pansharpen(Tensor(ms.data[None]), model)
     result = out.data[0]
+    if not np.isfinite(result).all():
+        raise NumericError("sharpened output contains NaN or inf; "
+                           "no output written")
     save_tensor(args.out, result)
     if args.export_ppm:
         export_ppm(args.export_ppm, result[:3])

@@ -240,7 +240,10 @@ def load_checkpoint(path):
             raise FormatError(f"{source}: truncated entry")
         (nlen,) = struct.unpack_from("<I", buf, pos)
         pos += 4
-        name = buf[pos:pos + nlen].decode("utf-8")
+        try:
+            name = buf[pos:pos + nlen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{source}: entry name is not UTF-8") from None
         pos += nlen
         blob_len = _msdt_length(buf, pos, source)
         tensors[name] = decode_tensor(buf[pos:pos + blob_len], source=source)
@@ -257,10 +260,14 @@ def load_checkpoint(path):
             mv[name[7:]] = arr
         else:
             raise FormatError(f"{source}: unknown entry {name!r}")
-    config = _config_from_json(header["config"])
+    try:
+        config = _config_from_json(header["config"]).validate()
+        epoch, step, rng = header["epoch"], header["step"], header["rng"]
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"{source}: bad header ({e!r})") from None
     return Checkpoint(version=version, config=config, params=params,
-                      moments_m=mm, moments_v=mv, epoch=header["epoch"],
-                      step=header["step"], rng_state=header["rng"])
+                      moments_m=mm, moments_v=mv, epoch=epoch, step=step,
+                      rng_state=rng)
 
 
 def _stack(samples, attr):

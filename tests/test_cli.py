@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from msdnpan.cli import build_parser, main
 from msdnpan.data_pipeline import load_manifest, load_tensor, save_tensor
 from msdnpan.tensor_core import Tensor
+from msdnpan.trainer import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +134,63 @@ def test_infer_input_errors(workspace, tmp_path):
     save_tensor(rank2, np.ones((4, 4), np.float32))
     assert main(["infer", "--ckpt", str(workspace["ckpt"]), "--ms",
                  str(rank2), "--out", out]) == 2
+
+
+def _with_header(ckpt, out, edit):
+    """Copy a checkpoint to out with its JSON header passed through edit."""
+    buf = ckpt.read_bytes()
+    (hlen,) = struct.unpack_from("<I", buf, 5)
+    header = json.loads(buf[9:9 + hlen])
+    edit(header)
+    hjson = json.dumps(header).encode()
+    out.write_bytes(buf[:5] + struct.pack("<I", len(hjson)) + hjson
+                    + buf[9 + hlen:])
+    return out
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.pop("config"),
+    lambda h: h.pop("epoch"),
+    lambda h: h.pop("step"),
+    lambda h: h.pop("rng"),
+    lambda h: h["config"].update(warp_factor=9),
+    lambda h: h["config"]["model"].update(warp_factor=9),
+    lambda h: h["config"]["model"].update(channels=7),
+], ids=["no-config", "no-epoch", "no-step", "no-rng", "unknown-key",
+        "unknown-model-key", "odd-channels"])
+def test_infer_bad_checkpoint_header_is_format_error(workspace, tmp_path,
+                                                     edit, capsys):
+    bad = _with_header(workspace["ckpt"], tmp_path / "bad.msdc", edit)
+    out = tmp_path / "o.msdt"
+    assert main(["infer", "--ckpt", str(bad), "--ms", str(workspace["ms"]),
+                 "--out", str(out)]) == 2
+    assert "bad header" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infer_non_finite_input_is_numeric_error(workspace, tmp_path):
+    ms = load_tensor(workspace["ms"]).data.copy()
+    ms[1, 2, 3] = np.nan
+    nan_ms = tmp_path / "nan.msdt"
+    save_tensor(nan_ms, ms)
+    out = tmp_path / "o.msdt"
+    assert main(["infer", "--ckpt", str(workspace["ckpt"]), "--ms",
+                 str(nan_ms), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_infer_non_finite_output_is_numeric_error(workspace, tmp_path):
+    ckpt = load_checkpoint(workspace["ckpt"])
+    name = sorted(ckpt.params)[0]
+    ckpt.params[name] = np.full_like(ckpt.params[name], np.inf)
+    bad = tmp_path / "inf.msdc"
+    save_checkpoint(bad, ckpt)
+    out = tmp_path / "o.msdt"
+    ppm = tmp_path / "o.ppm"
+    assert main(["infer", "--ckpt", str(bad), "--ms", str(workspace["ms"]),
+                 "--out", str(out), "--export-ppm", str(ppm)]) == 3
+    assert not out.exists() and not ppm.exists()
 
 
 # ---------------------------------------------------------------------------

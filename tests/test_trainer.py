@@ -1,5 +1,7 @@
 """Optimizer, schedule, checkpoint format, and end-to-end training runs."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,13 @@ def test_checkpoint_error_battery(tmp_path):
     bad.write_bytes(raw + b"\x00\x00")
     with pytest.raises(FormatError):
         load_checkpoint(bad)
+
+    (hlen,) = struct.unpack_from("<I", raw, 5)
+    first_name = 9 + hlen + 4 + 4
+    bad.write_bytes(raw[:first_name] + b"\xff" + raw[first_name + 1:])
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(bad)
+    assert "UTF-8" in str(err.value)
 
 
 def test_model_from_checkpoint_matches_and_validates(tmp_path):
