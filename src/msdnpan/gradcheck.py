@@ -176,7 +176,7 @@ def _case_end_to_end(rng):
     # measure one-sided slopes. Nudge every parameter to a generic point.
     for p in model.parameters():
         sign = rng.integers(0, 2, size=p.data.shape) * 2 - 1
-        p.data = p.data + rng.uniform(0.05, 0.25, size=p.data.shape) * sign
+        p.data += rng.uniform(0.05, 0.25, size=p.data.shape) * sign
     ms = tc.constant(rng.uniform(0.1, 0.9, size=(1, 4, 4, 4)))
     gt = tc.constant(rng.uniform(0.1, 0.9, size=(1, 4, 8, 8)))
     hp = tc.constant(rng.uniform(-0.2, 0.2, size=(1, 1, 8, 8)))
@@ -186,7 +186,7 @@ def _case_end_to_end(rng):
         out, details, coeff = pansharpen_with_details(ms, model)
         return losses.total_loss(out, gt, hp, details, coeff, loss_cfg)[0]
 
-    return make_loss, [p.tensor for p in model.parameters()]
+    return make_loss, model.parameters()
 
 
 def cases(seed=0):

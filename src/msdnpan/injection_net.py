@@ -16,8 +16,8 @@ import numpy as np
 from .errors import ShapeError
 from .msdn import MsdnConfig, MsdnWeights, msdn_forward
 from .tensor_core import (
-    ConvLayer, Parameter, avg_pool2, bicubic_upsample, concat_channels,
-    nearest_up2, prelu, relu,
+    ConvLayer, avg_pool2, bicubic_upsample, concat_channels, nearest_up2,
+    parameter, parameters, prelu, relu,
 )
 
 BANDS = 4
@@ -66,13 +66,6 @@ class HeadWeights:
                 ConvLayer(f"{name}.block{i}.conv2", c, c, 3, rng, dtype),
             ))
 
-    def parameters(self):
-        params = self.stem.parameters()
-        for c1, c2 in self.blocks:
-            params.extend(c1.parameters())
-            params.extend(c2.parameters())
-        return params
-
 
 def head(ms, weights):
     """Encode a (n, 4, h, w) MS image into (n, C, h, w) features."""
@@ -92,25 +85,19 @@ class InjectionBlockWeights:
         if channels % 2:
             raise ShapeError(f"injection block needs even channels, got {channels}")
         c = channels
-        self.slope_pos = Parameter(
+        self.slope_pos = parameter(
             name + ".slope_pos", np.full(c, 0.25, dtype=dtype))
-        self.slope_neg = Parameter(
+        self.slope_neg = parameter(
             name + ".slope_neg", np.full(c, 0.25, dtype=dtype))
         self.conv_pos = ConvLayer(name + ".conv_pos", c, c // 2, 3, rng, dtype)
         self.conv_neg = ConvLayer(name + ".conv_neg", c, c // 2, 3, rng, dtype)
         self.fuse = ConvLayer(name + ".fuse", c, c, 3, rng, dtype)
 
-    def parameters(self):
-        params = [self.slope_pos, self.slope_neg]
-        for layer in (self.conv_pos, self.conv_neg, self.fuse):
-            params.extend(layer.parameters())
-        return params
-
 
 def injection_block(y, block):
     """x_p from prelu(y), x_n from prelu(-y), fused and added back to y."""
-    xp = block.conv_pos(prelu(y, block.slope_pos.tensor))
-    xn = block.conv_neg(prelu(-y, block.slope_neg.tensor))
+    xp = block.conv_pos(prelu(y, block.slope_pos))
+    xn = block.conv_neg(prelu(-y, block.slope_neg))
     return block.fuse(concat_channels(xp, xn)) + y
 
 
@@ -130,15 +117,6 @@ class NinWeights:
             for i in range(d - 1)
         ]
         self.project = ConvLayer(name + ".project", c, BANDS, 1, rng, dtype)
-
-    def parameters(self):
-        params = self.embed.parameters()
-        for blk in self.encoder:
-            params.extend(blk.parameters())
-        for blk in self.decoder:
-            params.extend(blk.parameters())
-        params.extend(self.project.parameters())
-        return params
 
 
 def nin_forward(details, weights):
@@ -184,8 +162,7 @@ class PansharpenModel:
             raise ValueError("duplicate parameter names in model")
 
     def parameters(self):
-        return (self.head.parameters() + self.msdn.parameters()
-                + self.nin.parameters())
+        return parameters([self.head, self.msdn, self.nin])
 
     def named_parameters(self):
         return {p.name: p for p in self.parameters()}

@@ -20,13 +20,10 @@ from .tensor_core import absolute, constant, div, exp, log, reshape
 @dataclass
 class LossConfig:
     weight: float = 0.001       # lambda, scales the memorizing loss
-    kl_epsilon: float = 1e-12   # keeps the logs finite
 
     def validate(self):
         if self.weight < 0:
             raise ValueError("loss weight must be >= 0")
-        if self.kl_epsilon <= 0:
-            raise ValueError("kl_epsilon must be > 0")
         return self
 
 
@@ -71,19 +68,17 @@ def kl_divergence(target, approx, eps=1e-12):
     return terms.sum(axis=1).mean()
 
 
-def memorizing_loss(highpass, details, coeff, config):
+def memorizing_loss(highpass, details, coeff):
     """KL alignment of the detail plane with the PAN high-pass, plus an L1
     sparsity penalty on the coefficient map."""
     if highpass.shape != details.shape:
         raise ShapeError(
             f"high-pass {highpass.shape} and details {details.shape} differ")
-    return (kl_divergence(highpass, details, config.kl_epsilon)
-            + sparsity_loss(coeff))
+    return kl_divergence(highpass, details) + sparsity_loss(coeff)
 
 
 def total_loss(pred, target, highpass, details, coeff, config):
     """L1 + weight * memorizing. Returns (total, l1, memorizing) tensors."""
-    config.validate()
     rec = l1_loss(pred, target)
-    mem = memorizing_loss(highpass, details, coeff, config)
+    mem = memorizing_loss(highpass, details, coeff)
     return rec + mem * config.weight, rec, mem

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .tensor_core import (
-    ConvLayer, Parameter, concat_channels, kaiming_normal, relu, reshape,
+    ConvLayer, concat_channels, kaiming_normal, parameter, relu, reshape,
     sigmoid, tile2d,
 )
 
@@ -42,30 +42,16 @@ class MsdnConfig:
         return self
 
 
-class MemoryBank:
-    """N learnable tiles of s*s pixels, stored flat as (N, s*s)."""
-
-    def __init__(self, name, slots, scale, rng, dtype=np.float32):
-        self.slots = int(slots)
-        self.scale = int(scale)
-        self.items = Parameter(
-            name + ".items",
-            kaiming_normal(rng, (self.slots, self.scale * self.scale),
-                           self.scale * self.scale, dtype),
-        )
-
-    def parameters(self):
-        return [self.items]
-
-
 class MsdnWeights:
     """All trainable pieces of the detail network."""
 
     def __init__(self, config, rng, dtype=np.float32, name="msdn"):
         config.validate()
         self.config = config
-        c, n = config.channels, config.memory_slots
-        self.bank = MemoryBank(name + ".bank", n, config.scale, rng, dtype)
+        c, n, s = config.channels, config.memory_slots, config.scale
+        # N learnable tiles of s*s pixels, stored flat as (N, s*s)
+        self.memory = parameter(
+            name + ".bank.items", kaiming_normal(rng, (n, s * s), s * s, dtype))
         self.query_conv = ConvLayer(name + ".query_conv", c, n, 3, rng, dtype)
         self.query_proj = ConvLayer(name + ".query_proj", n, n, 1, rng, dtype)
         self.decode_conv = ConvLayer(name + ".decode_conv", n, c, 3, rng, dtype)
@@ -80,27 +66,21 @@ class MsdnWeights:
         self.channel_excite = ConvLayer(name + ".channel_excite", hidden, c, 1,
                                         rng, dtype)
 
-    def parameters(self):
-        params = list(self.bank.parameters())
-        for layer in (self.query_conv, self.query_proj, self.decode_conv,
-                      self.detail_proj, self.spatial_conv, self.coeff_in,
-                      self.coeff_out, self.channel_squeeze, self.channel_excite):
-            params.extend(layer.parameters())
-        return params
 
-
-def expand_memory(bank, height, width):
+def expand_memory(memory, scale, height, width):
     """Tile every memory item periodically over a height x width plane.
 
-    Returns a rank-3 tensor (N, height, width). Extents must be multiples
-    of the bank's tile size.
+    memory is the (N, scale*scale) bank of flat tiles. Returns a rank-3
+    tensor (N, height, width). Extents must be multiples of scale.
     """
-    s = bank.scale
-    if height % s or width % s:
+    if memory.ndim != 2 or memory.shape[1] != scale * scale:
         raise ShapeError(
-            f"plane {height}x{width} is not a multiple of the tile size {s}")
-    tiles = reshape(bank.items.tensor, (bank.slots, s, s))
-    return tile2d(tiles, height // s, width // s)
+            f"memory {memory.shape} does not hold {scale}x{scale} tiles")
+    if height % scale or width % scale:
+        raise ShapeError(
+            f"plane {height}x{width} is not a multiple of the tile size {scale}")
+    tiles = reshape(memory, (memory.shape[0], scale, scale))
+    return tile2d(tiles, height // scale, width // scale)
 
 
 def encode_query(features, weights):
@@ -169,7 +149,7 @@ def msdn_forward(features, weights):
     if features.ndim != 4:
         raise ShapeError("msdn_forward expects a rank-4 feature map")
     _, _, h, w = features.shape
-    expanded = expand_memory(weights.bank, h, w)
+    expanded = expand_memory(weights.memory, weights.config.scale, h, w)
     query = encode_query(features, weights)
     detail = decode_memory(expanded, query, weights)
     coeff = weighted_coefficients(features, weights)

@@ -11,6 +11,9 @@ broadcasting, a handful of activations, stride-1 same-padded convolution,
 separable bicubic upsampling, box filtering, pooling/tiling/reshape, and
 sum/mean/max reductions. float32 and float64 are supported; gradients take
 the dtype of the data they belong to.
+
+A trainable parameter is a plain named Tensor made by ``parameter``;
+``parameters`` finds every one reachable from a model's attributes.
 """
 
 from __future__ import annotations
@@ -28,15 +31,16 @@ _FLOAT_TYPES = (np.float32, np.float64)
 class Tensor:
     """A dense array plus autodiff bookkeeping."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_prev", "_backward")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
+    def __init__(self, data, requires_grad=False, dtype=None, name=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in _FLOAT_TYPES:
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
+        self.name = name
         self._prev = ()
         self._backward = None
 
@@ -66,7 +70,9 @@ class Tensor:
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
+        label = f"{self.name!r}, " if self.name else ""
+        return (f"Tensor({label}shape={self.data.shape}, "
+                f"dtype={self.data.dtype}{flag})")
 
     # arithmetic sugar; scalars promote to constants
     def __add__(self, other):
@@ -589,31 +595,23 @@ def _fold_edge_pad(g, p):
 # ---------------------------------------------------------------------------
 # parameters and layers
 
-class Parameter:
-    """A named trainable tensor with a zero-initialised gradient buffer."""
+def parameter(name, value):
+    """A named trainable leaf tensor with a zero-initialised gradient buffer."""
+    t = Tensor(value, requires_grad=True, name=name)
+    t.grad = np.zeros_like(t.data)
+    return t
 
-    def __init__(self, name, value):
-        self.name = name
-        self.tensor = Tensor(np.asarray(value), requires_grad=True)
-        self.tensor.grad = np.zeros_like(self.tensor.data)
 
-    @property
-    def data(self):
-        return self.tensor.data
-
-    @data.setter
-    def data(self, value):
-        self.tensor.data[...] = value
-
-    @property
-    def grad(self):
-        return self.tensor.grad
-
-    def zero_grad(self):
-        self.tensor.zero_grad()
-
-    def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.tensor.data.shape})"
+def parameters(obj):
+    """Every trainable tensor reachable from obj through attributes, lists
+    and tuples, in definition order."""
+    if isinstance(obj, Tensor):
+        return [obj] if obj.requires_grad else []
+    if isinstance(obj, (list, tuple)):
+        items = obj
+    else:
+        items = getattr(obj, "__dict__", {}).values()
+    return [p for item in items for p in parameters(item)]
 
 
 def kaiming_normal(rng, shape, fan_in, dtype):
@@ -634,12 +632,12 @@ class ConvLayer:
         self.out_channels = int(out_channels)
         self.kernel_size = k
         fan_in = self.in_channels * k * k
-        self.weight = Parameter(
+        self.weight = parameter(
             name + ".weight",
             kaiming_normal(rng, (self.out_channels, self.in_channels, k, k),
                            fan_in, dtype),
         )
-        self.bias = Parameter(name + ".bias", np.zeros(self.out_channels, dtype))
+        self.bias = parameter(name + ".bias", np.zeros(self.out_channels, dtype))
 
     def __call__(self, x):
         if x.data.shape[1] != self.in_channels:
@@ -647,7 +645,4 @@ class ConvLayer:
                 f"{self.name}: expected {self.in_channels} input channels, "
                 f"got {x.data.shape[1]}"
             )
-        return conv2d(x, self.weight.tensor, self.bias.tensor)
-
-    def parameters(self):
-        return [self.weight, self.bias]
+        return conv2d(x, self.weight, self.bias)

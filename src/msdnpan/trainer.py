@@ -113,30 +113,26 @@ def adam_step(state, lr):
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
-        p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
         p.zero_grad()
 
 
 @dataclass
 class Checkpoint:
-    version: int
     config: TrainConfig
     params: dict
     moments_m: dict
     moments_v: dict
     epoch: int
     step: int
-    rng_state: dict
 
 
 def snapshot(model, config, adam=None, epoch=0, step=0):
     params = {p.name: p.data.copy() for p in model.parameters()}
     m = {k: v.copy() for k, v in adam.m.items()} if adam else {}
     v = {k: w.copy() for k, w in adam.v.items()} if adam else {}
-    rng = {"seed": config.seed, "epoch": epoch, "step": step}
-    return Checkpoint(version=CKPT_VERSION, config=config, params=params,
-                      moments_m=m, moments_v=v, epoch=epoch, step=step,
-                      rng_state=rng)
+    return Checkpoint(config=config, params=params, moments_m=m, moments_v=v,
+                      epoch=epoch, step=step)
 
 
 def model_from_checkpoint(ckpt):
@@ -152,13 +148,8 @@ def model_from_checkpoint(ckpt):
             raise FormatError(
                 f"{name}: stored shape {value.shape} != model "
                 f"{named[name].data.shape}")
-        named[name].data = value
+        named[name].data[...] = value
     return model
-
-
-def _config_to_json(config):
-    d = asdict(config)
-    return d
 
 
 def _config_from_json(d):
@@ -166,12 +157,17 @@ def _config_from_json(d):
     return TrainConfig(model=model, **d)
 
 
+def _rng_header(ckpt):
+    # The RNG substreams are keyed by (seed, epoch); the header records them.
+    return {"seed": ckpt.config.seed, "epoch": ckpt.epoch, "step": ckpt.step}
+
+
 def save_checkpoint(path, ckpt):
     header = {
-        "config": _config_to_json(ckpt.config),
+        "config": asdict(ckpt.config),
         "epoch": ckpt.epoch,
         "step": ckpt.step,
-        "rng": ckpt.rng_state,
+        "rng": _rng_header(ckpt),
     }
     hjson = json.dumps(header, sort_keys=True).encode("utf-8")
     entries = []
@@ -183,7 +179,7 @@ def save_checkpoint(path, ckpt):
         entries.append(("adam.v." + name, ckpt.moments_v[name]))
     out = bytearray()
     out += CKPT_MAGIC
-    out.append(ckpt.version)
+    out.append(CKPT_VERSION)
     out += struct.pack("<I", len(hjson))
     out += hjson
     out += struct.pack("<I", len(entries))
@@ -262,12 +258,13 @@ def load_checkpoint(path):
             raise FormatError(f"{source}: unknown entry {name!r}")
     try:
         config = _config_from_json(header["config"]).validate()
-        epoch, step, rng = header["epoch"], header["step"], header["rng"]
+        ckpt = Checkpoint(config=config, params=params, moments_m=mm,
+                          moments_v=mv, epoch=header["epoch"], step=header["step"])
+        if header["rng"] != _rng_header(ckpt):
+            raise ValueError("rng counters disagree with seed, epoch and step")
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{source}: bad header ({e!r})") from None
-    return Checkpoint(version=version, config=config, params=params,
-                      moments_m=mm, moments_v=mv, epoch=epoch, step=step,
-                      rng_state=rng)
+    return ckpt
 
 
 def _stack(samples, attr):

@@ -156,8 +156,9 @@ def _with_header(ckpt, out, edit):
     lambda h: h["config"].update(warp_factor=9),
     lambda h: h["config"]["model"].update(warp_factor=9),
     lambda h: h["config"]["model"].update(channels=7),
+    lambda h: h["rng"].update(step=h["step"] + 1),
 ], ids=["no-config", "no-epoch", "no-step", "no-rng", "unknown-key",
-        "unknown-model-key", "odd-channels"])
+        "unknown-model-key", "odd-channels", "rng-mismatch"])
 def test_infer_bad_checkpoint_header_is_format_error(workspace, tmp_path,
                                                      edit, capsys):
     bad = _with_header(workspace["ckpt"], tmp_path / "bad.msdc", edit)

@@ -10,6 +10,7 @@ from msdnpan.injection_net import (
     pansharpen_with_details,
 )
 from msdnpan.tensor_core import Tensor, bicubic_upsample
+from msdnpan.trainer import desk_config
 
 
 def _config(**kw):
@@ -125,6 +126,18 @@ def test_named_parameters_cover_all_and_are_unique():
     assert len(named) == len(params)
     prefixes = {name.split(".")[0] for name in named}
     assert prefixes == {"head", "msdn", "nin"}
+
+
+def test_desk_model_parameter_list_is_pinned():
+    # Checkpoints and Adam state are keyed by these names in this order.
+    model = PansharpenModel(desk_config().model, np.random.default_rng(0))
+    params = model.parameters()
+    names = [p.name for p in params]
+    assert len(params) == 65
+    assert sum(p.data.size for p in params) == 39627
+    assert names[0] == "head.stem.weight"
+    assert names[-1] == "nin.project.bias"
+    assert len(set(names)) == len(names)
 
 
 def test_zero_grad_resets_buffers():

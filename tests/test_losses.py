@@ -98,9 +98,8 @@ def test_memorizing_is_kl_plus_sparsity():
     hp = rng.standard_normal((2, 1, 4, 4))
     ps = rng.standard_normal((2, 1, 4, 4))
     mc = rng.standard_normal((2, 3, 4, 4))
-    cfg = LossConfig()
-    got = memorizing_loss(Tensor(hp), Tensor(ps), Tensor(mc), cfg).item()
-    want = (kl_divergence(Tensor(hp), Tensor(ps), cfg.kl_epsilon).item()
+    got = memorizing_loss(Tensor(hp), Tensor(ps), Tensor(mc)).item()
+    want = (kl_divergence(Tensor(hp), Tensor(ps)).item()
             + sparsity_loss(Tensor(mc)).item())
     assert abs(got - want) < 1e-12
 
@@ -108,11 +107,10 @@ def test_memorizing_is_kl_plus_sparsity():
 def test_memorizing_trivial_cases():
     hp = Tensor(np.array([[0.1, -0.2, 0.3]]))
     same = Tensor(hp.data.copy())
-    cfg = LossConfig()
     zero_mc = Tensor(np.zeros((1, 2)))
-    assert abs(memorizing_loss(hp, same, zero_mc, cfg).item()) < 1e-12
+    assert abs(memorizing_loss(hp, same, zero_mc).item()) < 1e-12
     mc = Tensor(np.array([[1.0, -1.0]]))
-    assert abs(memorizing_loss(hp, same, mc, cfg).item() - 2.0) < 1e-12
+    assert abs(memorizing_loss(hp, same, mc).item() - 2.0) < 1e-12
 
 
 def test_total_loss_composition():
@@ -152,5 +150,3 @@ def test_zero_weight_reduces_to_l1():
 def test_config_validation():
     with pytest.raises(ValueError):
         LossConfig(weight=-1.0).validate()
-    with pytest.raises(ValueError):
-        LossConfig(kl_epsilon=0.0).validate()

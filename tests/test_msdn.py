@@ -5,11 +5,11 @@ import pytest
 
 from msdnpan.errors import ShapeError
 from msdnpan.msdn import (
-    MemoryBank, MsdnConfig, MsdnWeights, channel_attention,
+    MsdnConfig, MsdnWeights, channel_attention,
     compose_spatial_details, decode_memory, encode_query, expand_memory,
     msdn_forward, spatial_attention, weighted_coefficients,
 )
-from msdnpan.tensor_core import Tensor, backward
+from msdnpan.tensor_core import Tensor, backward, parameter, parameters
 
 
 def _weights(seed=0, channels=8, slots=4, scale=4):
@@ -23,20 +23,27 @@ def _features(seed, n=2, channels=8, h=8, w=8):
     return Tensor(rng.standard_normal((n, channels, h, w)))
 
 
+def _memory(slots, scale, seed):
+    rng = np.random.default_rng(seed)
+    return parameter("m", rng.standard_normal((slots, scale * scale)))
+
+
 def test_expand_memory_tiles_periodically():
-    bank = MemoryBank("m", slots=3, scale=4, rng=np.random.default_rng(1))
-    out = expand_memory(bank, 12, 8).data
+    memory = _memory(3, 4, seed=1)
+    out = expand_memory(memory, 4, 12, 8).data
     assert out.shape == (3, 12, 8)
-    tiles = bank.items.data.reshape(3, 4, 4)
+    tiles = memory.data.reshape(3, 4, 4)
     for i in range(12):
         for j in range(8):
             np.testing.assert_array_equal(out[:, i, j], tiles[:, i % 4, j % 4])
 
 
 def test_expand_memory_checks_divisibility():
-    bank = MemoryBank("m", slots=2, scale=4, rng=np.random.default_rng(2))
+    memory = _memory(2, 4, seed=2)
     with pytest.raises(ShapeError):
-        expand_memory(bank, 10, 8)
+        expand_memory(memory, 4, 10, 8)
+    with pytest.raises(ShapeError):         # tiles of another scale
+        expand_memory(memory, 2, 8, 8)
 
 
 def test_query_shape_and_input_check():
@@ -63,7 +70,7 @@ def test_channel_attention_is_per_channel_gate():
 
 def test_decode_memory_shape_checks():
     w = _weights()
-    expanded = expand_memory(w.bank, 8, 8)
+    expanded = expand_memory(w.memory, 4, 8, 8)
     good = encode_query(_features(6), w)
     assert decode_memory(expanded, good, w).shape == (2, 8, 8, 8)
     bad_channels = Tensor(np.zeros((2, 3, 8, 8)))
@@ -96,8 +103,8 @@ def test_memory_bank_receives_gradient():
     w = _weights()
     details, _ = msdn_forward(_features(9), w)
     backward((details * details).sum())
-    assert w.bank.items.grad is not None
-    assert float(np.abs(w.bank.items.grad).max()) > 0.0
+    assert w.memory.grad is not None
+    assert float(np.abs(w.memory.grad).max()) > 0.0
 
 
 def test_weighted_coefficients_channel_check():
@@ -117,6 +124,8 @@ def test_config_validation():
 
 def test_parameter_names_are_prefixed_and_unique():
     w = _weights()
-    names = [p.name for p in w.parameters()]
+    names = [p.name for p in parameters(w)]
     assert len(names) == len(set(names))
     assert all(n.startswith("msdn.") for n in names)
+    assert names[0] == "msdn.bank.items"
+    assert parameters(w)[0] is w.memory

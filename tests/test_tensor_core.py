@@ -255,12 +255,29 @@ def test_box_filter_adjoint_identity():
     assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
 
-def test_parameter_in_place_update_keeps_tensor():
-    p = tc.Parameter("w", np.zeros((2, 2)))
-    ref = p.tensor.data
-    p.data = np.ones((2, 2))
-    assert p.tensor.data is ref
-    np.testing.assert_array_equal(p.data, np.ones((2, 2)))
+def test_parameter_is_a_named_leaf_with_zero_grad():
+    p = tc.parameter("w", np.ones((2, 3), np.float32))
+    assert isinstance(p, Tensor) and p.name == "w" and p.requires_grad
+    assert p.grad.dtype == np.float32 and not p.grad.any()
+    assert (p * 2.0).name is None
+
+
+def test_parameters_walks_attributes_lists_and_tuples_in_order():
+    class Block:
+        pass
+
+    inner, outer = Block(), Block()
+    inner.b = tc.parameter("b", np.zeros(1))
+    inner.frozen = Tensor(np.zeros(1))
+    inner.a = tc.parameter("a", np.zeros(1))
+    outer.scale = 4
+    outer.pairs = [(tc.parameter("c", np.zeros(1)), inner)]
+    outer.last = tc.parameter("d", np.zeros(1))
+    assert [p.name for p in tc.parameters(outer)] == ["c", "b", "a", "d"]
+
+    layer = tc.ConvLayer("conv", 2, 3, 3, np.random.default_rng(0))
+    assert tc.parameters(layer) == [layer.weight, layer.bias]
+    assert [p.name for p in tc.parameters(layer)] == ["conv.weight", "conv.bias"]
 
 
 def test_conv_layer_checks_channels():

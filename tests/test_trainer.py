@@ -1,5 +1,6 @@
 """Optimizer, schedule, checkpoint format, and end-to-end training runs."""
 
+import json
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from msdnpan.data_pipeline import SceneSample, synth_scene
 from msdnpan.errors import FormatError
 from msdnpan.injection_net import pansharpen
-from msdnpan.tensor_core import Parameter, Tensor
+from msdnpan.tensor_core import Tensor, parameter
 from msdnpan.trainer import (
     AdamState, TrainConfig, adam_step, desk_config, load_checkpoint, lr_at,
     model_from_checkpoint, save_checkpoint, snapshot, train,
@@ -53,7 +54,7 @@ def test_lr_schedule_single_decay():
 # Adam
 
 def test_adam_hand_step():
-    p = Parameter("w", np.array([1.0]))
+    p = parameter("w", np.array([1.0]))
     p.grad[...] = 1.0
     state = AdamState([p])
     adam_step(state, 0.1)
@@ -68,11 +69,11 @@ def test_adam_hand_step():
 
 
 def test_adam_rejects_duplicates_and_missing_grad():
-    a, b = Parameter("same", np.zeros(2)), Parameter("same", np.zeros(2))
+    a, b = parameter("same", np.zeros(2)), parameter("same", np.zeros(2))
     with pytest.raises(ValueError):
         AdamState([a, b])
-    p = Parameter("w", np.zeros(2))
-    p.tensor.grad = None
+    p = parameter("w", np.zeros(2))
+    p.grad = None
     with pytest.raises(ValueError):
         adam_step(AdamState([p]), 0.1)
 
@@ -97,7 +98,10 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(back.moments_m[name], arr.astype(np.float32))
     for name, arr in final.moments_v.items():
         assert np.array_equal(back.moments_v[name], arr.astype(np.float32))
-    assert back.rng_state["seed"] == cfg.seed
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, 5)
+    header = json.loads(raw[9:9 + hlen])
+    assert header["rng"] == {"seed": cfg.seed, "epoch": 2, "step": 2}
 
 
 def test_checkpoint_error_battery(tmp_path):
@@ -159,6 +163,28 @@ def test_model_from_checkpoint_matches_and_validates(tmp_path):
     broken.params[first] = np.zeros((1, 1), np.float32)
     with pytest.raises(FormatError):
         model_from_checkpoint(broken)
+
+
+def test_updates_write_into_parameter_buffers():
+    cfg = _tiny_config(epochs=1)
+    final = train(_scenes(2), cfg)
+    stored = final.params = {k: v.astype(np.float64)
+                             for k, v in final.params.items()}
+    model = model_from_checkpoint(final)
+    params = model.parameters()
+    buffers = [p.data for p in params]
+    for p, b in zip(params, buffers):
+        assert b.dtype == np.float32 and b is not stored[p.name]
+        np.testing.assert_array_equal(b, stored[p.name])
+
+    state = AdamState(params)
+    for p in params:
+        p.grad[...] = 1.0
+    adam_step(state, 0.1)
+    for p, b in zip(params, buffers):
+        assert p.data is b and p.data.dtype == np.float32
+        assert not np.array_equal(b, stored[p.name])
+        assert np.all(p.grad == 0.0)
 
 
 def test_snapshot_without_adam_has_no_moments():
