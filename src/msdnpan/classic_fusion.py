@@ -9,6 +9,7 @@ MS image, band by band.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,39 +24,18 @@ _SFIM_FLOOR = 1e-6
 
 @dataclass
 class InjectionConfig:
-    gains: tuple = (1.0,)       # scalar-like (len 1) or one gain per band
-    band_weights: tuple = ()    # intensity weights; empty means equal
+    gain: float = 1.0           # detail injection gain, shared by all bands
     window: int = 5             # low-pass box extent
     mode: str = "mra_additive"
 
-    def validate(self, bands=None):
+    def validate(self):
+        if not math.isfinite(self.gain):
+            raise ValueError(f"gain must be finite, got {self.gain!r}")
         if self.window < 1 or self.window % 2 == 0:
             raise ValueError(f"window must be odd and positive, got {self.window}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if len(self.gains) not in (1,) and bands is not None \
-                and len(self.gains) != bands:
-            raise ValueError(
-                f"need 1 or {bands} gains, got {len(self.gains)}")
-        if self.band_weights:
-            w = np.asarray(self.band_weights, dtype=np.float64)
-            if bands is not None and w.size != bands:
-                raise ValueError(f"need {bands} band weights, got {w.size}")
-            if (w < 0).any():
-                raise ValueError("band weights must be non-negative")
-            if abs(w.sum() - 1.0) > 1e-9:
-                raise ValueError(f"band weights must sum to 1, got {w.sum()!r}")
         return self
-
-    def weights_for(self, bands):
-        if self.band_weights:
-            return np.asarray(self.band_weights, dtype=np.float64)
-        return np.full(bands, 1.0 / bands)
-
-    def gains_for(self, bands):
-        if len(self.gains) == 1:
-            return np.full(bands, float(self.gains[0]))
-        return np.asarray(self.gains, dtype=np.float64)
 
 
 def _check_pair(ms_up, pan):
@@ -75,20 +55,13 @@ def hp_details(pan, window=5):
     return pan - box_filter(pan, window)
 
 
-def _band_scale(values, like):
-    return constant(np.asarray(values, dtype=like.dtype).reshape(-1, 1, 1),
-                    dtype=like.dtype)
-
-
 def cs_inject(ms_up, pan, config):
-    """Component substitution: per band, ms + gain * (pan - intensity)."""
+    """Component substitution: per band, ms + gain * (pan - intensity), the
+    intensity being the equal-weight band mean."""
     _check_pair(ms_up, pan)
-    bands = ms_up.shape[0]
-    config.validate(bands)
-    w = _band_scale(config.weights_for(bands), ms_up.data)
-    intensity = (ms_up * w).sum(axis=0, keepdims=True)
-    g = _band_scale(config.gains_for(bands), ms_up.data)
-    return ms_up + g * (pan - intensity)
+    config.validate()
+    intensity = ms_up.mean(axis=0, keepdims=True)
+    return ms_up + (pan - intensity) * config.gain
 
 
 def mra_inject(ms_up, pan, config):
@@ -96,8 +69,7 @@ def mra_inject(ms_up, pan, config):
     high-pass; ``sfim_multiplicative`` rescales each band by pan / lowpass,
     with the denominator clamped away from zero."""
     _check_pair(ms_up, pan)
-    bands = ms_up.shape[0]
-    config.validate(bands)
+    config.validate()
     lowpass = box_filter(pan, config.window)
     if config.mode == "sfim_multiplicative":
         denom = np.where(np.abs(lowpass.data) < _SFIM_FLOOR,
@@ -105,8 +77,7 @@ def mra_inject(ms_up, pan, config):
                          lowpass.data)
         ratio = constant(pan.data / denom, dtype=ms_up.data.dtype)
         return ms_up * ratio
-    g = _band_scale(config.gains_for(bands), ms_up.data)
-    return ms_up + g * (pan - lowpass)
+    return ms_up + (pan - lowpass) * config.gain
 
 
 def inject(ms_up, pan, config):

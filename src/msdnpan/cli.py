@@ -27,9 +27,7 @@ from .errors import (
     DegenerateInputError, FormatError, NumericError, ShapeError,
 )
 from .injection_net import BANDS, pansharpen
-from .metrics import (
-    MetricsConfig, full_resolution_report, reduced_resolution_report,
-)
+from .metrics import full_resolution_report, reduced_resolution_report
 from .tensor_core import Tensor, bicubic_upsample
 from .trainer import (
     TrainConfig, desk_config, load_checkpoint, model_from_checkpoint, train,
@@ -237,9 +235,9 @@ def cmd_baseline(args):
     up = bicubic_upsample(ms, s)
     mode = {"cs": "cs", "mra-add": "mra_additive",
             "sfim": "sfim_multiplicative"}[args.method]
-    config = InjectionConfig(gains=(args.g,), window=args.window, mode=mode)
+    config = InjectionConfig(gain=args.g, window=args.window, mode=mode)
     try:
-        config.validate(ms.shape[0])
+        config.validate()
     except ValueError as e:
         raise UsageError(str(e)) from None
     fused = inject(up, pan, config)
@@ -255,9 +253,7 @@ def cmd_eval_reduced(args):
         raise ShapeError("eval-reduced expects rank-3 tensors (bands, h, w)")
     if pred.shape != gt.shape:
         raise ShapeError(f"shape mismatch: {pred.shape} vs {gt.shape}")
-    cfg = MetricsConfig(ratio=args.ratio)
-    report = reduced_resolution_report(pred, gt, cfg)
-    _emit({k: report.values[k] for k in ("sam", "ergas", "scc", "q4")})
+    _emit(reduced_resolution_report(pred, gt, args.ratio))
     return 0
 
 
@@ -268,8 +264,7 @@ def cmd_eval_full(args):
     for name, t in (("--pred", pred), ("--ms", ms), ("--pan", pan)):
         if t.ndim != 3:
             raise ShapeError(f"{name}: expected a rank-3 tensor")
-    report = full_resolution_report(pred, ms, pan)
-    _emit({k: report.values[k] for k in ("qnr", "d_lambda", "d_s")})
+    _emit(full_resolution_report(pred, ms, pan))
     return 0
 
 

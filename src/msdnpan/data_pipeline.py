@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -177,28 +178,37 @@ def encode_tensor(arr):
     return bytes(out)
 
 
+def tensor_extent(buf, offset=0, source="<bytes>"):
+    """Shape and end offset of the .msdt blob that starts at buf[offset].
+
+    Reads the rank byte and the extents only; decode_tensor checks the
+    magic, the version and the payload length.
+    """
+    if len(buf) < offset + 6:
+        raise FormatError(f"{source}: truncated tensor header")
+    ndim = buf[offset + 5]
+    if not 1 <= ndim <= 4:
+        raise FormatError(f"{source}: invalid tensor rank {ndim}")
+    header_end = offset + 6 + 4 * ndim
+    if len(buf) < header_end:
+        raise FormatError(f"{source}: truncated tensor extents")
+    shape = struct.unpack_from(f"<{ndim}I", buf, offset + 6)
+    return shape, header_end + 4 * math.prod(shape)
+
+
 def decode_tensor(buf, source="<bytes>"):
     """Parse .msdt bytes back into a float32 array."""
     if len(buf) < 6 or buf[:4] != MAGIC:
         raise FormatError(f"{source}: not a tensor file (bad magic)")
-    version, ndim = buf[4], buf[5]
-    if version != VERSION:
-        raise FormatError(f"{source}: unsupported version {version}")
-    if not 1 <= ndim <= 4:
-        raise FormatError(f"{source}: invalid rank {ndim}")
-    header_end = 6 + 4 * ndim
-    if len(buf) < header_end:
-        raise FormatError(f"{source}: truncated header")
-    shape = struct.unpack(f"<{ndim}I", buf[6:header_end])
-    count = 1
-    for s in shape:
-        count *= s
-    expected = header_end + 4 * count
+    if buf[4] != VERSION:
+        raise FormatError(f"{source}: unsupported version {buf[4]}")
+    shape, expected = tensor_extent(buf, 0, source)
     if len(buf) != expected:
         raise FormatError(
             f"{source}: expected {expected} bytes for shape {shape}, "
             f"got {len(buf)}")
-    data = np.frombuffer(buf, dtype="<f4", offset=header_end, count=count)
+    data = np.frombuffer(buf, dtype="<f4", offset=6 + 4 * len(shape),
+                         count=math.prod(shape))
     return data.reshape(shape).copy()
 
 

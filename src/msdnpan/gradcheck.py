@@ -180,11 +180,10 @@ def _case_end_to_end(rng):
     ms = tc.constant(rng.uniform(0.1, 0.9, size=(1, 4, 4, 4)))
     gt = tc.constant(rng.uniform(0.1, 0.9, size=(1, 4, 8, 8)))
     hp = tc.constant(rng.uniform(-0.2, 0.2, size=(1, 1, 8, 8)))
-    loss_cfg = losses.LossConfig(weight=0.5)
 
     def make_loss():
         out, details, coeff = pansharpen_with_details(ms, model)
-        return losses.total_loss(out, gt, hp, details, coeff, loss_cfg)[0]
+        return losses.total_loss(out, gt, hp, details, coeff, 0.5)[0]
 
     return make_loss, model.parameters()
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .msdn import MsdnConfig, MsdnWeights, msdn_forward
+from .msdn import MsdnWeights, msdn_forward
 from .tensor_core import (
     ConvLayer, avg_pool2, bicubic_upsample, concat_channels, nearest_up2,
     parameter, parameters, prelu, relu,
@@ -25,13 +25,13 @@ BANDS = 4
 
 @dataclass
 class ModelConfig:
-    scale: int = 4
-    channels: int = 32
-    memory_slots: int = 64
+    scale: int = 4              # s, MS-to-PAN resolution ratio
+    channels: int = 32          # C, feature width
+    memory_slots: int = 64      # N, memory bank size
     head_blocks: int = 4
     nin_depth: int = 3
-    spatial_kernel: int = 7
-    reduction: int = 4
+    spatial_kernel: int = 7     # spatial-attention conv extent
+    reduction: int = 4          # channel-attention bottleneck ratio
 
     def validate(self):
         if self.channels % 2:
@@ -40,17 +40,17 @@ class ModelConfig:
             raise ValueError("head_blocks must be >= 0")
         if self.nin_depth < 1:
             raise ValueError("nin_depth must be >= 1")
-        self.msdn_config().validate()
+        if self.memory_slots < 1:
+            raise ValueError("memory_slots must be >= 1")
+        if self.scale < 1:
+            raise ValueError("scale must be >= 1")
+        if self.channels < 1:               # 0 passes the even check above
+            raise ValueError("channels must be >= 1")
+        if self.spatial_kernel % 2 == 0 or self.spatial_kernel < 1:
+            raise ValueError("spatial_kernel must be odd and positive")
+        if self.reduction < 1:
+            raise ValueError("reduction must be >= 1")
         return self
-
-    def msdn_config(self):
-        return MsdnConfig(
-            memory_slots=self.memory_slots,
-            scale=self.scale,
-            channels=self.channels,
-            spatial_kernel=self.spatial_kernel,
-            reduction=self.reduction,
-        )
 
 
 class HeadWeights:
@@ -155,7 +155,7 @@ class PansharpenModel:
         config.validate()
         self.config = config
         self.head = HeadWeights(config, rng, dtype)
-        self.msdn = MsdnWeights(config.msdn_config(), rng, dtype)
+        self.msdn = MsdnWeights(config, rng, dtype)
         self.nin = NinWeights(config, rng, dtype)
         names = [p.name for p in self.parameters()]
         if len(names) != len(set(names)):

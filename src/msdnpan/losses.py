@@ -9,22 +9,10 @@ approximation (q) in KL(p || q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError
 from .tensor_core import absolute, constant, div, exp, log, reshape
-
-
-@dataclass
-class LossConfig:
-    weight: float = 0.001       # lambda, scales the memorizing loss
-
-    def validate(self):
-        if self.weight < 0:
-            raise ValueError("loss weight must be >= 0")
-        return self
 
 
 def l1_loss(pred, target):
@@ -77,8 +65,9 @@ def memorizing_loss(highpass, details, coeff):
     return kl_divergence(highpass, details) + sparsity_loss(coeff)
 
 
-def total_loss(pred, target, highpass, details, coeff, config):
-    """L1 + weight * memorizing. Returns (total, l1, memorizing) tensors."""
+def total_loss(pred, target, highpass, details, coeff, weight):
+    """L1 + weight * memorizing, weight being lambda (TrainConfig.loss_weight).
+    Returns (total, l1, memorizing) tensors."""
     rec = l1_loss(pred, target)
     mem = memorizing_loss(highpass, details, coeff)
-    return rec + mem * config.weight, rec, mem
+    return rec + mem * weight, rec, mem

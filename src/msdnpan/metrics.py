@@ -3,6 +3,11 @@
 Reduced-resolution (reference-based): RMSE, SAM, ERGAS, SCC, Q4.
 Full-resolution (no-reference): D_lambda, D_s, QNR.
 
+Conventions: ``q4`` is the universal Q index of the band-mean image, not
+the quaternion Q4 of Alparone et al. (IEEE GRSL 2004); ERGAS normalises
+each band by the prediction mean; D_lambda, D_s and QNR take the usual
+exponents p = q = alpha = beta = 1.
+
 All statistics are computed in float64 with correctly-rounded summation
 (math.fsum). Besides stability this gives a useful exactness property:
 replicating an image k*k-fold scales every fsum by exactly k*k, so means,
@@ -13,49 +18,12 @@ to those of the original and D_lambda of such an upsample is exactly 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
 
 _LAPLACIAN = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]])
-
-
-@dataclass
-class MetricsConfig:
-    ratio: float = 0.25          # h over l: PAN/MS resolution ratio (s = 4)
-    p: int = 1                   # spectral distortion exponent
-    q: int = 1                   # spatial distortion exponent
-    alpha: float = 1.0           # QNR spectral exponent
-    beta: float = 1.0            # QNR spatial exponent
-    band_weights: tuple = ()     # Q4 band combination; empty means equal
-    q_window: int = 0            # 0 = global statistics, else odd window size
-    ergas_reference_mean: bool = False  # normalise by reference means instead
-
-    def validate(self):
-        if self.ratio <= 0:
-            raise ValueError("ratio must be > 0")
-        if self.p < 1 or self.q < 1:
-            raise ValueError("distortion exponents must be >= 1")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("QNR exponents must be >= 0")
-        if self.q_window and (self.q_window < 1 or self.q_window % 2 == 0):
-            raise ValueError("q_window must be 0 (global) or an odd size")
-        if self.band_weights:
-            w = np.asarray(self.band_weights, dtype=np.float64)
-            if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
-                raise ValueError("band weights must be non-negative and sum to 1")
-        return self
-
-
-@dataclass
-class MetricsReport:
-    """Named scalar results plus the configuration that produced them."""
-    values: dict = field(default_factory=dict)
-    config: MetricsConfig = field(default_factory=MetricsConfig)
-
-    KEYS = ("sam", "ergas", "scc", "q4", "qnr", "d_lambda", "d_s", "rmse")
 
 
 def _arr(x, rank=None, name="input"):
@@ -112,25 +80,25 @@ def sam(x, y):
     return _fmean(angles)
 
 
-def ergas(x, y, config=None):
+def ergas(x, y, ratio=0.25):
     """Relative global synthesis error, with X the prediction.
 
-    100 * ratio * sqrt(mean_k (RMSE(X_k, Y_k) / mean(X_k))^2). The table
-    normalises by the prediction mean; set ergas_reference_mean to use the
-    reference mean convention instead.
+    100 * ratio * sqrt(mean_k (RMSE(X_k, Y_k) / mean(X_k))^2), where ratio
+    is the PAN/MS resolution ratio h/l. Each band is normalised by the
+    prediction mean.
     """
-    cfg = (config or MetricsConfig()).validate()
+    if not (math.isfinite(ratio) and ratio > 0):
+        raise ValueError(f"ratio must be finite and > 0, got {ratio!r}")
     x, y = _arr(x, 3, "X"), _arr(y, 3, "Y")
     if x.shape != y.shape:
         raise ShapeError(f"ergas shapes differ: {x.shape} vs {y.shape}")
-    norm_src = y if cfg.ergas_reference_mean else x
     total = []
     for k in range(x.shape[0]):
-        mean_k = _fmean(norm_src[k])
+        mean_k = _fmean(x[k])
         if mean_k == 0.0:
             raise DegenerateInputError(f"band {k} has zero mean")
         total.append((rmse(x[k], y[k]) / mean_k) ** 2)
-    return 100.0 * cfg.ratio * math.sqrt(math.fsum(total) / x.shape[0])
+    return 100.0 * ratio * math.sqrt(math.fsum(total) / x.shape[0])
 
 
 def _laplacian(img):
@@ -162,7 +130,13 @@ def scc(x, y):
     return cov / math.sqrt(vx * vy)
 
 
-def _q_factors(x, y):
+def q_index(x, y):
+    """Universal quality index: correlation * luminance * contrast, from
+    global statistics. If both deviations vanish the index is 1 for
+    identical images and 0 otherwise."""
+    x, y = _arr(x, 2, "x"), _arr(y, 2, "y")
+    if x.shape != y.shape:
+        raise ShapeError(f"q_index shapes differ: {x.shape} vs {y.shape}")
     mx, my = _fmean(x), _fmean(y)
     vx = max(_fmean(x * x) - mx * mx, 0.0)
     vy = max(_fmean(y * y) - my * my, 0.0)
@@ -175,47 +149,21 @@ def _q_factors(x, y):
     return (cov / (sx * sy)) * lum * (2.0 * sx * sy / (vx + vy))
 
 
-def q_index(x, y, config=None):
-    """Universal quality index: correlation * luminance * contrast.
+def q4(x, y):
+    """Q index of the band-mean images (4-band inputs).
 
-    Global statistics by default; with q_window set, the mean of the index
-    over all dense odd-sized sliding windows. If both deviations vanish the
-    index is 1 for identical images and 0 otherwise.
+    This is not the quaternion Q4 of Alparone et al. (2004), which also
+    scores inter-band spectral distortion.
     """
-    cfg = (config or MetricsConfig()).validate()
-    x, y = _arr(x, 2, "x"), _arr(y, 2, "y")
-    if x.shape != y.shape:
-        raise ShapeError(f"q_index shapes differ: {x.shape} vs {y.shape}")
-    if not cfg.q_window:
-        return _q_factors(x, y)
-    k = cfg.q_window
-    h, w = x.shape
-    if h < k or w < k:
-        raise ShapeError(f"q_window {k} exceeds image extent {h}x{w}")
-    vals = [
-        _q_factors(x[i:i + k, j:j + k], y[i:i + k, j:j + k])
-        for i in range(h - k + 1) for j in range(w - k + 1)
-    ]
-    return math.fsum(vals) / len(vals)
-
-
-def q4(x, y, config=None):
-    """Q index of the weight-combined bands (4-band inputs)."""
-    cfg = (config or MetricsConfig()).validate()
     x, y = _arr(x, 3, "X"), _arr(y, 3, "Y")
     if x.shape != y.shape:
         raise ShapeError(f"q4 shapes differ: {x.shape} vs {y.shape}")
     if x.shape[0] != 4:
         raise ShapeError(f"q4 expects 4 bands, got {x.shape[0]}")
-    if cfg.band_weights:
-        w = np.asarray(cfg.band_weights, dtype=np.float64)
-        if w.size != 4:
-            raise ValueError(f"q4 needs 4 band weights, got {w.size}")
-    else:
-        w = np.full(4, 0.25)
+    w = np.full(4, 0.25)
     xc = np.einsum("k,khw->hw", w, x)
     yc = np.einsum("k,khw->hw", w, y)
-    return q_index(xc, yc, cfg)
+    return q_index(xc, yc)
 
 
 def _check_ratio(small, big, what):
@@ -232,9 +180,9 @@ def _block_mean(img, factor):
     return img.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
 
 
-def d_lambda(ms, fused, config=None):
-    """Spectral distortion: change of inter-band Q values between scales."""
-    cfg = (config or MetricsConfig()).validate()
+def d_lambda(ms, fused):
+    """Spectral distortion: mean absolute change of the inter-band Q values
+    between scales (exponent p = 1)."""
     ms, fused = _arr(ms, 3, "ms"), _arr(fused, 3, "fused")
     k = ms.shape[0]
     if k < 2:
@@ -247,14 +195,14 @@ def d_lambda(ms, fused, config=None):
         for j in range(k):
             if i == j:
                 continue
-            dq = q_index(ms[i], ms[j], cfg) - q_index(fused[i], fused[j], cfg)
-            terms.append(abs(dq) ** cfg.p)
-    return (math.fsum(terms) / len(terms)) ** (1.0 / cfg.p)
+            dq = q_index(ms[i], ms[j]) - q_index(fused[i], fused[j])
+            terms.append(abs(dq))
+    return math.fsum(terms) / len(terms)
 
 
-def d_s(ms, fused, pan, config=None):
-    """Spatial distortion: per-band Q against PAN at both scales."""
-    cfg = (config or MetricsConfig()).validate()
+def d_s(ms, fused, pan):
+    """Spatial distortion: mean absolute change of each band's Q against PAN
+    between scales (exponent q = 1)."""
     ms, fused = _arr(ms, 3, "ms"), _arr(fused, 3, "fused")
     pan = _arr(pan, 3, "pan")
     if pan.shape[0] != 1:
@@ -269,19 +217,18 @@ def d_s(ms, fused, pan, config=None):
     p = pan[0]
     p_low = _block_mean(p, s)
     terms = [
-        abs(q_index(fused[i], p, cfg) - q_index(ms[i], p_low, cfg)) ** cfg.q
+        abs(q_index(fused[i], p) - q_index(ms[i], p_low))
         for i in range(ms.shape[0])
     ]
-    return (math.fsum(terms) / len(terms)) ** (1.0 / cfg.q)
+    return math.fsum(terms) / len(terms)
 
 
-def qnr(d_lambda_value, d_s_value, config=None):
-    """(1 - D_lambda)^alpha * (1 - D_s)^beta."""
-    cfg = (config or MetricsConfig()).validate()
+def qnr(d_lambda_value, d_s_value):
+    """(1 - D_lambda) * (1 - D_s): exponents alpha = beta = 1."""
     for name, v in (("d_lambda", d_lambda_value), ("d_s", d_s_value)):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {v}")
-    return (1.0 - d_lambda_value) ** cfg.alpha * (1.0 - d_s_value) ** cfg.beta
+    return (1.0 - d_lambda_value) * (1.0 - d_s_value)
 
 
 def pearson(x, y):
@@ -297,22 +244,18 @@ def pearson(x, y):
     return (_fmean(x * y) - mx * my) / math.sqrt(vx * vy)
 
 
-def reduced_resolution_report(pred, gt, config=None):
+def reduced_resolution_report(pred, gt, ratio=0.25):
     """SAM, ERGAS, SCC, and Q4 of a prediction against its reference."""
-    cfg = (config or MetricsConfig()).validate()
-    values = {
+    return {
         "sam": sam(pred, gt),
-        "ergas": ergas(pred, gt, cfg),
+        "ergas": ergas(pred, gt, ratio),
         "scc": scc(pred, gt),
-        "q4": q4(pred, gt, cfg),
+        "q4": q4(pred, gt),
     }
-    return MetricsReport(values=values, config=cfg)
 
 
-def full_resolution_report(pred, ms, pan, config=None):
+def full_resolution_report(pred, ms, pan):
     """QNR with its spectral and spatial distortion components."""
-    cfg = (config or MetricsConfig()).validate()
-    dl = d_lambda(ms, pred, cfg)
-    ds = d_s(ms, pred, pan, cfg)
-    values = {"qnr": qnr(dl, ds, cfg), "d_lambda": dl, "d_s": ds}
-    return MetricsReport(values=values, config=cfg)
+    dl = d_lambda(ms, pred)
+    ds = d_s(ms, pred, pan)
+    return {"qnr": qnr(dl, ds), "d_lambda": dl, "d_s": ds}

@@ -9,8 +9,6 @@ a real high-resolution panchromatic input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError
@@ -20,33 +18,11 @@ from .tensor_core import (
 )
 
 
-@dataclass
-class MsdnConfig:
-    memory_slots: int = 64      # N
-    scale: int = 4              # s, MS-to-PAN resolution ratio
-    channels: int = 32          # C, feature width
-    spatial_kernel: int = 7     # attention conv extent
-    reduction: int = 4          # channel-attention bottleneck ratio
-
-    def validate(self):
-        if self.memory_slots < 1:
-            raise ValueError("memory_slots must be >= 1")
-        if self.scale < 1:
-            raise ValueError("scale must be >= 1")
-        if self.channels < 1:
-            raise ValueError("channels must be >= 1")
-        if self.spatial_kernel % 2 == 0 or self.spatial_kernel < 1:
-            raise ValueError("spatial_kernel must be odd and positive")
-        if self.reduction < 1:
-            raise ValueError("reduction must be >= 1")
-        return self
-
-
 class MsdnWeights:
-    """All trainable pieces of the detail network."""
+    """All trainable pieces of the detail network, sized by a ModelConfig
+    (channels, memory_slots, scale, spatial_kernel, reduction)."""
 
     def __init__(self, config, rng, dtype=np.float32, name="msdn"):
-        config.validate()
         self.config = config
         c, n, s = config.channels, config.memory_slots, config.scale
         # N learnable tiles of s*s pixels, stored flat as (N, s*s)

@@ -59,9 +59,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def numpy(self):
-        return self.data
-
     def zero_grad(self):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)

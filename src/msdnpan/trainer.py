@@ -14,6 +14,8 @@ blobs are self-describing, so no per-entry payload length is stored.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -21,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .data_pipeline import augment as augment_sample
-from .data_pipeline import decode_tensor, encode_tensor
+from .data_pipeline import decode_tensor, encode_tensor, tensor_extent
 from .errors import FormatError, NumericError
 from .injection_net import ModelConfig, PansharpenModel, pansharpen_with_details
-from .losses import LossConfig, total_loss
+from .losses import total_loss
 from .tensor_core import Tensor, backward
 
 CKPT_MAGIC = b"MSDC"
@@ -40,13 +42,15 @@ class TrainConfig:
     lr: float = 4e-4
     decay_every: int = 50
     decay_factor: float = 0.5
-    single_decay: bool = False
-    loss_weight: float = 0.001
+    loss_weight: float = 0.001        # lambda, scales the memorizing loss
     augment: bool = True
     seed: int = 0
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def validate(self):
+        for name in ("lr", "loss_weight", "decay_factor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
         if self.epochs < 1:
@@ -55,6 +59,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.decay_every < 1:
             raise ValueError("decay_every must be >= 1")
+        if self.loss_weight < 0:
+            raise ValueError("loss_weight must be >= 0")
         self.model.validate()
         return self
 
@@ -74,13 +80,9 @@ def desk_config(**overrides):
 
 
 def lr_at(epoch, config):
-    """Stepped decay: lr * factor^(epoch // every); optionally a single
-    decay at the boundary when single_decay is set."""
+    """Stepped decay: lr * factor^(epoch // every)."""
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    if config.single_decay:
-        return config.lr * (config.decay_factor if epoch >= config.decay_every
-                            else 1.0)
     return config.lr * config.decay_factor ** (epoch // config.decay_every)
 
 
@@ -188,22 +190,15 @@ def save_checkpoint(path, ckpt):
         out += struct.pack("<I", len(nb))
         out += nb
         out += encode_tensor(arr)
-    Path(path).write_bytes(bytes(out))
-
-
-def _msdt_length(buf, offset, source):
-    if len(buf) < offset + 6:
-        raise FormatError(f"{source}: truncated tensor header")
-    ndim = buf[offset + 5]
-    if not 1 <= ndim <= 4:
-        raise FormatError(f"{source}: invalid tensor rank {ndim}")
-    header_end = offset + 6 + 4 * ndim
-    if len(buf) < header_end:
-        raise FormatError(f"{source}: truncated tensor extents")
-    count = 1
-    for s in struct.unpack_from(f"<{ndim}I", buf, offset + 6):
-        count *= s
-    return 6 + 4 * ndim + 4 * count
+    # Write beside the target and rename over it, so a failed write leaves
+    # the previous checkpoint intact.
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(out)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path):
@@ -241,9 +236,9 @@ def load_checkpoint(path):
         except UnicodeDecodeError:
             raise FormatError(f"{source}: entry name is not UTF-8") from None
         pos += nlen
-        blob_len = _msdt_length(buf, pos, source)
-        tensors[name] = decode_tensor(buf[pos:pos + blob_len], source=source)
-        pos += blob_len
+        _, end = tensor_extent(buf, pos, source)
+        tensors[name] = decode_tensor(buf[pos:end], source=source)
+        pos = end
     if pos != len(buf):
         raise FormatError(f"{source}: {len(buf) - pos} trailing bytes")
     params, mm, mv = {}, {}, {}
@@ -288,7 +283,6 @@ def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
             raise ValueError(f"sample {s.id} lacks the high-pass target")
     model = PansharpenModel(config.model, np.random.default_rng((config.seed, 0)))
     adam = AdamState(model.parameters())
-    loss_cfg = LossConfig(weight=config.loss_weight).validate()
     n = len(samples)
     step = 0
     epoch = 0
@@ -308,7 +302,8 @@ def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
             gt = _stack(chosen, "gt")
             hp = _stack(chosen, "hp")
             out, details, coeff = pansharpen_with_details(ms, model)
-            tot, l1v, memv = total_loss(out, gt, hp, details, coeff, loss_cfg)
+            tot, l1v, memv = total_loss(out, gt, hp, details, coeff,
+                                        config.loss_weight)
             if not np.isfinite(tot.data):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch} step {step}: "

@@ -216,7 +216,7 @@ def test_c07_ms_only_inference(tmp_path):
 
 def test_c08_baseline_ordering():
     mra_scores, cubic_scores = [], []
-    cfg = InjectionConfig(gains=(1.0,), window=5, mode="mra_additive")
+    cfg = InjectionConfig(gain=1.0, window=5, mode="mra_additive")
     for i in range(8):
         s = synth_scene(40 + i, 32, sample_id=f"b{i}")
         up = bicubic_upsample(s.ms, 4)

@@ -43,19 +43,26 @@ def test_cs_with_matching_intensity_returns_ms():
 
 def test_cs_matches_scalar_formula():
     ms, pan = _pair(2)
-    weights = (0.1, 0.2, 0.3, 0.4)
-    gains = (0.5, 1.0, 1.5, 2.0)
-    cfg = InjectionConfig(gains=gains, band_weights=weights, mode="cs")
+    cfg = InjectionConfig(gain=1.5, mode="cs")
     out = cs_inject(ms, pan, cfg).data
-    intensity = sum(w * ms.data[k] for k, w in enumerate(weights))
+    intensity = sum(0.25 * ms.data[k] for k in range(4))
     for k in range(4):
-        expected = ms.data[k] + gains[k] * (pan.data[0] - intensity)
+        expected = ms.data[k] + 1.5 * (pan.data[0] - intensity)
         np.testing.assert_allclose(out[k], expected, rtol=1e-12)
+    # float32, 4 bands: the band mean equals the 0.25-weighted sum bit for
+    # bit, because scaling by 0.25 commutes with rounding
+    ms32 = ms.data.astype(np.float32)
+    pan32 = pan.data.astype(np.float32)
+    out32 = cs_inject(Tensor(ms32), Tensor(pan32), cfg).data
+    weighted = (ms32 * np.float32(0.25)).sum(axis=0, keepdims=True)
+    assert out32.dtype == np.float32
+    np.testing.assert_array_equal(
+        out32, ms32 + np.float32(1.5) * (pan32 - weighted))
 
 
 def test_mra_additive_matches_scalar_formula():
     ms, pan = _pair(3)
-    cfg = InjectionConfig(gains=(1.25,), window=3, mode="mra_additive")
+    cfg = InjectionConfig(gain=1.25, window=3, mode="mra_additive")
     out = mra_inject(ms, pan, cfg).data
     low = box_filter(pan, 3).data
     for k in range(4):
@@ -120,12 +127,8 @@ def test_config_validation():
         InjectionConfig(window=4).validate()
     with pytest.raises(ValueError):
         InjectionConfig(mode="pca").validate()
-    with pytest.raises(ValueError):
-        InjectionConfig(gains=(1.0, 2.0)).validate(4)
-    with pytest.raises(ValueError):
-        InjectionConfig(band_weights=(0.5, 0.5, 0.5, -0.5)).validate(4)
-    with pytest.raises(ValueError):
-        InjectionConfig(band_weights=(0.3, 0.3, 0.3, 0.3)).validate(4)
-    ok = InjectionConfig(gains=(1.0, 1.0, 1.0, 1.0),
-                         band_weights=(0.25, 0.25, 0.25, 0.25))
-    assert ok.validate(4) is ok
+    for gain in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            InjectionConfig(gain=gain).validate()
+    ok = InjectionConfig(gain=0.0, window=1, mode="cs")
+    assert ok.validate() is ok

@@ -92,6 +92,19 @@ def test_train_bad_inputs(workspace, tmp_path):
     assert main(args) == 1                      # rejected by validation
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--lr", "nan"), ("--lr", "inf"), ("--lambda", "nan"), ("--lambda", "-1"),
+])
+def test_train_rejects_non_finite_and_negative_flags(workspace, tmp_path,
+                                                     capsys, flag, value):
+    ckpt = tmp_path / "m.msdc"
+    assert main(["train", "--data", str(workspace["data"]), "--out",
+                 str(ckpt), "--preset", "desk", "--epochs", "1",
+                 flag, value]) == 1
+    assert capsys.readouterr().out == ""
+    assert not ckpt.exists()
+
+
 # ---------------------------------------------------------------------------
 # infer
 
@@ -157,8 +170,9 @@ def _with_header(ckpt, out, edit):
     lambda h: h["config"]["model"].update(warp_factor=9),
     lambda h: h["config"]["model"].update(channels=7),
     lambda h: h["rng"].update(step=h["step"] + 1),
+    lambda h: h["config"].update(lr=float("nan")),
 ], ids=["no-config", "no-epoch", "no-step", "no-rng", "unknown-key",
-        "unknown-model-key", "odd-channels", "rng-mismatch"])
+        "unknown-model-key", "odd-channels", "rng-mismatch", "nan-lr"])
 def test_infer_bad_checkpoint_header_is_format_error(workspace, tmp_path,
                                                      edit, capsys):
     bad = _with_header(workspace["ckpt"], tmp_path / "bad.msdc", edit)
@@ -225,6 +239,11 @@ def test_baseline_errors(workspace, tmp_path):
     save_tensor(twoband, np.ones((2, 16, 16), np.float32))
     assert main(["baseline", "--method", "cs", "--ms", str(workspace["ms"]),
                  "--pan", str(twoband), "--out", out]) == 2
+    for gain in ("nan", "inf"):
+        assert main(["baseline", "--method", "mra-add", "--ms",
+                     str(workspace["ms"]), "--pan", str(workspace["pan"]),
+                     "--out", out, "--g", gain]) == 1
+    assert not (tmp_path / "o.msdt").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +280,14 @@ def test_eval_shape_and_degenerate_exits(workspace, tmp_path):
     save_tensor(flat, np.full((4, 8, 8), 0.5, np.float32))
     assert main(["eval-reduced", "--pred", str(flat), "--gt",
                  str(flat)]) == 3
+
+
+@pytest.mark.parametrize("ratio", ["nan", "inf", "0"])
+def test_eval_reduced_rejects_bad_ratio(workspace, capsys, ratio):
+    assert main(["eval-reduced", "--pred", str(workspace["gt"]), "--gt",
+                 str(workspace["gt"]), "--ratio", ratio]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "ratio" in captured.err
 
 
 # ---------------------------------------------------------------------------

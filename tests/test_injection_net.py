@@ -119,6 +119,18 @@ def test_model_config_validation():
         _config(head_blocks=-1).validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("memory_slots", 0), ("scale", 0), ("channels", 0), ("spatial_kernel", 4),
+    ("spatial_kernel", -1), ("reduction", 0),
+])
+def test_model_config_rejects_bad_detail_network(field, value):
+    # channels=0 passes the even-channels check and needs its own
+    with pytest.raises(ValueError):
+        _config(**{field: value}).validate()
+    with pytest.raises(ValueError):
+        PansharpenModel(_config(**{field: value}), np.random.default_rng(0))
+
+
 def test_named_parameters_cover_all_and_are_unique():
     model = _model(seed=12)
     params = model.parameters()

@@ -7,8 +7,7 @@ import pytest
 
 from msdnpan.errors import ShapeError
 from msdnpan.losses import (
-    LossConfig, kl_divergence, l1_loss, memorizing_loss, sparsity_loss,
-    total_loss,
+    kl_divergence, l1_loss, memorizing_loss, sparsity_loss, total_loss,
 )
 from msdnpan.tensor_core import Tensor
 
@@ -114,13 +113,13 @@ def test_memorizing_trivial_cases():
 
 
 def test_total_loss_composition():
-    # L1 = 0.5 and L_Mem = 10 with the default weight gives 0.51
+    # L1 = 0.5 and L_Mem = 10 with weight 0.001 gives 0.51
     pred = Tensor(np.zeros((1, 4)))
     target = Tensor(np.full((1, 4), 0.5))
     hp = Tensor(np.array([[0.3, -0.3]]))
     ps = Tensor(hp.data.copy())
     mc = Tensor(np.array([[10.0]]))
-    total, rec, mem = total_loss(pred, target, hp, ps, mc, LossConfig())
+    total, rec, mem = total_loss(pred, target, hp, ps, mc, 0.001)
     assert abs(rec.item() - 0.5) < 1e-15
     assert abs(mem.item() - 10.0) < 1e-12
     assert abs(total.item() - 0.51) < 1e-12
@@ -131,7 +130,7 @@ def test_total_loss_perfect_prediction_is_zero():
     hp = Tensor(np.array([[0.1, 0.2]]))
     zero = Tensor(np.zeros((1, 2)))
     total, _, _ = total_loss(x, Tensor(x.data.copy()), hp,
-                             Tensor(hp.data.copy()), zero, LossConfig())
+                             Tensor(hp.data.copy()), zero, 0.001)
     assert abs(total.item()) < 1e-12
 
 
@@ -142,11 +141,6 @@ def test_zero_weight_reduces_to_l1():
     hp = Tensor(rng.standard_normal((2, 4)))
     ps = Tensor(rng.standard_normal((2, 4)))
     mc = Tensor(rng.standard_normal((2, 4)))
-    total, rec, _ = total_loss(pred, target, hp, ps, mc,
-                               LossConfig(weight=0.0))
+    total, rec, _ = total_loss(pred, target, hp, ps, mc, 0.0)
     assert total.item() == rec.item()
 
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        LossConfig(weight=-1.0).validate()

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from msdnpan.errors import ShapeError
+from msdnpan.injection_net import ModelConfig
 from msdnpan.msdn import (
-    MsdnConfig, MsdnWeights, channel_attention,
+    MsdnWeights, channel_attention,
     compose_spatial_details, decode_memory, encode_query, expand_memory,
     msdn_forward, spatial_attention, weighted_coefficients,
 )
@@ -13,8 +14,8 @@ from msdnpan.tensor_core import Tensor, backward, parameter, parameters
 
 
 def _weights(seed=0, channels=8, slots=4, scale=4):
-    cfg = MsdnConfig(memory_slots=slots, scale=scale, channels=channels,
-                     spatial_kernel=7, reduction=4)
+    cfg = ModelConfig(memory_slots=slots, scale=scale, channels=channels,
+                      spatial_kernel=7, reduction=4)
     return MsdnWeights(cfg, np.random.default_rng(seed), dtype=np.float64)
 
 
@@ -111,15 +112,6 @@ def test_weighted_coefficients_channel_check():
     w = _weights()
     with pytest.raises(ShapeError):
         weighted_coefficients(Tensor(np.zeros((1, 3, 8, 8))), w)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        MsdnConfig(memory_slots=0).validate()
-    with pytest.raises(ValueError):
-        MsdnConfig(spatial_kernel=4).validate()
-    with pytest.raises(ValueError):
-        MsdnConfig(reduction=0).validate()
 
 
 def test_parameter_names_are_prefixed_and_unique():

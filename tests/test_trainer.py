@@ -1,7 +1,10 @@
 """Optimizer, schedule, checkpoint format, and end-to-end training runs."""
 
 import json
+import math
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,12 +45,14 @@ def test_lr_schedule_steps():
         lr_at(-1, cfg)
 
 
-def test_lr_schedule_single_decay():
-    cfg = TrainConfig(lr=1e-3, decay_every=50, decay_factor=0.5,
-                      single_decay=True)
-    assert lr_at(0, cfg) == 1e-3
-    assert lr_at(50, cfg) == 5e-4
-    assert lr_at(500, cfg) == 5e-4       # no further decays
+@pytest.mark.parametrize("field, value", [
+    ("lr", math.nan), ("lr", math.inf), ("lr", 0.0),
+    ("loss_weight", math.nan), ("loss_weight", math.inf), ("loss_weight", -1.0),
+    ("decay_factor", math.nan), ("decay_factor", -math.inf),
+])
+def test_config_validation(field, value):
+    with pytest.raises(ValueError):
+        TrainConfig(**{field: value}).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +107,27 @@ def test_checkpoint_round_trip(tmp_path):
     (hlen,) = struct.unpack_from("<I", raw, 5)
     header = json.loads(raw[9:9 + hlen])
     assert header["rng"] == {"seed": cfg.seed, "epoch": 2, "step": 2}
+
+
+def test_failed_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
+    final = train(_scenes(2), _tiny_config(epochs=1))
+    path = tmp_path / "model.msdc"
+    save_checkpoint(path, final)
+    before = path.read_bytes()
+    write_bytes = Path.write_bytes
+
+    def torn_write(self, data):
+        write_bytes(self, bytes(data[:len(data) // 2]))
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", torn_write)
+    final.step += 1
+    with pytest.raises(OSError):
+        save_checkpoint(path, final)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert load_checkpoint(path).step == final.step - 1
+    assert os.listdir(tmp_path) == ["model.msdc"]
 
 
 def test_checkpoint_error_battery(tmp_path):
