@@ -50,8 +50,6 @@ def _check_pair(ms_up, pan):
 
 def hp_details(pan, window=5):
     """High-pass of the PAN band: pan minus its box-filtered low-pass."""
-    if window < 1 or window % 2 == 0:
-        raise ShapeError(f"window must be odd and positive, got {window}")
     return pan - box_filter(pan, window)
 
 

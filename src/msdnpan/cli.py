@@ -5,14 +5,15 @@ gradcheck. Machine-readable output (JSON, JSON lines) goes to stdout,
 diagnostics to stderr. Exit codes: 0 success, 1 usage error, 2 data or
 format error, 3 numeric failure.
 
-The environment variable MSDN_SEED, when set, overrides --seed.
+Every tensor a command reads must be non-empty, rank 3 (bands, h, w) and
+finite, or the command exits 2 (shape) or 3 (NaN or inf). A command never
+writes a tensor that holds NaN or inf; it exits 3 and writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -26,8 +27,10 @@ from .data_pipeline import (
 from .errors import (
     DegenerateInputError, FormatError, NumericError, ShapeError,
 )
-from .injection_net import BANDS, pansharpen
-from .metrics import full_resolution_report, reduced_resolution_report
+from .injection_net import pansharpen
+from .metrics import (
+    full_resolution_report, reduced_resolution_report, scale_ratio,
+)
 from .tensor_core import Tensor, bicubic_upsample
 from .trainer import (
     TrainConfig, desk_config, load_checkpoint, model_from_checkpoint, train,
@@ -48,14 +51,23 @@ def _emit(payload):
     sys.stdout.flush()
 
 
-def _seed_of(args):
-    env = os.environ.get("MSDN_SEED")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"MSDN_SEED must be an integer, got {env!r}")
-    return args.seed
+def _read(path):
+    """A tensor input: non-empty, rank 3 and finite, or a typed error."""
+    t = load_tensor(path)
+    if t.ndim != 3 or t.data.size == 0:
+        raise ShapeError(f"{path}: expected a non-empty rank-3 tensor "
+                         f"(bands, h, w), got shape {t.shape}")
+    if not np.isfinite(t.data).all():
+        raise NumericError(f"{path}: input contains NaN or inf")
+    return t
+
+
+def _write(path, arr):
+    """Save an output tensor; a non-finite one raises and writes nothing."""
+    data = arr.data if isinstance(arr, Tensor) else arr
+    if not np.isfinite(data).all():
+        raise NumericError(f"output contains NaN or inf; {path} not written")
+    save_tensor(path, arr)
 
 
 def build_parser():
@@ -137,16 +149,8 @@ def build_parser():
 
 
 def cmd_gen_data(args):
-    if args.scale < 1:
-        raise UsageError("--scale must be >= 1")
-    if args.count < 1:
-        raise UsageError("--count must be >= 1")
-    if args.size % args.scale:
-        raise UsageError(
-            f"--size {args.size} must be divisible by --scale {args.scale}")
-    manifest = generate_dataset(args.out, args.count, args.size,
-                                _seed_of(args), scale=args.scale,
-                                hp_window=args.hp_window)
+    manifest = generate_dataset(args.out, args.count, args.size, args.seed,
+                                scale=args.scale, hp_window=args.hp_window)
     _emit({"root": manifest.root, "count": len(manifest.ids),
            "train": len(manifest.train_ids()),
            "test": len(manifest.test_ids())})
@@ -170,11 +174,8 @@ def cmd_train(args):
     for key, value in model_overrides.items():
         if value is not None:
             setattr(base.model, key, value)
-    base.seed = _seed_of(args)
-    try:
-        base.validate()
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    base.seed = args.seed
+    base.validate()
     manifest = load_manifest(args.data)
     samples = load_split(manifest, "train", with_pan=False)
     if not samples:
@@ -186,85 +187,43 @@ def cmd_train(args):
 
 def cmd_infer(args):
     model = model_from_checkpoint(load_checkpoint(args.ckpt))
-    ms = load_tensor(args.ms)
-    if ms.ndim != 3:
-        raise ShapeError(f"{args.ms}: expected rank 3 (bands, h, w), "
-                         f"got rank {ms.ndim}")
-    if ms.shape[0] != BANDS:
-        raise ShapeError(f"{args.ms}: expected {BANDS} bands, got {ms.shape[0]}")
-    if not np.isfinite(ms.data).all():
-        raise NumericError(f"{args.ms}: input contains NaN or inf")
-    out = pansharpen(Tensor(ms.data[None]), model)
-    result = out.data[0]
-    if not np.isfinite(result).all():
-        raise NumericError("sharpened output contains NaN or inf; "
-                           "no output written")
-    save_tensor(args.out, result)
+    ms = _read(args.ms)
+    result = pansharpen(Tensor(ms.data[None]), model).data[0]
+    _write(args.out, result)
     if args.export_ppm:
         export_ppm(args.export_ppm, result[:3])
     _emit({"out": args.out, "shape": list(result.shape)})
     return 0
 
 
-def _derive_scale(ms, pan):
-    if pan.shape[1] % ms.shape[1] or pan.shape[2] % ms.shape[2]:
-        raise ShapeError(
-            f"PAN {pan.shape[1:]} is not an integer multiple of MS {ms.shape[1:]}")
-    s = pan.shape[1] // ms.shape[1]
-    if s != pan.shape[2] // ms.shape[2] or s < 1:
-        raise ShapeError(
-            f"inconsistent MS/PAN scale: {ms.shape[1:]} vs {pan.shape[1:]}")
-    return s
-
-
 def cmd_baseline(args):
-    ms = load_tensor(args.ms)
-    if ms.ndim != 3:
-        raise ShapeError(f"{args.ms}: expected rank 3 (bands, h, w)")
+    ms = _read(args.ms)
     if args.method == "bicubic":
-        up = bicubic_upsample(ms, args.scale)
-        save_tensor(args.out, up)
-        _emit({"out": args.out, "shape": list(up.shape)})
-        return 0
-    if not args.pan:
+        out = bicubic_upsample(ms, args.scale)
+    elif not args.pan:
         raise UsageError(f"--pan is required for method {args.method}")
-    pan = load_tensor(args.pan)
-    if pan.ndim != 3 or pan.shape[0] != 1:
-        raise ShapeError(f"{args.pan}: expected rank 3 (1, H, W)")
-    s = _derive_scale(ms, pan)
-    up = bicubic_upsample(ms, s)
-    mode = {"cs": "cs", "mra-add": "mra_additive",
-            "sfim": "sfim_multiplicative"}[args.method]
-    config = InjectionConfig(gain=args.g, window=args.window, mode=mode)
-    try:
-        config.validate()
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    fused = inject(up, pan, config)
-    save_tensor(args.out, fused)
-    _emit({"out": args.out, "shape": list(fused.shape)})
+    else:
+        pan = _read(args.pan)
+        up = bicubic_upsample(ms, scale_ratio(ms.shape[1:], pan.shape[1:],
+                                              "MS/PAN"))
+        mode = {"cs": "cs", "mra-add": "mra_additive",
+                "sfim": "sfim_multiplicative"}[args.method]
+        out = inject(up, pan, InjectionConfig(gain=args.g, window=args.window,
+                                              mode=mode))
+    _write(args.out, out)
+    _emit({"out": args.out, "shape": list(out.shape)})
     return 0
 
 
 def cmd_eval_reduced(args):
-    pred = load_tensor(args.pred)
-    gt = load_tensor(args.gt)
-    if pred.ndim != 3 or gt.ndim != 3:
-        raise ShapeError("eval-reduced expects rank-3 tensors (bands, h, w)")
-    if pred.shape != gt.shape:
-        raise ShapeError(f"shape mismatch: {pred.shape} vs {gt.shape}")
-    _emit(reduced_resolution_report(pred, gt, args.ratio))
+    _emit(reduced_resolution_report(_read(args.pred), _read(args.gt),
+                                    args.ratio))
     return 0
 
 
 def cmd_eval_full(args):
-    pred = load_tensor(args.pred)
-    ms = load_tensor(args.ms)
-    pan = load_tensor(args.pan)
-    for name, t in (("--pred", pred), ("--ms", ms), ("--pan", pan)):
-        if t.ndim != 3:
-            raise ShapeError(f"{name}: expected a rank-3 tensor")
-    _emit(full_resolution_report(pred, ms, pan))
+    _emit(full_resolution_report(_read(args.pred), _read(args.ms),
+                                 _read(args.pan)))
     return 0
 
 

@@ -264,9 +264,18 @@ def _scene_seed(seed, index):
 
 def generate_dataset(root, count, size, seed, scale=4, hp_window=5,
                      kappa=TEXTURE_KAPPA):
-    """Write `count` scenes plus manifest.json under `root`."""
+    """Write `count` scenes plus manifest.json under `root`. The arguments
+    are checked before anything is created."""
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise ValueError(f"count must be >= 1, got {count}")
+    if scale < 1:
+        raise ValueError(f"scale must be >= 1, got {scale}")
+    if size < 1 or size % scale:
+        raise ValueError(
+            f"size must be a positive multiple of scale {scale}, got {size}")
+    if hp_window < 1 or hp_window % 2 == 0:
+        raise ValueError(
+            f"hp_window must be odd and positive, got {hp_window}")
     rootp = Path(root)
     rootp.mkdir(parents=True, exist_ok=True)
     ids, split = [], {}
@@ -296,18 +305,29 @@ def generate_dataset(root, count, size, seed, scale=4, hp_window=5,
 def load_manifest(root):
     path = Path(root) / "manifest.json"
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_bytes())
     except FileNotFoundError:
         raise FormatError(f"{path}: no such file") from None
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: invalid JSON ({e})") from None
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: expected a JSON object")
     for key in ("version", "seed", "ids", "split", "params"):
         if key not in payload:
             raise FormatError(f"{path}: missing key {key!r}")
-    return DatasetManifest(root=str(root), ids=list(payload["ids"]),
-                           split=dict(payload["split"]),
-                           seed=int(payload["seed"]),
-                           params=dict(payload["params"]))
+    ids, split, seed = payload["ids"], payload["split"], payload["seed"]
+    if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+        raise FormatError(f"{path}: 'ids' must be a list of strings")
+    if not (isinstance(split, dict)
+            and all(split.get(i) in ("train", "test") for i in ids)):
+        raise FormatError(
+            f"{path}: 'split' must map every id to 'train' or 'test'")
+    if type(seed) is not int:
+        raise FormatError(f"{path}: 'seed' must be an integer, got {seed!r}")
+    if not isinstance(payload["params"], dict):
+        raise FormatError(f"{path}: 'params' must be an object")
+    return DatasetManifest(root=str(root), ids=ids, split=split, seed=seed,
+                           params=payload["params"])
 
 
 def load_sample(root, sample_id, with_pan=True):

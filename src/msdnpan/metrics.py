@@ -17,6 +17,7 @@ to those of the original and D_lambda of such an upsample is exactly 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -166,9 +167,12 @@ def q4(x, y):
     return q_index(xc, yc)
 
 
-def _check_ratio(small, big, what):
-    if big[0] % small[0] or big[1] % small[1]:
-        raise ShapeError(f"{what}: {big} is not a multiple of {small}")
+def scale_ratio(small, big, what):
+    """The integer factor s with big == s * small on both axes, or a
+    ShapeError naming `what`."""
+    if min(*small, *big) < 1 or big[0] % small[0] or big[1] % small[1]:
+        raise ShapeError(
+            f"{what}: {big} is not a positive multiple of {small}")
     s = big[0] // small[0]
     if s != big[1] // small[1]:
         raise ShapeError(f"{what}: anisotropic scale in {big} vs {small}")
@@ -189,14 +193,10 @@ def d_lambda(ms, fused):
         raise ShapeError("d_lambda needs at least 2 bands")
     if fused.shape[0] != k:
         raise ShapeError(f"band counts differ: {k} vs {fused.shape[0]}")
-    _check_ratio(ms.shape[1:], fused.shape[1:], "d_lambda")
-    terms = []
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            dq = q_index(ms[i], ms[j]) - q_index(fused[i], fused[j])
-            terms.append(abs(dq))
+    scale_ratio(ms.shape[1:], fused.shape[1:], "d_lambda")
+    # q_index is symmetric, so each unordered pair stands for both orders
+    terms = [abs(q_index(ms[i], ms[j]) - q_index(fused[i], fused[j]))
+             for i, j in itertools.combinations(range(k), 2)]
     return math.fsum(terms) / len(terms)
 
 
@@ -213,7 +213,7 @@ def d_s(ms, fused, pan):
     if pan.shape[1:] != fused.shape[1:]:
         raise ShapeError(
             f"pan {pan.shape[1:]} does not match fused {fused.shape[1:]}")
-    s = _check_ratio(ms.shape[1:], fused.shape[1:], "d_s")
+    s = scale_ratio(ms.shape[1:], fused.shape[1:], "d_s")
     p = pan[0]
     p_low = _block_mean(p, s)
     terms = [

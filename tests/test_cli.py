@@ -1,14 +1,19 @@
 """End-to-end command-line behaviour, run in-process via main(argv)."""
 
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import msdnpan
 from msdnpan.cli import build_parser, main
-from msdnpan.data_pipeline import load_manifest, load_tensor, save_tensor
+from msdnpan.data_pipeline import load_tensor, save_tensor
 from msdnpan.tensor_core import Tensor
 from msdnpan.trainer import load_checkpoint, save_checkpoint
 
@@ -50,22 +55,15 @@ def test_gen_data_reports_counts(tmp_path, capsys):
 
 
 def test_gen_data_usage_errors(tmp_path):
-    out = str(tmp_path / "d")
-    assert main(["gen-data", "--out", out, "--count", "2", "--size", "10"]) == 1
-    assert main(["gen-data", "--out", out, "--count", "0", "--size", "8"]) == 1
-    assert main(["gen-data", "--count", "2", "--size", "8"]) == 1  # no --out
-
-
-def test_seed_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MSDN_SEED", "9")
     out = tmp_path / "d"
-    assert main(["gen-data", "--out", str(out), "--count", "2",
-                 "--size", "8", "--seed", "0"]) == 0
-    capsys.readouterr()
-    assert load_manifest(out).seed == 9
-    monkeypatch.setenv("MSDN_SEED", "bogus")
-    assert main(["gen-data", "--out", str(out), "--count", "2",
-                 "--size", "8"]) == 1
+    base = ["gen-data", "--out", str(out)]
+    assert main(base + ["--count", "2", "--size", "10"]) == 1
+    assert main(base + ["--count", "0", "--size", "8"]) == 1
+    assert main(base + ["--count", "2", "--size", "8", "--scale", "0"]) == 1
+    assert main(base + ["--count", "2", "--size", "8",
+                        "--hp-window", "4"]) == 1
+    assert main(["gen-data", "--count", "2", "--size", "8"]) == 1  # no --out
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +286,105 @@ def test_eval_reduced_rejects_bad_ratio(workspace, capsys, ratio):
                  str(workspace["gt"]), "--ratio", ratio]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "ratio" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# tensor inputs and outputs: every flag goes through one reader and writer
+
+def _argv(ws, command, out):
+    """A valid argv for command; `out` is its output path, if it has one."""
+    argv = {
+        "infer": ["infer", "--ckpt", ws["ckpt"], "--ms", ws["ms"],
+                  "--out", out],
+        "baseline": ["baseline", "--method", "mra-add", "--ms", ws["ms"],
+                     "--pan", ws["pan"], "--out", out],
+        "bicubic": ["baseline", "--method", "bicubic", "--ms", ws["ms"],
+                    "--out", out],
+        "eval-reduced": ["eval-reduced", "--pred", ws["gt"], "--gt", ws["gt"]],
+        "eval-full": ["eval-full", "--pred", ws["gt"], "--ms", ws["ms"],
+                      "--pan", ws["pan"]],
+    }[command]
+    return [str(a) for a in argv]
+
+
+def _with_flag(argv, flag, path):
+    i = argv.index(flag) + 1
+    return argv[:i] + [str(path)] + argv[i + 1:]
+
+
+TENSOR_FLAGS = [
+    ("infer", "--ms"), ("baseline", "--ms"), ("baseline", "--pan"),
+    ("bicubic", "--ms"), ("eval-reduced", "--pred"), ("eval-reduced", "--gt"),
+    ("eval-full", "--pred"), ("eval-full", "--ms"), ("eval-full", "--pan"),
+]
+
+
+@pytest.mark.parametrize("command, flag", TENSOR_FLAGS)
+def test_non_finite_input_is_numeric_error(workspace, tmp_path, capsys,
+                                           command, flag):
+    out = tmp_path / "o.msdt"
+    argv = _argv(workspace, command, out)
+    data = load_tensor(argv[argv.index(flag) + 1]).data.copy()
+    data[0, 1, 1] = np.nan
+    bad = tmp_path / "nan.msdt"
+    save_tensor(bad, data)
+    assert main(_with_flag(argv, flag, bad)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: ")
+    assert "NaN" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape", [(4, 0, 0), (4, 4)], ids=["empty", "rank2"])
+@pytest.mark.parametrize("command, flag", TENSOR_FLAGS)
+def test_empty_or_rank2_input_is_shape_error(workspace, tmp_path, capsys,
+                                             command, flag, shape):
+    out = tmp_path / "o.msdt"
+    bad = tmp_path / "bad.msdt"
+    save_tensor(bad, np.ones(shape, np.float32))
+    assert main(_with_flag(_argv(workspace, command, out), flag, bad)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: ")
+    assert "rank-3" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_baseline_overflow_is_numeric_error(workspace, tmp_path, capsys):
+    out = tmp_path / "o.msdt"
+    assert main(["baseline", "--method", "cs", "--ms", str(workspace["ms"]),
+                 "--pan", str(workspace["pan"]), "--out", str(out),
+                 "--g", "1e39"]) == 3
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_entry_prints_one_error_line(workspace, tmp_path):
+    """The real process: exit code, one `error:` line, no traceback."""
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "manifest.json").write_text(json.dumps(
+        {"version": 1, "seed": 0, "ids": 5, "split": {}, "params": {}}))
+    nan = tmp_path / "nan.msdt"
+    gt = load_tensor(workspace["gt"]).data.copy()
+    gt[0, 0, 0] = np.nan
+    save_tensor(nan, gt)
+    src = str(Path(msdnpan.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, code in (
+            (["train", "--data", data, "--out", tmp_path / "m.msdc"], 2),
+            (["eval-reduced", "--pred", workspace["gt"], "--gt", nan], 3)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "msdnpan.cli", *map(str, argv)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Scene synthesis, tensor files, PPM export, and dataset layout."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -239,5 +241,50 @@ def test_load_manifest_errors(tmp_path):
     (tmp_path / "manifest.json").write_text('{"version": 1}')
     with pytest.raises(FormatError):
         load_manifest(tmp_path)
+    (tmp_path / "manifest.json").write_text("5")
+    with pytest.raises(FormatError):
+        load_manifest(tmp_path)
     with pytest.raises(ValueError):
         generate_dataset(tmp_path / "d", count=0, size=8, seed=0)
+
+
+def _manifest_with(root, edit):
+    generate_dataset(root, count=3, size=8, seed=0)
+    path = root / "manifest.json"
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return root
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m["split"].pop("scene_0001"),
+    lambda m: m["split"].update(scene_0001="val"),
+    lambda m: m.update(split=["train"] * 3),
+    lambda m: m.update(ids=5),
+    lambda m: m.update(ids=["scene_0000", 1]),
+    lambda m: m.update(seed="x"),
+    lambda m: m.update(seed=1.5),
+    lambda m: m.update(seed=True),
+    lambda m: m.update(params=[]),
+], ids=["split-lacks-id", "split-not-train-or-test", "split-not-dict",
+        "ids-not-list", "ids-not-strings", "seed-string", "seed-float",
+        "seed-bool", "params-not-dict"])
+def test_load_manifest_rejects_bad_types(tmp_path, edit):
+    root = _manifest_with(tmp_path / "d", edit)
+    with pytest.raises(FormatError):
+        load_manifest(root)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(count=0), dict(scale=0), dict(size=10), dict(size=0),
+    dict(hp_window=4), dict(hp_window=0),
+], ids=["count-0", "scale-0", "size-not-multiple", "size-0", "hp-window-even",
+        "hp-window-0"])
+def test_generate_dataset_checks_before_creating(tmp_path, kwargs):
+    args = dict(count=2, size=8, seed=0, scale=4, hp_window=5) | kwargs
+    root = tmp_path / "d"
+    with pytest.raises(ValueError) as err:
+        generate_dataset(root, **args)
+    assert not isinstance(err.value, (FormatError, ShapeError))
+    assert not root.exists()

@@ -232,6 +232,10 @@ def test_shape_validation():
     with pytest.raises(ShapeError):
         d_lambda(np.ones((4, 3, 3)), np.ones((4, 7, 7)))
     with pytest.raises(ShapeError):
+        d_lambda(np.ones((4, 3, 3)), np.ones((4, 6, 9)))  # anisotropic
+    with pytest.raises(ShapeError):
+        d_lambda(np.ones((4, 0, 0)), np.ones((4, 0, 0)))  # empty
+    with pytest.raises(ShapeError):
         d_s(np.ones((4, 3, 3)), np.ones((4, 6, 6)), np.ones((2, 6, 6)))
 
 
