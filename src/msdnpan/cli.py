@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -186,12 +187,18 @@ def cmd_train(args):
 
 
 def cmd_infer(args):
+    ppm = Path(args.export_ppm) if args.export_ppm else None
+    if ppm and not ppm.parent.is_dir():  # fail before --out is written
+        raise FileNotFoundError(f"{ppm}: no such directory {ppm.parent}")
     model = model_from_checkpoint(load_checkpoint(args.ckpt))
+    # frozen weights record no tape, so each plane's memory is freed once used
+    for p in model.parameters():
+        p.requires_grad = False
     ms = _read(args.ms)
     result = pansharpen(Tensor(ms.data[None]), model).data[0]
     _write(args.out, result)
-    if args.export_ppm:
-        export_ppm(args.export_ppm, result[:3])
+    if ppm:
+        export_ppm(ppm, result[:3])
     _emit({"out": args.out, "shape": list(result.shape)})
     return 0
 

@@ -29,6 +29,7 @@ from .tensor_core import Tensor
 
 MAGIC = b"MSDT"
 VERSION = 1
+MANIFEST_VERSION = 1
 TRAIN_FRACTION = 0.9
 
 PAN_WEIGHTS = (0.25, 0.25, 0.25, 0.25)
@@ -295,7 +296,7 @@ def generate_dataset(root, count, size, seed, scale=4, hp_window=5,
               "hp_window": hp_window, "kappa": kappa}
     manifest = DatasetManifest(root=str(root), ids=ids, split=split,
                                seed=int(seed), params=params)
-    payload = {"version": 1, "seed": manifest.seed, "ids": ids,
+    payload = {"version": MANIFEST_VERSION, "seed": manifest.seed, "ids": ids,
                "split": split, "params": params}
     (rootp / "manifest.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -315,9 +316,19 @@ def load_manifest(root):
     for key in ("version", "seed", "ids", "split", "params"):
         if key not in payload:
             raise FormatError(f"{path}: missing key {key!r}")
+    version = payload["version"]
+    if type(version) is not int or version != MANIFEST_VERSION:
+        raise FormatError(f"{path}: unsupported manifest version {version!r} "
+                          f"(expected {MANIFEST_VERSION})")
     ids, split, seed = payload["ids"], payload["split"], payload["seed"]
     if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
         raise FormatError(f"{path}: 'ids' must be a list of strings")
+    for i in ids:
+        # an id names one directory under the root; "/" and "\\" also
+        # rule out absolute paths
+        if i in ("", ".", "..") or "/" in i or "\\" in i:
+            raise FormatError(
+                f"{path}: id {i!r} is not a plain directory name")
     if not (isinstance(split, dict)
             and all(split.get(i) in ("train", "test") for i in ids)):
         raise FormatError(

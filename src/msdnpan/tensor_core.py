@@ -601,7 +601,8 @@ def parameter(name, value):
 
 def parameters(obj):
     """Every trainable tensor reachable from obj through attributes, lists
-    and tuples, in definition order."""
+    and tuples, in definition order. A frozen tensor (requires_grad False)
+    is not listed, so a model frozen for inference has no parameters()."""
     if isinstance(obj, Tensor):
         return [obj] if obj.requires_grad else []
     if isinstance(obj, (list, tuple)):

@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,12 @@ import pytest
 import msdnpan
 from msdnpan.cli import build_parser, main
 from msdnpan.data_pipeline import load_tensor, save_tensor
+from msdnpan.injection_net import ModelConfig, PansharpenModel, pansharpen
 from msdnpan.tensor_core import Tensor
-from msdnpan.trainer import load_checkpoint, save_checkpoint
+from msdnpan.trainer import (
+    TrainConfig, load_checkpoint, model_from_checkpoint, save_checkpoint,
+    snapshot,
+)
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +121,37 @@ def test_infer_roundtrip_and_ppm(workspace, tmp_path, capsys):
     assert payload["shape"] == [4, 16, 16]
     assert load_tensor(out).shape == (4, 16, 16)
     assert ppm.read_bytes().startswith(b"P6\n16 16\n255\n")
+    # infer freezes the model; its product equals the taped pass bit for bit
+    ms = Tensor(load_tensor(workspace["ms"]).data[None])
+    model = model_from_checkpoint(load_checkpoint(workspace["ckpt"]))
+    taped = pansharpen(ms, model)
+    for p in model.parameters():
+        p.requires_grad = False
+    frozen = pansharpen(ms, model)
+    assert taped.requires_grad and model.parameters() == []
+    assert not frozen.requires_grad and frozen._prev == ()
+    assert np.array_equal(load_tensor(out).data, taped.data[0])
+
+
+def test_infer_traced_peak_is_tape_free(tmp_path):
+    """Guard against infer recording the autodiff graph again. Basis: a
+    seeded full-config model on a 16x16 MS input peaks at 8.3 MB of
+    traced allocations tape-free and 26.2 MB with the tape kept."""
+    cfg = TrainConfig(seed=5, model=ModelConfig())
+    model = PansharpenModel(cfg.model, np.random.default_rng((5, 0)))
+    ckpt, ms = tmp_path / "full.msdc", tmp_path / "ms.msdt"
+    save_checkpoint(ckpt, snapshot(model, cfg))
+    save_tensor(ms, np.random.default_rng(0).random((4, 16, 16), np.float32))
+    argv = ["infer", "--ckpt", str(ckpt), "--ms", str(ms),
+            "--out", str(tmp_path / "o.msdt")]
+    assert main(argv) == 0  # warm-up: imports and first-call caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_infer_has_no_pan_input(capsys):
@@ -145,6 +181,11 @@ def test_infer_input_errors(workspace, tmp_path):
     save_tensor(rank2, np.ones((4, 4), np.float32))
     assert main(["infer", "--ckpt", str(workspace["ckpt"]), "--ms",
                  str(rank2), "--out", out]) == 2
+    ppm = tmp_path / "missing" / "o.ppm"
+    assert main(["infer", "--ckpt", str(workspace["ckpt"]), "--ms",
+                 str(workspace["ms"]), "--out", out,
+                 "--export-ppm", str(ppm)]) == 2
+    assert not Path(out).exists() and not ppm.exists()
 
 
 def _with_header(ckpt, out, edit):

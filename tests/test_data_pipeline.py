@@ -248,6 +248,13 @@ def test_load_manifest_errors(tmp_path):
         generate_dataset(tmp_path / "d", count=0, size=8, seed=0)
 
 
+def _with_id(manifest, sid):
+    """Rename the first id to sid, keeping its split."""
+    old = manifest["ids"][0]
+    manifest["ids"][0] = sid
+    manifest["split"][sid] = manifest["split"].pop(old)
+
+
 def _manifest_with(root, edit):
     generate_dataset(root, count=3, size=8, seed=0)
     path = root / "manifest.json"
@@ -267,9 +274,21 @@ def _manifest_with(root, edit):
     lambda m: m.update(seed=1.5),
     lambda m: m.update(seed=True),
     lambda m: m.update(params=[]),
+    lambda m: m.update(version=99),
+    lambda m: m.update(version="1"),
+    lambda m: m.update(version=True),
+    lambda m: _with_id(m, ""),
+    lambda m: _with_id(m, "."),
+    lambda m: _with_id(m, ".."),
+    lambda m: _with_id(m, "../data/scene_0000"),
+    lambda m: _with_id(m, "a/b"),
+    lambda m: _with_id(m, "a\\b"),
+    lambda m: _with_id(m, "/tmp/scene_0000"),
 ], ids=["split-lacks-id", "split-not-train-or-test", "split-not-dict",
         "ids-not-list", "ids-not-strings", "seed-string", "seed-float",
-        "seed-bool", "params-not-dict"])
+        "seed-bool", "params-not-dict", "version-99", "version-string",
+        "version-bool", "id-empty", "id-dot", "id-dotdot", "id-parent-path",
+        "id-slash", "id-backslash", "id-absolute"])
 def test_load_manifest_rejects_bad_types(tmp_path, edit):
     root = _manifest_with(tmp_path / "d", edit)
     with pytest.raises(FormatError):
