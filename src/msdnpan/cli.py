@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: gen-data, train, infer, baseline, eval-reduced, eval-full,
-gradcheck. Machine-readable output (JSON, JSON lines) goes to stdout,
-diagnostics to stderr. Exit codes: 0 success, 1 usage error, 2 data or
-format error, 3 numeric failure.
+Subcommands: gen-data, train, infer, baseline, eval-reduced, eval-full.
+Machine-readable output (JSON, JSON lines) goes to stdout, diagnostics to
+stderr. Exit codes: 0 success, 1 usage error, 2 data or format error,
+3 numeric failure.
 
 Every tensor a command reads must be non-empty, rank 3 (bands, h, w) and
 finite, or the command exits 2 (shape) or 3 (NaN or inf). A command never
@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gradcheck
 from .classic_fusion import InjectionConfig, inject
 from .data_pipeline import (
     export_ppm, generate_dataset, load_manifest, load_split, load_tensor,
@@ -140,12 +139,6 @@ def build_parser():
     p.add_argument("--pan", required=True)
     p.set_defaults(func=cmd_eval_full)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--self-test-corrupt", action="store_true",
-                   help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_gradcheck)
-
     return parser
 
 
@@ -231,23 +224,6 @@ def cmd_eval_reduced(args):
 def cmd_eval_full(args):
     _emit(full_resolution_report(_read(args.pred), _read(args.ms),
                                  _read(args.pan)))
-    return 0
-
-
-def cmd_gradcheck(args):
-    results = gradcheck.run_suite(seed=args.seed,
-                                  corrupt=args.self_test_corrupt)
-    failures = []
-    for name, err in results:
-        status = "ok" if err < gradcheck.TOLERANCE else "FAIL"
-        sys.stdout.write(f"{name:<16} {err:.3e} {status}\n")
-        if status == "FAIL":
-            failures.append(name)
-    sys.stdout.flush()
-    if failures:
-        sys.stderr.write(
-            "gradient check failed for: " + ", ".join(failures) + "\n")
-        return 3
     return 0
 
 

@@ -6,9 +6,10 @@ init, shuffling, augmentation) is derived from the config seed through
 named substreams, so a run is reproducible bit-for-bit.
 
 Checkpoint files: magic "MSDC", version byte, a length-prefixed UTF-8 JSON
-header (config, epoch, step, RNG counters), an entry count, then repeated
-(uint32 name length, name bytes, embedded .msdt tensor blob). The tensor
-blobs are self-describing, so no per-entry payload length is stored.
+header (config, epoch, step, RNG counters), an entry count, then one entry
+per model parameter: (uint32 name length, "param." + name bytes, embedded
+.msdt tensor blob). The tensor blobs are self-describing, so no per-entry
+payload length is stored. Optimizer state is not stored.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ CKPT_MAGIC = b"MSDC"
 CKPT_VERSION = 1
 
 AUG_MODES = ("none", "hflip", "vflip")
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -89,12 +94,11 @@ def lr_at(epoch, config):
 class AdamState:
     """Per-parameter first/second moments plus the shared step counter."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params):
         self.params = list(params)
         names = [p.name for p in self.params]
         if len(names) != len(set(names)):
             raise ValueError("duplicate parameter names")
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = {p.name: np.zeros_like(p.data) for p in self.params}
         self.v = {p.name: np.zeros_like(p.data) for p in self.params}
@@ -104,18 +108,18 @@ def adam_step(state, lr):
     """One bias-corrected Adam update; gradients are zeroed afterward."""
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     for p in state.params:
         g = p.grad
         if g is None:
             raise ValueError(f"parameter {p.name} has no gradient")
         m, v = state.m[p.name], state.v[p.name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         p.zero_grad()
 
 
@@ -123,18 +127,13 @@ def adam_step(state, lr):
 class Checkpoint:
     config: TrainConfig
     params: dict
-    moments_m: dict
-    moments_v: dict
     epoch: int
     step: int
 
 
-def snapshot(model, config, adam=None, epoch=0, step=0):
+def snapshot(model, config, epoch=0, step=0):
     params = {p.name: p.data.copy() for p in model.parameters()}
-    m = {k: v.copy() for k, v in adam.m.items()} if adam else {}
-    v = {k: w.copy() for k, w in adam.v.items()} if adam else {}
-    return Checkpoint(config=config, params=params, moments_m=m, moments_v=v,
-                      epoch=epoch, step=step)
+    return Checkpoint(config=config, params=params, epoch=epoch, step=step)
 
 
 def model_from_checkpoint(ckpt):
@@ -172,13 +171,8 @@ def save_checkpoint(path, ckpt):
         "rng": _rng_header(ckpt),
     }
     hjson = json.dumps(header, sort_keys=True).encode("utf-8")
-    entries = []
-    for name in sorted(ckpt.params):
-        entries.append(("param." + name, ckpt.params[name]))
-    for name in sorted(ckpt.moments_m):
-        entries.append(("adam.m." + name, ckpt.moments_m[name]))
-    for name in sorted(ckpt.moments_v):
-        entries.append(("adam.v." + name, ckpt.moments_v[name]))
+    entries = [("param." + name, ckpt.params[name])
+               for name in sorted(ckpt.params)]
     out = bytearray()
     out += CKPT_MAGIC
     out.append(CKPT_VERSION)
@@ -241,20 +235,15 @@ def load_checkpoint(path):
         pos = end
     if pos != len(buf):
         raise FormatError(f"{source}: {len(buf) - pos} trailing bytes")
-    params, mm, mv = {}, {}, {}
+    params = {}
     for name, arr in tensors.items():
-        if name.startswith("param."):
-            params[name[6:]] = arr
-        elif name.startswith("adam.m."):
-            mm[name[7:]] = arr
-        elif name.startswith("adam.v."):
-            mv[name[7:]] = arr
-        else:
+        if not name.startswith("param."):
             raise FormatError(f"{source}: unknown entry {name!r}")
+        params[name[6:]] = arr
     try:
         config = _config_from_json(header["config"]).validate()
-        ckpt = Checkpoint(config=config, params=params, moments_m=mm,
-                          moments_v=mv, epoch=header["epoch"], step=header["step"])
+        ckpt = Checkpoint(config=config, params=params,
+                          epoch=header["epoch"], step=header["step"])
         if header["rng"] != _rng_header(ckpt):
             raise ValueError("rng counters disagree with seed, epoch and step")
     except (AttributeError, KeyError, TypeError, ValueError) as e:
@@ -327,9 +316,8 @@ def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
                 and (epoch + 1) % checkpoint_every == 0
                 and epoch + 1 < config.epochs):
             save_checkpoint(checkpoint_path,
-                            snapshot(model, config, adam, epoch + 1, step))
-    final = snapshot(model, config, adam,
-                     epoch + 1 if config.epochs else 0, step)
+                            snapshot(model, config, epoch + 1, step))
+    final = snapshot(model, config, epoch + 1 if config.epochs else 0, step)
     if checkpoint_path:
         save_checkpoint(checkpoint_path, final)
     return final

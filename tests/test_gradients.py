@@ -2,15 +2,10 @@
 
 import numpy as np
 
-from msdnpan import gradcheck
+import gradcheck
 from msdnpan import tensor_core as tc
 
-
-def test_suite_passes_everywhere():
-    results = gradcheck.run_suite(seed=0)
-    assert len(results) >= 30
-    bad = {name: err for name, err in results if err >= gradcheck.TOLERANCE}
-    assert not bad, f"gradient mismatches: {bad}"
+# The seed-0 suite itself runs once, in criterion 1 (test_acceptance.py).
 
 
 def test_suite_is_seed_robust():
@@ -21,9 +16,9 @@ def test_suite_is_seed_robust():
 def test_corrupt_mode_is_detected():
     # scaling an analytic gradient by 1.01 must trip the comparator,
     # proving the suite can actually fail
-    results = gradcheck.run_suite(seed=0, corrupt=True)
-    assert results[0][1] >= gradcheck.TOLERANCE
-    assert all(err < gradcheck.TOLERANCE for _, err in results[1:])
+    _, make_loss, leaves = gradcheck.cases(0)[0]
+    err = gradcheck.check(make_loss, leaves, tamper=0.01)
+    assert err >= gradcheck.TOLERANCE
 
 
 def test_max_rel_error_normalisation():

@@ -9,13 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msdnpan.data_pipeline import SceneSample, synth_scene
+from msdnpan.cli import main
+from msdnpan.data_pipeline import (
+    SceneSample, encode_tensor, save_tensor, synth_scene, tensor_extent,
+)
 from msdnpan.errors import FormatError
 from msdnpan.injection_net import pansharpen
 from msdnpan.tensor_core import Tensor, parameter
 from msdnpan.trainer import (
     AdamState, TrainConfig, adam_step, desk_config, load_checkpoint, lr_at,
-    model_from_checkpoint, save_checkpoint, snapshot, train,
+    model_from_checkpoint, save_checkpoint, train,
 )
 
 
@@ -86,6 +89,21 @@ def test_adam_rejects_duplicates_and_missing_grad():
 # ---------------------------------------------------------------------------
 # checkpoint format
 
+def _entry_names(raw):
+    """Entry names of a checkpoint file, in stored order."""
+    (hlen,) = struct.unpack_from("<I", raw, 5)
+    pos = 9 + hlen
+    (count,) = struct.unpack_from("<I", raw, pos)
+    pos += 4
+    names = []
+    for _ in range(count):
+        (nlen,) = struct.unpack_from("<I", raw, pos)
+        names.append(raw[pos + 4:pos + 4 + nlen].decode("utf-8"))
+        _, pos = tensor_extent(raw, pos + 4 + nlen)
+    assert pos == len(raw)
+    return names
+
+
 def test_checkpoint_round_trip(tmp_path):
     cfg = _tiny_config()
     final = train(_scenes(2), cfg)
@@ -99,11 +117,10 @@ def test_checkpoint_round_trip(tmp_path):
     assert set(back.params) == set(final.params)
     for name, arr in final.params.items():
         assert np.array_equal(back.params[name], arr.astype(np.float32))
-    for name, arr in final.moments_m.items():
-        assert np.array_equal(back.moments_m[name], arr.astype(np.float32))
-    for name, arr in final.moments_v.items():
-        assert np.array_equal(back.moments_v[name], arr.astype(np.float32))
     raw = path.read_bytes()
+    names = _entry_names(raw)           # parameters only, no optimizer state
+    assert len(names) == len(final.params)
+    assert all(n.startswith("param.") for n in names)
     (hlen,) = struct.unpack_from("<I", raw, 5)
     header = json.loads(raw[9:9 + hlen])
     assert header["rng"] == {"seed": cfg.seed, "epoch": 2, "step": 2}
@@ -166,6 +183,32 @@ def test_checkpoint_error_battery(tmp_path):
     assert "UTF-8" in str(err.value)
 
 
+def test_checkpoint_with_adam_entry_is_rejected(tmp_path):
+    # Checkpoints once also stored Adam moments as adam.m.* / adam.v.*
+    # entries; such a file is now a format error, and infer exits 2.
+    final = train(_scenes(2), _tiny_config(epochs=1))
+    path = tmp_path / "model.msdc"
+    save_checkpoint(path, final)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, 5)
+    (count,) = struct.unpack_from("<I", raw, 9 + hlen)
+    name = sorted(final.params)[0]
+    entry = ("adam.m." + name).encode("utf-8")
+    old = tmp_path / "old.msdc"
+    old.write_bytes(raw[:9 + hlen] + struct.pack("<I", count + 1)
+                    + raw[9 + hlen + 4:] + struct.pack("<I", len(entry))
+                    + entry + encode_tensor(np.zeros_like(final.params[name])))
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(old)
+    assert "unknown entry" in str(err.value)
+
+    ms, out = tmp_path / "ms.msdt", tmp_path / "out.msdt"
+    save_tensor(ms, np.full((4, 8, 8), 0.5, np.float32))
+    assert main(["infer", "--ckpt", str(old), "--ms", str(ms),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_model_from_checkpoint_matches_and_validates(tmp_path):
     cfg = _tiny_config()
     scenes = _scenes(3)
@@ -213,15 +256,6 @@ def test_updates_write_into_parameter_buffers():
         assert np.all(p.grad == 0.0)
 
 
-def test_snapshot_without_adam_has_no_moments():
-    cfg = _tiny_config(epochs=1)
-    final = train(_scenes(2), cfg)
-    model = model_from_checkpoint(final)
-    snap = snapshot(model, cfg)
-    assert snap.moments_m == {} and snap.moments_v == {}
-    assert set(snap.params) == set(final.params)
-
-
 # ---------------------------------------------------------------------------
 # training loop behaviour
 
@@ -233,8 +267,6 @@ def test_training_is_bit_deterministic():
     assert set(a.params) == set(b.params)
     for name in a.params:
         assert np.array_equal(a.params[name], b.params[name]), name
-    for name in a.moments_m:
-        assert np.array_equal(a.moments_m[name], b.moments_m[name])
     c = train(scenes, _tiny_config(augment=True, seed=5))
     assert any(not np.array_equal(a.params[n], c.params[n]) for n in a.params)
 
