@@ -138,10 +138,11 @@ def _from_op(data, parents, bw):
 def _accum(t, g):
     if not t.requires_grad:
         return
-    g = np.asarray(g, dtype=t.data.dtype)
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a private copy: add passes one g to both inputs, reductions a view
+        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+    else:
+        t.grad += np.asarray(g, dtype=t.data.dtype)
 
 
 def _unbroadcast(g, shape):
@@ -274,16 +275,14 @@ def relu(a):
     def bw(g):
         _accum(a, g * mask)
 
-    return _from_op(np.where(mask, a.data, 0.0), (a,), bw)
+    return _from_op(a.data * mask, (a,), bw)
 
 
 def sigmoid(a):
-    x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # exp(-|x|) cannot overflow; the mask picks numerator 1 (x >= 0) or e
+    pos = a.data >= 0
+    e = np.exp(-np.abs(a.data))
+    out = (pos + e * ~pos) / (1 + e)
 
     def bw(g):
         _accum(a, g * out * (1.0 - out))
@@ -307,12 +306,15 @@ def prelu(a, slope):
         reduce_axes = tuple(i for i in range(a.data.ndim) if i != 1)
     else:
         raise ShapeError("slope must be a scalar or a rank-1 per-channel vector")
+    # a 0/1-mask product is exact and skips np.where's data-dependent branches;
+    # naming factor stops numpy reusing it as out, which raised infer's peak RSS
     pos = a.data > 0
-    out = np.where(pos, a.data, sl * a.data)
+    factor = pos + sl * ~pos
+    out = a.data * factor
 
     def bw(g):
-        _accum(a, g * np.where(pos, 1.0, sl))
-        gs = g * np.where(pos, 0.0, a.data)
+        _accum(a, g * (pos + sl * ~pos))
+        gs = g * np.minimum(a.data, 0)
         if reduce_axes is None:
             _accum(slope, gs.sum().reshape(slope.data.shape))
         else:
@@ -484,7 +486,8 @@ def conv2d(x, weight, bias=None):
 
     def bw(g):
         g = np.ascontiguousarray(g)
-        _accum(x, backend.conv2d_grad_input(g, weight.data))
+        if x.requires_grad:
+            _accum(x, backend.conv2d_grad_input(g, weight.data))
         _accum(weight, backend.conv2d_grad_weight(x.data, g, k))
         if bias is not None:
             _accum(bias, g.sum(axis=(0, 2, 3)))
@@ -533,13 +536,10 @@ def bicubic_upsample(x, factor):
     h, w = x.data.shape[-2:]
     ah = _bicubic_matrix(h, factor).astype(x.data.dtype)
     aw = _bicubic_matrix(w, factor).astype(x.data.dtype)
-    out = np.einsum("ih,...hw->...iw", ah, x.data)
-    out = np.einsum("jw,...iw->...ij", aw, out)
+    out = (ah @ x.data) @ aw.T
 
     def bw(g):
-        gx = np.einsum("jw,...ij->...iw", aw, g)
-        gx = np.einsum("ih,...iw->...hw", ah, gx)
-        _accum(x, gx)
+        _accum(x, ah.T @ (g @ aw))
 
     return _from_op(out, (x,), bw)
 

@@ -219,7 +219,7 @@ def load_checkpoint(path):
     pos += hlen
     (count,) = struct.unpack_from("<I", buf, pos)
     pos += 4
-    tensors = {}
+    params = {}
     for _ in range(count):
         if len(buf) < pos + 4:
             raise FormatError(f"{source}: truncated entry")
@@ -230,16 +230,15 @@ def load_checkpoint(path):
         except UnicodeDecodeError:
             raise FormatError(f"{source}: entry name is not UTF-8") from None
         pos += nlen
+        if not name.startswith("param."):
+            raise FormatError(f"{source}: unknown entry {name!r}")
+        if name[6:] in params:
+            raise FormatError(f"{source}: duplicate entry {name!r}")
         _, end = tensor_extent(buf, pos, source)
-        tensors[name] = decode_tensor(buf[pos:end], source=source)
+        params[name[6:]] = decode_tensor(buf[pos:end], source=source)
         pos = end
     if pos != len(buf):
         raise FormatError(f"{source}: {len(buf) - pos} trailing bytes")
-    params = {}
-    for name, arr in tensors.items():
-        if not name.startswith("param."):
-            raise FormatError(f"{source}: unknown entry {name!r}")
-        params[name[6:]] = arr
     try:
         config = _config_from_json(header["config"]).validate()
         ckpt = Checkpoint(config=config, params=params,

@@ -1,4 +1,4 @@
-"""Forward semantics of the autodiff core (gradients live in test_gradients)."""
+"""Autodiff core semantics; finite-difference checks are in test_gradients."""
 
 import numpy as np
 import pytest
@@ -57,6 +57,28 @@ def test_broadcast_gradient_is_summed():
     assert a.grad.shape == (2, 3)
     assert b.grad.shape == (1, 3)
     np.testing.assert_array_equal(b.grad, np.full((1, 3), 2.0))
+
+
+def test_add_of_a_tensor_to_itself_keeps_gradients_private():
+    # add hands one gradient array to both inputs; x's first gradient must
+    # be its own copy, or the second accumulation writes into y.grad
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    y = x + x
+    g = rng.standard_normal((3, 4))
+    tc.backward((y * Tensor(g)).sum())
+    np.testing.assert_array_equal(y.grad, g)
+    np.testing.assert_array_equal(x.grad, 2 * y.grad)
+
+
+def test_reduction_gradients_are_writable_arrays():
+    for reduce in (tc.reduce_sum, tc.reduce_mean):
+        x = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        tc.backward(reduce(x))
+        assert x.grad.flags.writeable and x.grad.base is None
+        x.grad[...] = 0.0
+        tc.backward(reduce(x, axis=1).sum() + reduce(x, axis=0).sum())
+        assert x.grad.flags.writeable and x.grad.shape == (2, 3)
 
 
 def test_reduce_max_splits_ties():
@@ -138,6 +160,25 @@ def test_conv2d_matches_scalar_loops():
     np.testing.assert_allclose(out, expected, rtol=1e-10, atol=1e-12)
 
 
+def test_conv2d_skips_input_gradient_of_a_constant_input(monkeypatch):
+    calls = []
+    grad_input = tc.backend.conv2d_grad_input
+
+    def counting(gy, w):
+        calls.append(gy.shape)
+        return grad_input(gy, w)
+
+    monkeypatch.setattr(tc.backend, "conv2d_grad_input", counting)
+    stem = tc.ConvLayer("stem", 4, 8, 3, np.random.default_rng(12))
+    ms = Tensor(np.ones((2, 4, 6, 6), np.float32))
+    tc.backward(tc.relu(stem(ms)).sum())
+    assert calls == [] and stem.weight.grad.any()
+
+    ms = Tensor(np.ones((2, 4, 6, 6), np.float32), requires_grad=True)
+    tc.backward(tc.relu(stem(ms)).sum())
+    assert calls == [(2, 8, 6, 6)] and ms.grad.shape == ms.shape
+
+
 def test_conv2d_shape_checks():
     x = Tensor(np.zeros((1, 2, 4, 4)))
     with pytest.raises(ShapeError):
@@ -194,6 +235,22 @@ def test_bicubic_constant_is_bit_exact():
     assert out.shape == (1, 4, 24, 24)
     assert np.array_equal(out.data, np.full((1, 4, 24, 24), 5.0,
                                             dtype=np.float32))
+
+
+def test_bicubic_float32_is_within_rounding_of_float64():
+    rng = np.random.default_rng(13)
+    x32 = rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
+    g32 = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
+    outs, grads = [], []
+    for dtype in (np.float32, np.float64):
+        x = Tensor(x32.astype(dtype), requires_grad=True)
+        out = tc.bicubic_upsample(x, 4)
+        assert out.dtype == dtype
+        tc.backward((out * Tensor(g32.astype(dtype))).sum())
+        outs.append(out.data)
+        grads.append(x.grad)
+    for lo, hi in (outs, grads):
+        assert np.abs(lo - hi).max() <= 1e-6 * np.abs(hi).max()
 
 
 def test_bicubic_factor_one_is_identity():
@@ -290,3 +347,68 @@ def test_kaiming_scale():
     rng = np.random.default_rng(10)
     w = tc.kaiming_normal(rng, (4000,), fan_in=8, dtype=np.float64)
     assert abs(w.std() - np.sqrt(2.0 / 8)) < 0.02
+
+
+# ---------------------------------------------------------------------------
+# activations: exactly the np.where / boolean-index formulas they replaced
+
+def _activation_input(rng, dtype, spread):
+    x = rng.uniform(-spread, spread, (2, 3, 5, 6))
+    x.flat[::7] = 0.0
+    x.flat[3::11] = -0.0
+    return x.astype(dtype)
+
+
+def _where_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _forward_and_grads(op, x, g, *extra):
+    xt = Tensor(x, requires_grad=True)
+    out = op(xt, *extra)
+    tc.backward((out * Tensor(g)).sum())
+    return out.data, xt.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_and_sigmoid_match_the_branching_formulas(dtype):
+    rng = np.random.default_rng(14)
+    g = rng.standard_normal((2, 3, 5, 6)).astype(dtype)
+
+    x = _activation_input(rng, dtype, 3.0)
+    out, gx = _forward_and_grads(tc.relu, x, g)
+    assert out.dtype == gx.dtype == dtype
+    assert np.array_equal(out, np.where(x > 0, x, 0.0))
+    assert np.array_equal(gx, g * (x > 0))
+
+    x = _activation_input(rng, dtype, 30.0)
+    out, gx = _forward_and_grads(tc.sigmoid, x, g)
+    ref = _where_sigmoid(x)
+    assert out.dtype == gx.dtype == dtype
+    assert np.array_equal(out, ref)
+    assert np.array_equal(gx, g * ref * (1.0 - ref))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("per_channel", [False, True])
+def test_prelu_matches_the_branching_formulas(dtype, per_channel):
+    rng = np.random.default_rng(15)
+    x = _activation_input(rng, dtype, 3.0)
+    g = rng.standard_normal(x.shape).astype(dtype)
+    slope_value = rng.uniform(0.05, 0.5, 3 if per_channel else ()).astype(dtype)
+    slope = Tensor(slope_value, requires_grad=True)
+    out, gx = _forward_and_grads(tc.prelu, x, g, slope)
+
+    sl = slope_value.reshape((1, 3, 1, 1) if per_channel else ())
+    pos = x > 0
+    gs = g * np.where(pos, 0.0, x)
+    assert out.dtype == gx.dtype == slope.grad.dtype == dtype
+    assert np.array_equal(out, np.where(pos, x, sl * x))
+    assert np.array_equal(gx, g * np.where(pos, 1.0, sl))
+    assert np.array_equal(slope.grad,
+                          gs.sum(axis=(0, 2, 3)) if per_channel else gs.sum())

@@ -183,9 +183,10 @@ def test_checkpoint_error_battery(tmp_path):
     assert "UTF-8" in str(err.value)
 
 
-def test_checkpoint_with_adam_entry_is_rejected(tmp_path):
-    # Checkpoints once also stored Adam moments as adam.m.* / adam.v.*
-    # entries; such a file is now a format error, and infer exits 2.
+def _with_extra_entry(tmp_path, prefix, value_of):
+    """Train a tiny model, save it, and write a copy with one more entry,
+    prefix + first parameter name holding value_of(its value), appended and
+    counted."""
     final = train(_scenes(2), _tiny_config(epochs=1))
     path = tmp_path / "model.msdc"
     save_checkpoint(path, final)
@@ -193,20 +194,40 @@ def test_checkpoint_with_adam_entry_is_rejected(tmp_path):
     (hlen,) = struct.unpack_from("<I", raw, 5)
     (count,) = struct.unpack_from("<I", raw, 9 + hlen)
     name = sorted(final.params)[0]
-    entry = ("adam.m." + name).encode("utf-8")
-    old = tmp_path / "old.msdc"
-    old.write_bytes(raw[:9 + hlen] + struct.pack("<I", count + 1)
+    entry = (prefix + name).encode("utf-8")
+    bad = tmp_path / "bad.msdc"
+    bad.write_bytes(raw[:9 + hlen] + struct.pack("<I", count + 1)
                     + raw[9 + hlen + 4:] + struct.pack("<I", len(entry))
-                    + entry + encode_tensor(np.zeros_like(final.params[name])))
+                    + entry + encode_tensor(value_of(final.params[name])))
+    return bad
+
+
+def _infer_exits_2_without_output(tmp_path, ckpt):
+    ms, out = tmp_path / "ms.msdt", tmp_path / "out.msdt"
+    save_tensor(ms, np.full((4, 8, 8), 0.5, np.float32))
+    assert main(["infer", "--ckpt", str(ckpt), "--ms", str(ms),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_checkpoint_with_adam_entry_is_rejected(tmp_path):
+    # Checkpoints once also stored Adam moments as adam.m.* / adam.v.*
+    # entries; such a file is now a format error, and infer exits 2.
+    old = _with_extra_entry(tmp_path, "adam.m.", np.zeros_like)
     with pytest.raises(FormatError) as err:
         load_checkpoint(old)
     assert "unknown entry" in str(err.value)
+    _infer_exits_2_without_output(tmp_path, old)
 
-    ms, out = tmp_path / "ms.msdt", tmp_path / "out.msdt"
-    save_tensor(ms, np.full((4, 8, 8), 0.5, np.float32))
-    assert main(["infer", "--ckpt", str(old), "--ms", str(ms),
-                 "--out", str(out)]) == 2
-    assert not out.exists()
+
+def test_checkpoint_with_duplicate_entry_is_rejected(tmp_path):
+    # a second copy of the first param.* entry must not silently win
+    dup = _with_extra_entry(tmp_path, "param.", np.copy)
+    first = _entry_names(dup.read_bytes())[0]
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(dup)
+    assert "duplicate entry" in str(err.value) and first in str(err.value)
+    _infer_exits_2_without_output(tmp_path, dup)
 
 
 def test_model_from_checkpoint_matches_and_validates(tmp_path):
