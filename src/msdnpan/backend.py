@@ -57,6 +57,7 @@ def conv2d_forward(x, w):
             else:
                 product(taps[u, v], window, out=scratch)
                 out += scratch
+    del xp, window, scratch     # so the crop copy does not coexist with them
     return np.ascontiguousarray(out.reshape(n, co, h, wp)[:, :, :, :wd])
 
 

@@ -233,7 +233,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if not getattr(args, "func", None):
             raise UsageError("a subcommand is required (see --help)")
-        return args.func(args)
+        # huge finite inputs may overflow on the way; _write's finiteness
+        # check reports that as one error line, so numpy stays quiet
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except UsageError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1

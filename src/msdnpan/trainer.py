@@ -137,9 +137,9 @@ def snapshot(model, config, epoch=0, step=0):
 
 
 def model_from_checkpoint(ckpt):
-    """Rebuild the model and overwrite its tensors with the stored ones."""
-    cfg = ckpt.config
-    model = PansharpenModel(cfg.model, np.random.default_rng((cfg.seed, 0)))
+    """Rebuild the model, drawing no initial values, and copy in the stored
+    tensors."""
+    model = PansharpenModel(ckpt.config.model, rng=None)
     named = model.named_parameters()
     if set(named) != set(ckpt.params):
         missing = set(named) ^ set(ckpt.params)

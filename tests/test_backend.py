@@ -5,6 +5,8 @@ row that mix neighbouring rows, so the cases use non-square planes,
 several k and ci != co: a row-wrap or crop error shows as a mismatch.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from msdnpan import backend
@@ -103,3 +105,28 @@ def test_outputs_keep_dtype_and_are_contiguous():
                     backend.conv2d_grad_weight(x, gy, 3)):
             assert out.dtype == dtype
             assert out.flags.c_contiguous
+
+
+def test_forward_frees_its_buffers_before_the_crop_copy():
+    """Live during the tap loop: the padded input, the accumulator and one
+    scratch buffer, each (h + 2p) rows or h rows of width w + 2p. The
+    cropped output must replace the padded input and scratch, not add to
+    them: the bound allows x.nbytes of headroom, less than the crop."""
+    n, ci, co, k, h, w = 1, 32, 64, 3, 128, 128
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((n, ci, h, w)).astype(np.float32)
+    wt = rng.standard_normal((co, ci, k, k)).astype(np.float32)
+    wp = w + 2 * (k // 2)
+    padded = n * ci * ((h + 2 * (k // 2)) * wp + k - 1) * 4
+    grid = n * co * h * wp * 4          # the accumulator, and the scratch
+    crop = n * co * h * w * 4
+    assert crop > x.nbytes
+    backend.conv2d_forward(x, wt)       # warm-up
+    tracemalloc.start()
+    try:
+        out = backend.conv2d_forward(x, wt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == crop
+    assert peak < x.nbytes + padded + 2 * grid, f"traced peak {peak / 2**20:.1f} MiB"

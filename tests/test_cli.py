@@ -135,8 +135,8 @@ def test_infer_roundtrip_and_ppm(workspace, tmp_path, capsys):
 
 def test_infer_traced_peak_is_tape_free(tmp_path):
     """Guard against infer recording the autodiff graph again. Basis: a
-    seeded full-config model on a 16x16 MS input peaks at 8.3 MB of
-    traced allocations tape-free and 26.2 MB with the tape kept."""
+    seeded full-config model on a 16x16 MS input peaks at 7.8 MB of
+    traced allocations tape-free and 24.7 MB with the tape kept."""
     cfg = TrainConfig(seed=5, model=ModelConfig())
     model = PansharpenModel(cfg.model, np.random.default_rng((5, 0)))
     ckpt, ms = tmp_path / "full.msdc", tmp_path / "ms.msdt"
@@ -233,7 +233,6 @@ def test_infer_non_finite_input_is_numeric_error(workspace, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_infer_non_finite_output_is_numeric_error(workspace, tmp_path):
     ckpt = load_checkpoint(workspace["ckpt"])
     name = sorted(ckpt.params)[0]
@@ -392,13 +391,50 @@ def test_empty_or_rank2_input_is_shape_error(workspace, tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_baseline_overflow_is_numeric_error(workspace, tmp_path, capsys):
     out = tmp_path / "o.msdt"
     assert main(["baseline", "--method", "cs", "--ms", str(workspace["ms"]),
                  "--pan", str(workspace["pan"]), "--out", str(out),
                  "--g", "1e39"]) == 3
     assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def _run_cli(argv):
+    """The real process, with the package importable from this checkout."""
+    src = str(Path(msdnpan.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "msdnpan.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("command", ["infer", "baseline"])
+def test_overflow_on_huge_finite_input_is_one_error_line(
+        workspace, tmp_path, command):
+    """Finite inputs that overflow inside the command: exit 3, no output,
+    and no numpy RuntimeWarning lines around the one `error:` line."""
+    out = tmp_path / "o.msdt"
+    ms = tmp_path / "ms.msdt"
+    if command == "infer":
+        save_tensor(ms, np.full((4, 8, 8), 1e30, np.float32))
+        argv = ["infer", "--ckpt", workspace["ckpt"], "--ms", ms,
+                "--out", out]
+    else:
+        pan = tmp_path / "pan.msdt"
+        save_tensor(ms, np.full((4, 8, 8), 3e38, np.float32))
+        save_tensor(pan, np.full((1, 32, 32), 3e38, np.float32))
+        argv = ["baseline", "--method", "cs", "--ms", ms, "--pan", pan,
+                "--out", out]
+    proc = _run_cli(argv)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert not out.exists()
+    # in-process, under the suite's error::RuntimeWarning filter
+    assert main(list(map(str, argv))) == 3
     assert not out.exists()
 
 
@@ -412,15 +448,10 @@ def test_entry_prints_one_error_line(workspace, tmp_path):
     gt = load_tensor(workspace["gt"]).data.copy()
     gt[0, 0, 0] = np.nan
     save_tensor(nan, gt)
-    src = str(Path(msdnpan.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     for argv, code in (
             (["train", "--data", data, "--out", tmp_path / "m.msdc"], 2),
             (["eval-reduced", "--pred", workspace["gt"], "--gt", nan], 3)):
-        proc = subprocess.run(
-            [sys.executable, "-m", "msdnpan.cli", *map(str, argv)],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = _run_cli(argv)
         assert proc.returncode == code, proc.stderr
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()

@@ -347,6 +347,9 @@ def test_kaiming_scale():
     rng = np.random.default_rng(10)
     w = tc.kaiming_normal(rng, (4000,), fan_in=8, dtype=np.float64)
     assert abs(w.std() - np.sqrt(2.0 / 8)) < 0.02
+    # no generator: zeros, for a model whose values are loaded afterwards
+    z = tc.kaiming_normal(None, (3, 2), fan_in=8, dtype=np.float32)
+    assert z.dtype == np.float32 and z.shape == (3, 2) and not z.any()
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +387,7 @@ def test_relu_and_sigmoid_match_the_branching_formulas(dtype):
     out, gx = _forward_and_grads(tc.relu, x, g)
     assert out.dtype == gx.dtype == dtype
     assert np.array_equal(out, np.where(x > 0, x, 0.0))
+    assert np.array_equal(out, x * (x > 0))     # the mask product it replaced
     assert np.array_equal(gx, g * (x > 0))
 
     x = _activation_input(rng, dtype, 30.0)
@@ -412,3 +416,33 @@ def test_prelu_matches_the_branching_formulas(dtype, per_channel):
     assert np.array_equal(gx, g * np.where(pos, 1.0, sl))
     assert np.array_equal(slope.grad,
                           gs.sum(axis=(0, 2, 3)) if per_channel else gs.sum())
+
+
+# ---------------------------------------------------------------------------
+# forward ops: bit for bit the reshape-mean and mask-product formulas
+
+def _signed_input(dtype):
+    x = np.random.default_rng(16).standard_normal((2, 3, 6, 8)) * 4.0
+    x.flat[::5] = 0.0
+    x.flat[2::9] = -0.0
+    return x.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_avg_pool2_is_the_reshape_mean(dtype):
+    x = _signed_input(dtype)
+    out = tc.avg_pool2(Tensor(x)).data
+    assert out.dtype == dtype
+    assert np.array_equal(out, x.reshape(2, 3, 3, 2, 4, 2).mean(axis=(3, 5)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("slope_value", [0.25, -0.7, 1.5, (0.1, -0.3, 2.5)])
+def test_prelu_is_the_mask_product(dtype, slope_value):
+    x = _signed_input(dtype)
+    slope = np.asarray(slope_value, dtype)
+    out = tc.prelu(Tensor(x), Tensor(slope)).data
+    sl = slope.reshape((1, 3, 1, 1) if slope.ndim else ())
+    pos = x > 0
+    assert out.dtype == dtype
+    assert np.array_equal(out, x * (pos + sl * ~pos))

@@ -230,13 +230,23 @@ def test_checkpoint_with_duplicate_entry_is_rejected(tmp_path):
     _infer_exits_2_without_output(tmp_path, dup)
 
 
-def test_model_from_checkpoint_matches_and_validates(tmp_path):
+def test_model_from_checkpoint_matches_and_validates(tmp_path, monkeypatch):
     cfg = _tiny_config()
     scenes = _scenes(3)
     final = train(scenes, cfg)
     path = tmp_path / "model.msdc"
     save_checkpoint(path, final)
+
+    # every value is copied in from the file, so loading draws nothing
+    def no_draws(*args, **kwargs):
+        raise AssertionError("model_from_checkpoint created a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(np.random, "normal", no_draws)
     restored = model_from_checkpoint(load_checkpoint(path))
+    for name, p in restored.named_parameters().items():
+        assert p.data.dtype == final.params[name].dtype
+        assert np.array_equal(p.data, final.params[name]), name
 
     ms = Tensor(scenes[0].ms.data[None])
     direct = model_from_checkpoint(final)
