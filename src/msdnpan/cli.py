@@ -98,7 +98,6 @@ def build_parser():
                    help="memorizing-loss weight")
     p.add_argument("--mem-slots", type=int, default=None,
                    help="memory bank size N")
-    p.add_argument("--scale", type=int, default=None)
     p.add_argument("--channels", type=int, default=None)
     p.add_argument("--nin-depth", type=int, default=None)
     p.add_argument("--head-blocks", type=int, default=None)
@@ -155,25 +154,21 @@ def cmd_train(args):
     base = desk_config() if args.preset == "desk" else TrainConfig()
     overrides = {
         "epochs": args.epochs, "batch_size": args.batch, "lr": args.lr,
-        "loss_weight": args.loss_weight,
-    }
-    model_overrides = {
-        "memory_slots": args.mem_slots, "scale": args.scale,
-        "channels": args.channels, "nin_depth": args.nin_depth,
-        "head_blocks": args.head_blocks,
+        "loss_weight": args.loss_weight, "seed": args.seed,
+        "memory_slots": args.mem_slots, "channels": args.channels,
+        "nin_depth": args.nin_depth, "head_blocks": args.head_blocks,
     }
     for key, value in overrides.items():
         if value is not None:
-            setattr(base, key, value)
-    for key, value in model_overrides.items():
-        if value is not None:
-            setattr(base.model, key, value)
-    base.seed = args.seed
+            setattr(base if hasattr(base, key) else base.model, key, value)
     base.validate()
     manifest = load_manifest(args.data)
     samples = load_split(manifest, "train", with_pan=False)
     if not samples:
         raise FormatError(f"{args.data}: no training samples in the manifest")
+    # the model upsamples by the data's own MS-to-GT ratio
+    base.model.scale = scale_ratio(samples[0].ms.shape[1:],
+                                   samples[0].gt.shape[1:], "MS/GT")
     train(samples, base, log_fn=_emit, checkpoint_path=args.out,
           checkpoint_every=args.checkpoint_every)
     return 0

@@ -79,18 +79,17 @@ def wald_downsample(img, factor):
     return Tensor(out) if isinstance(img, Tensor) else out
 
 
-def synth_scene(seed, size, bands=4, scale=4, hp_window=5,
-                kappa=TEXTURE_KAPPA, weights=PAN_WEIGHTS, sample_id=None):
+def synth_scene(seed, size, scale=4, hp_window=5, kappa=TEXTURE_KAPPA,
+                sample_id=None):
     """Deterministic synthetic scene at ground-truth resolution `size`.
 
-    The PAN band is the weighted band sum plus kappa times a stripe/noise
-    texture; with kappa = 0 it is exactly the weighted sum.
+    The PAN band is the PAN_WEIGHTS sum of the bands plus kappa times a
+    stripe/noise texture; with kappa = 0 it is exactly the weighted sum.
     """
     size = int(size)
     if size % scale:
         raise ShapeError(f"size {size} not divisible by scale {scale}")
-    if len(weights) != bands:
-        raise ShapeError(f"need {bands} pan weights, got {len(weights)}")
+    bands = len(PAN_WEIGHTS)
     rng = np.random.default_rng(seed)
     grid = (np.arange(size) + 0.5) / size
     yy = grid[:, None]
@@ -126,7 +125,7 @@ def synth_scene(seed, size, bands=4, scale=4, hp_window=5,
     noise /= max(np.abs(noise).max(), 1e-12)
     texture = 0.6 * stripes + 0.4 * noise
 
-    w = np.asarray(weights, dtype=np.float64).reshape(-1, 1, 1)
+    w = np.asarray(PAN_WEIGHTS, dtype=np.float64).reshape(-1, 1, 1)
     pan = (gt * w).sum(axis=0)
     if kappa:
         pan = np.clip(pan + kappa * texture, 0.0, 1.0)

@@ -5,6 +5,9 @@ Those features are bicubically upsampled and fed to the detail network,
 whose single-plane output the NIN turns into a 4-band injection residual.
 The sharpened product is bicubic(MS) + residual, so inference needs the MS
 image only.
+
+`pansharpen_with_details` is the one place that checks the MS batch (bands,
+rank, size, extents for the NIN depth); the layers trust the model's shapes.
 """
 
 from __future__ import annotations
@@ -56,21 +59,19 @@ class ModelConfig:
 class HeadWeights:
     """Stem conv plus a chain of two-conv residual blocks."""
 
-    def __init__(self, config, rng, dtype=np.float32, name="head"):
+    def __init__(self, config, rng, dtype=np.float32):
         c = config.channels
-        self.stem = ConvLayer(name + ".stem", BANDS, c, 3, rng, dtype)
+        self.stem = ConvLayer("head.stem", BANDS, c, 3, rng, dtype)
         self.blocks = []
         for i in range(config.head_blocks):
             self.blocks.append((
-                ConvLayer(f"{name}.block{i}.conv1", c, c, 3, rng, dtype),
-                ConvLayer(f"{name}.block{i}.conv2", c, c, 3, rng, dtype),
+                ConvLayer(f"head.block{i}.conv1", c, c, 3, rng, dtype),
+                ConvLayer(f"head.block{i}.conv2", c, c, 3, rng, dtype),
             ))
 
 
 def head(ms, weights):
     """Encode a (n, 4, h, w) MS image into (n, C, h, w) features."""
-    if ms.ndim != 4 or ms.shape[1] != BANDS:
-        raise ShapeError(f"head expects (n, {BANDS}, h, w), got {ms.shape}")
     feat = relu(weights.stem(ms))
     for c1, c2 in weights.blocks:
         feat = feat + c2(relu(c1(feat)))
@@ -82,8 +83,6 @@ class InjectionBlockWeights:
     parts, a fusion conv, and a residual connection."""
 
     def __init__(self, name, channels, rng, dtype=np.float32):
-        if channels % 2:
-            raise ShapeError(f"injection block needs even channels, got {channels}")
         c = channels
         self.slope_pos = parameter(
             name + ".slope_pos", np.full(c, 0.25, dtype=dtype))
@@ -104,19 +103,18 @@ def injection_block(y, block):
 class NinWeights:
     """Embedding conv, encoder/decoder injection blocks, output projection."""
 
-    def __init__(self, config, rng, dtype=np.float32, name="nin"):
+    def __init__(self, config, rng, dtype=np.float32):
         c, d = config.channels, config.nin_depth
-        self.depth = d
-        self.embed = ConvLayer(name + ".embed", 1, c, 3, rng, dtype)
+        self.embed = ConvLayer("nin.embed", 1, c, 3, rng, dtype)
         self.encoder = [
-            InjectionBlockWeights(f"{name}.enc{i}", c, rng, dtype)
+            InjectionBlockWeights(f"nin.enc{i}", c, rng, dtype)
             for i in range(d)
         ]
         self.decoder = [
-            InjectionBlockWeights(f"{name}.dec{i}", c, rng, dtype)
+            InjectionBlockWeights(f"nin.dec{i}", c, rng, dtype)
             for i in range(d - 1)
         ]
-        self.project = ConvLayer(name + ".project", c, BANDS, 1, rng, dtype)
+        self.project = ConvLayer("nin.project", c, BANDS, 1, rng, dtype)
 
 
 def nin_forward(details, weights):
@@ -126,14 +124,6 @@ def nin_forward(details, weights):
     upsample back with additive skips. Depth 1 degenerates to a single
     block at full resolution.
     """
-    if details.ndim != 4 or details.shape[1] != 1:
-        raise ShapeError(f"nin expects (n, 1, h, w), got {details.shape}")
-    d = weights.depth
-    div = 1 << (d - 1)
-    _, _, h, w = details.shape
-    if h % div or w % div:
-        raise ShapeError(
-            f"spatial extents {h}x{w} must be multiples of {div} for depth {d}")
     embedded = weights.embed(details)
     skips = []
     feat = embedded
@@ -157,9 +147,6 @@ class PansharpenModel:
         self.head = HeadWeights(config, rng, dtype)
         self.msdn = MsdnWeights(config, rng, dtype)
         self.nin = NinWeights(config, rng, dtype)
-        names = [p.name for p in self.parameters()]
-        if len(names) != len(set(names)):
-            raise ValueError("duplicate parameter names in model")
 
     def parameters(self):
         return parameters([self.head, self.msdn, self.nin])
@@ -179,6 +166,11 @@ def pansharpen_with_details(ms, model):
         raise ShapeError(f"pansharpen expects (n, {BANDS}, h, w), got {ms.shape}")
     if ms.shape[2] < 4 or ms.shape[3] < 4:
         raise ShapeError(f"MS patches must be at least 4x4, got {ms.shape[2:]}")
+    div = 1 << (cfg.nin_depth - 1)
+    h, w = cfg.scale * ms.shape[2], cfg.scale * ms.shape[3]
+    if h % div or w % div:
+        raise ShapeError(f"sharpened extents {h}x{w} must be multiples of "
+                         f"{div} for NIN depth {cfg.nin_depth}")
     feat = head(ms, model.head)
     feat_up = bicubic_upsample(feat, cfg.scale)
     details, coeff = msdn_forward(feat_up, model.msdn)

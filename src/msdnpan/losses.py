@@ -14,6 +14,8 @@ import numpy as np
 from .errors import ShapeError
 from .tensor_core import absolute, constant, div, exp, log, reshape
 
+KL_EPS = 1e-12          # keeps log() finite where a softmax underflows to 0
+
 
 def l1_loss(pred, target):
     """Mean absolute error over every element."""
@@ -40,7 +42,7 @@ def _flat_softmax(t):
     return div(e, e.sum(axis=1, keepdims=True))
 
 
-def kl_divergence(target, approx, eps=1e-12):
+def kl_divergence(target, approx):
     """KL(p || q) between per-item softmax distributions, averaged over the
     batch. `target` provides p, `approx` provides q."""
     if target.shape[0] != approx.shape[0]:
@@ -51,8 +53,7 @@ def kl_divergence(target, approx, eps=1e-12):
             f"per-item sizes differ: {target.shape} vs {approx.shape}")
     p = _flat_softmax(target)
     q = _flat_softmax(approx)
-    epsc = float(eps)
-    terms = p * (log(p + epsc) - log(q + epsc))
+    terms = p * (log(p + KL_EPS) - log(q + KL_EPS))
     return terms.sum(axis=1).mean()
 
 

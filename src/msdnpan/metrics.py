@@ -43,6 +43,15 @@ def _fmean(a):
     return _fsum(a) / a.size
 
 
+def _moments(x, y):
+    """(mx, my, vx, vy, cov): means, variances clamped at 0, covariance."""
+    mx, my = _fmean(x), _fmean(y)
+    vx = max(_fmean(x * x) - mx * mx, 0.0)
+    vy = max(_fmean(y * y) - my * my, 0.0)
+    cov = _fmean(x * y) - mx * my
+    return mx, my, vx, vy, cov
+
+
 def rmse(x, y):
     """Root of the mean squared difference."""
     x, y = _arr(x), _arr(y)
@@ -122,12 +131,9 @@ def scc(x, y):
         raise ShapeError("scc needs at least 3x3 images")
     fx = np.stack([_laplacian(x[k]) for k in range(x.shape[0])])
     fy = np.stack([_laplacian(y[k]) for k in range(y.shape[0])])
-    mx, my = _fmean(fx), _fmean(fy)
-    vx = max(_fmean(fx * fx) - mx * mx, 0.0)
-    vy = max(_fmean(fy * fy) - my * my, 0.0)
+    _, _, vx, vy, cov = _moments(fx, fy)
     if vx == 0.0 or vy == 0.0:
         raise DegenerateInputError("zero variance after Laplacian filtering")
-    cov = _fmean(fx * fy) - mx * my
     return cov / math.sqrt(vx * vy)
 
 
@@ -138,10 +144,7 @@ def q_index(x, y):
     x, y = _arr(x, 2, "x"), _arr(y, 2, "y")
     if x.shape != y.shape:
         raise ShapeError(f"q_index shapes differ: {x.shape} vs {y.shape}")
-    mx, my = _fmean(x), _fmean(y)
-    vx = max(_fmean(x * x) - mx * mx, 0.0)
-    vy = max(_fmean(y * y) - my * my, 0.0)
-    cov = _fmean(x * y) - mx * my
+    mx, my, vx, vy, cov = _moments(x, y)
     sx, sy = math.sqrt(vx), math.sqrt(vy)
     if sx * sy == 0.0:
         return 1.0 if np.array_equal(x, y) else 0.0
@@ -236,12 +239,10 @@ def pearson(x, y):
     x, y = _arr(x), _arr(y)
     if x.shape != y.shape:
         raise ShapeError(f"pearson shapes differ: {x.shape} vs {y.shape}")
-    mx, my = _fmean(x), _fmean(y)
-    vx = max(_fmean(x * x) - mx * mx, 0.0)
-    vy = max(_fmean(y * y) - my * my, 0.0)
+    _, _, vx, vy, cov = _moments(x, y)
     if vx == 0.0 or vy == 0.0:
         raise DegenerateInputError("pearson undefined for constant input")
-    return (_fmean(x * y) - mx * my) / math.sqrt(vx * vy)
+    return cov / math.sqrt(vx * vy)
 
 
 def reduced_resolution_report(pred, gt, ratio=0.25):

@@ -628,25 +628,14 @@ class ConvLayer:
 
     def __init__(self, name, in_channels, out_channels, kernel_size, rng,
                  dtype=np.float32):
-        k = int(kernel_size)
-        if k < 1 or k % 2 == 0:
-            raise ShapeError(f"kernel size must be odd, got {kernel_size}")
-        self.name = name
-        self.in_channels = int(in_channels)
-        self.out_channels = int(out_channels)
-        self.kernel_size = k
-        fan_in = self.in_channels * k * k
+        k = kernel_size
         self.weight = parameter(
             name + ".weight",
-            kaiming_normal(rng, (self.out_channels, self.in_channels, k, k),
-                           fan_in, dtype),
+            kaiming_normal(rng, (out_channels, in_channels, k, k),
+                           in_channels * k * k, dtype),
         )
-        self.bias = parameter(name + ".bias", np.zeros(self.out_channels, dtype))
+        self.bias = parameter(name + ".bias", np.zeros(out_channels, dtype))
 
     def __call__(self, x):
-        if x.data.shape[1] != self.in_channels:
-            raise ShapeError(
-                f"{self.name}: expected {self.in_channels} input channels, "
-                f"got {x.data.shape[1]}"
-            )
+        # conv2d checks the kernel extent and the input channels
         return conv2d(x, self.weight, self.bias)

@@ -92,16 +92,13 @@ def lr_at(epoch, config):
 
 
 class AdamState:
-    """Per-parameter first/second moments plus the shared step counter."""
+    """First/second moments in lists parallel to params, and the step count."""
 
     def __init__(self, params):
         self.params = list(params)
-        names = [p.name for p in self.params]
-        if len(names) != len(set(names)):
-            raise ValueError("duplicate parameter names")
         self.step_count = 0
-        self.m = {p.name: np.zeros_like(p.data) for p in self.params}
-        self.v = {p.name: np.zeros_like(p.data) for p in self.params}
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
 
 def adam_step(state, lr):
@@ -110,11 +107,10 @@ def adam_step(state, lr):
     t = state.step_count
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
-    for p in state.params:
+    for p, m, v in zip(state.params, state.m, state.v):
         g = p.grad
         if g is None:
             raise ValueError(f"parameter {p.name} has no gradient")
-        m, v = state.m[p.name], state.v[p.name]
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2

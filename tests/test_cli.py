@@ -95,6 +95,20 @@ def test_train_bad_inputs(workspace, tmp_path):
     assert main(args) == 1                      # rejected by validation
 
 
+def test_train_takes_scale_from_data(tmp_path, capsys):
+    data = tmp_path / "data"
+    ckpt = tmp_path / "m.msdc"
+    assert main(["gen-data", "--out", str(data), "--count", "4",
+                 "--size", "16", "--scale", "2"]) == 0
+    args = ["train", "--data", str(data), "--out", str(ckpt), "--preset",
+            "desk", "--epochs", "1", "--channels", "8", "--mem-slots", "8"]
+    assert main(args) == 0
+    assert load_checkpoint(ckpt).config.model.scale == 2
+    capsys.readouterr()
+    assert main(args + ["--scale", "4"]) == 1   # the flag is gone
+    assert "--scale" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--lr", "nan"), ("--lr", "inf"), ("--lambda", "nan"), ("--lambda", "-1"),
 ])
@@ -186,6 +200,23 @@ def test_infer_input_errors(workspace, tmp_path):
                  str(workspace["ms"]), "--out", out,
                  "--export-ppm", str(ppm)]) == 2
     assert not Path(out).exists() and not ppm.exists()
+
+
+def test_infer_rejects_extents_the_nin_depth_cannot_pool(tmp_path, capsys):
+    cfg = TrainConfig(model=ModelConfig(scale=1, nin_depth=2))
+    model = PansharpenModel(cfg.model, np.random.default_rng(0))
+    ckpt = tmp_path / "m.msdc"
+    save_checkpoint(ckpt, snapshot(model, cfg))
+    ms = tmp_path / "ms.msdt"
+    save_tensor(ms, np.full((4, 5, 5), 0.5, np.float32))
+    out = tmp_path / "o.msdt"
+    assert main(["infer", "--ckpt", str(ckpt), "--ms", str(ms),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "NIN depth" in lines[0] and captured.out == ""
+    assert not out.exists()
 
 
 def _with_header(ckpt, out, edit):
@@ -461,6 +492,28 @@ def test_entry_prints_one_error_line(workspace, tmp_path):
 
 # ---------------------------------------------------------------------------
 # dispatch
+
+SUBCOMMAND_FLAGS = {
+    "gen-data": {"--out", "--count", "--size", "--seed", "--scale",
+                 "--hp-window"},
+    "train": {"--data", "--out", "--preset", "--epochs", "--batch", "--lr",
+              "--lambda", "--mem-slots", "--channels", "--nin-depth",
+              "--head-blocks", "--seed", "--checkpoint-every"},
+    "infer": {"--ckpt", "--ms", "--out", "--export-ppm"},
+    "baseline": {"--method", "--ms", "--pan", "--out", "--g", "--window",
+                 "--scale"},
+    "eval-reduced": {"--pred", "--gt", "--ratio"},
+    "eval-full": {"--pred", "--ms", "--pan"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+def test_subcommand_flags_are_pinned(command):
+    """A new option, or one taken away, must come with a change here."""
+    sub = build_parser()._subparsers._group_actions[0]
+    flags = {s for a in sub.choices[command]._actions for s in a.option_strings}
+    assert flags == SUBCOMMAND_FLAGS[command] | {"-h", "--help"}
+
 
 def test_unknown_and_missing_commands():
     assert main(["not-a-command"]) == 1

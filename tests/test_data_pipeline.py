@@ -84,8 +84,6 @@ def test_scene_pan_is_weighted_sum_when_kappa_zero():
 def test_scene_validation():
     with pytest.raises(ShapeError):
         synth_scene(0, 10)            # not divisible by scale 4
-    with pytest.raises(ShapeError):
-        synth_scene(0, 16, weights=(0.5, 0.5))
 
 
 # ---------------------------------------------------------------------------

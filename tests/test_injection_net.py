@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from msdnpan import injection_net
 from msdnpan.errors import ShapeError
 from msdnpan.injection_net import (
     BANDS, HeadWeights, InjectionBlockWeights, ModelConfig, NinWeights,
@@ -59,8 +60,6 @@ def test_injection_block_slopes_init():
     np.testing.assert_array_equal(blk.slope_pos.data, np.full(8, 0.25,
                                                               np.float32))
     assert blk.slope_neg.data.shape == (8,)
-    with pytest.raises(ShapeError):
-        InjectionBlockWeights("b", 7, np.random.default_rng(5))
 
 
 def test_nin_output_shape_and_depth1():
@@ -100,7 +99,7 @@ def test_zero_projection_reduces_to_bicubic():
     np.testing.assert_array_equal(out.data, bicubic_upsample(ms, 4).data)
 
 
-def test_pansharpen_input_validation():
+def test_pansharpen_input_validation(monkeypatch):
     model = _model()
     with pytest.raises(ShapeError):
         pansharpen(Tensor(np.zeros((1, 3, 4, 4))), model)       # bands
@@ -108,6 +107,17 @@ def test_pansharpen_input_validation():
         pansharpen(Tensor(np.zeros((4, 4, 4))), model)          # rank
     with pytest.raises(ShapeError):
         pansharpen(Tensor(np.zeros((1, 4, 2, 4))), model)       # too small
+
+    # NIN depth 2 pools once, so the sharpened extents must be even; the
+    # model rejects 5x5 at scale 1 before any layer runs
+    def head_must_not_run(*args):
+        raise AssertionError("head ran on a batch the model should reject")
+
+    model = PansharpenModel(ModelConfig(scale=1, nin_depth=2),
+                            np.random.default_rng(0))
+    monkeypatch.setattr(injection_net, "head", head_must_not_run)
+    with pytest.raises(ShapeError, match="NIN depth 2"):
+        pansharpen(Tensor(np.zeros((1, 4, 5, 5), np.float32)), model)
 
 
 def test_model_config_validation():

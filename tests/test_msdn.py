@@ -39,14 +39,6 @@ def test_expand_memory_tiles_periodically():
             np.testing.assert_array_equal(out[:, i, j], tiles[:, i % 4, j % 4])
 
 
-def test_expand_memory_checks_divisibility():
-    memory = _memory(2, 4, seed=2)
-    with pytest.raises(ShapeError):
-        expand_memory(memory, 4, 10, 8)
-    with pytest.raises(ShapeError):         # tiles of another scale
-        expand_memory(memory, 2, 8, 8)
-
-
 def test_query_shape_and_input_check():
     w = _weights()
     q = encode_query(_features(3), w)
@@ -74,12 +66,6 @@ def test_decode_memory_shape_checks():
     expanded = expand_memory(w.memory, 4, 8, 8)
     good = encode_query(_features(6), w)
     assert decode_memory(expanded, good, w).shape == (2, 8, 8, 8)
-    bad_channels = Tensor(np.zeros((2, 3, 8, 8)))
-    with pytest.raises(ShapeError):
-        decode_memory(expanded, bad_channels, w)
-    bad_plane = Tensor(np.zeros((2, 4, 4, 8)))
-    with pytest.raises(ShapeError):
-        decode_memory(expanded, bad_plane, w)
 
 
 def test_compose_is_channel_sum_of_products():
@@ -89,8 +75,6 @@ def test_compose_is_channel_sum_of_products():
     out = compose_spatial_details(Tensor(d), Tensor(c)).data
     np.testing.assert_allclose(out, (d * c).sum(axis=1, keepdims=True),
                                rtol=1e-12)
-    with pytest.raises(ShapeError):
-        compose_spatial_details(Tensor(d), Tensor(c[:, :4]))
 
 
 def test_forward_shapes():
