@@ -3,7 +3,20 @@
 Training consumes (ms, gt, hp) triples; the PAN band itself never enters
 the model, only its precomputed high-pass target. All randomness (weight
 init, shuffling, augmentation) is derived from the config seed through
-named substreams, so a run is reproducible bit-for-bit.
+named substreams, so a run is reproducible bit-for-bit on the same number
+of usable CPUs.
+
+`train` splits each batch into one contiguous part per usable CPU (at most
+one per item). The calling thread runs part 0 on the model and a thread
+pool runs the rest on replicas that share the model's parameter arrays but
+own their gradients. Every loss term is a per-item mean, so each part
+back-propagates its loss weighted by its share of the batch, and the part
+gradients are summed in part order before one Adam step (the data-parallel
+reduction of Goyal et al., arXiv:1706.02677). OpenBLAS is held at one
+thread for the whole run, so the parts, not BLAS helper threads, fill the
+cores. The part count sets the float summation order: across part counts
+float32 results differ by rounding only. Where the loaded BLAS exposes no
+thread control, every step runs as one part.
 
 Checkpoint files: magic "MSDC", version byte, a length-prefixed UTF-8 JSON
 header (config, epoch, step, RNG counters), an entry count, then one entry
@@ -14,10 +27,14 @@ payload length is stored. Optimizer state is not stored.
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
 import json
 import math
 import os
 import struct
+import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -247,16 +264,129 @@ def load_checkpoint(path):
 
 
 def _stack(samples, attr):
-    return Tensor(np.stack([getattr(s, attr).data for s in samples]))
+    return np.stack([getattr(s, attr).data for s in samples])
+
+
+def _blas_thread_controls():
+    """(get, set) thread-count functions of the OpenBLAS mapped into this
+    process, or None when there is none or it exposes no such symbols."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = {line.split()[-1] for line in f if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"),
+                               ("openblas_", "64_"), ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold BLAS at one thread and restore its count on exit. Yields False,
+    changing nothing, when BLAS has no thread controls."""
+    controls = _blas_thread_controls()
+    if controls is None:
+        yield False
+        return
+    get, put = controls
+    before = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(before)
+
+
+def _replica(model):
+    """A model whose parameters share model's arrays but own their gradients."""
+    rep = PansharpenModel(model.config, rng=None)
+    for p, q in zip(model.parameters(), rep.parameters()):
+        q.data = p.data
+    return rep
+
+
+def _part(model, ms, gt, hp, loss_weight, share):
+    """Forward, loss and share-weighted backward of one part of a batch.
+
+    Returns the part's (l1, l_mem, total) as floats, so its graph dies here.
+    A non-finite loss is not back-propagated; the caller raises on it."""
+    out, details, coeff = pansharpen_with_details(Tensor(ms), model)
+    tot, l1v, memv = total_loss(out, Tensor(gt), Tensor(hp), details, coeff,
+                                loss_weight)
+    if np.isfinite(tot.data):
+        backward(tot * share)
+    return l1v.item(), memv.item(), tot.item()
+
+
+def _batch_step(replicas, ms, gt, hp, loss_weight, pool):
+    """Accumulate one batch's loss gradient into replicas[0]'s parameters.
+
+    The batch splits into min(batch, len(replicas)) contiguous parts; part
+    i runs on replicas[i], on the calling thread for part 0 and through
+    `pool` for the rest. Replica gradients are added to replicas[0]'s in
+    part order and zeroed. Returns the batch's l1, l_mem and total as the
+    share-weighted sums of the part values."""
+    n = len(ms)
+    replicas = replicas[:n]
+    cuts = [n * i // len(replicas) for i in range(len(replicas) + 1)]
+    shares = [(b - a) / n for a, b in zip(cuts, cuts[1:])]
+    jobs = [(rep, ms[a:b], gt[a:b], hp[a:b], loss_weight, share)
+            for rep, a, b, share in zip(replicas, cuts, cuts[1:], shares)]
+    # each worker runs in a copy of the caller's context, so it keeps the
+    # caller's numpy error state (cli.main silences overflow warnings)
+    later = [pool.submit(contextvars.copy_context().run, _part, *job)
+             for job in jobs[1:]]
+    parts = [_part(*jobs[0])] + [f.result() for f in later]
+    params = replicas[0].parameters()
+    for rep in replicas[1:]:
+        for p, q in zip(params, rep.parameters()):
+            p.grad += q.grad
+            q.zero_grad()
+    record = dict.fromkeys(("l1", "l_mem", "total"), 0.0)
+    for share, values in zip(shares, parts):
+        for key, value in zip(record, values):
+            record[key] += share * value
+    return record
+
+
+@contextmanager
+def _workers(model, batch_size):
+    """Yield the replicas (model first) and the thread pool that run the
+    parts of each step, with BLAS held at one thread throughout. When BLAS
+    cannot be held, the replicas are just [model] and the pool stays idle."""
+    # imported here to keep it off the import path of `infer`
+    from concurrent.futures import ThreadPoolExecutor
+    with _one_blas_thread() as pinned:
+        k = min(batch_size, len(os.sched_getaffinity(0))) if pinned else 1
+        replicas = [model] + [_replica(model) for _ in range(k - 1)]
+        # threads start on first submit, so a one-part run starts none
+        with ThreadPoolExecutor(max(k - 1, 1), "msdnpan-part") as pool:
+            yield replicas, pool
 
 
 def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
           checkpoint_every=0):
     """Optimize a fresh model on SceneSamples; returns the final Checkpoint.
 
-    log_fn, when given, receives one dict per epoch (step, l1, l_mem,
-    total). hook, when given, is called after every optimizer step with
-    (model, epoch, step, losses); used by convergence probes.
+    log_fn, when given, receives one dict per epoch (epoch, step, mean l1,
+    l_mem and total, the epoch's wall seconds, samples_per_s and lr). hook,
+    when given, is called after every optimizer step with (model, epoch,
+    step, losses); used by convergence probes.
+
+    Each step runs as one part per usable CPU (see the module docstring),
+    so results are bit-identical for the same seed on the same number of
+    usable CPUs, and differ only by float32 rounding across CPU counts.
     """
     config.validate()
     samples = sorted(samples, key=lambda s: s.id)
@@ -270,48 +400,48 @@ def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
     n = len(samples)
     step = 0
     epoch = 0
-    for epoch in range(config.epochs):
-        lr = lr_at(epoch, config)
-        order = np.random.default_rng((config.seed, 1, epoch)).permutation(n)
-        aug_rng = np.random.default_rng((config.seed, 2, epoch))
-        sums = {"l1": 0.0, "l_mem": 0.0, "total": 0.0}
-        batches = 0
-        for start in range(0, n, config.batch_size):
-            chosen = [samples[i] for i in order[start:start + config.batch_size]]
-            if config.augment:
-                modes = aug_rng.integers(0, len(AUG_MODES), size=len(chosen))
-                chosen = [augment_sample(s, AUG_MODES[m])
-                          for s, m in zip(chosen, modes)]
-            ms = _stack(chosen, "ms")
-            gt = _stack(chosen, "gt")
-            hp = _stack(chosen, "hp")
-            out, details, coeff = pansharpen_with_details(ms, model)
-            tot, l1v, memv = total_loss(out, gt, hp, details, coeff,
-                                        config.loss_weight)
-            if not np.isfinite(tot.data):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch} step {step}: "
-                    f"l1={l1v.item()!r} l_mem={memv.item()!r}")
-            backward(tot)
-            adam_step(adam, lr)
-            step += 1
-            record = {"l1": l1v.item(), "l_mem": memv.item(),
-                      "total": tot.item()}
-            for key in sums:
-                sums[key] += record[key]
-            batches += 1
-            if hook is not None:
-                hook(model, epoch, step, record)
-        if log_fn is not None:
-            log_fn({"epoch": epoch, "step": step,
-                    "l1": sums["l1"] / batches,
-                    "l_mem": sums["l_mem"] / batches,
-                    "total": sums["total"] / batches})
-        if (checkpoint_path and checkpoint_every
-                and (epoch + 1) % checkpoint_every == 0
-                and epoch + 1 < config.epochs):
-            save_checkpoint(checkpoint_path,
-                            snapshot(model, config, epoch + 1, step))
+    with _workers(model, config.batch_size) as (replicas, pool):
+        for epoch in range(config.epochs):
+            started = time.perf_counter()
+            lr = lr_at(epoch, config)
+            order = np.random.default_rng((config.seed, 1, epoch)).permutation(n)
+            aug_rng = np.random.default_rng((config.seed, 2, epoch))
+            sums = {"l1": 0.0, "l_mem": 0.0, "total": 0.0}
+            batches = 0
+            for start in range(0, n, config.batch_size):
+                chosen = [samples[i]
+                          for i in order[start:start + config.batch_size]]
+                if config.augment:
+                    modes = aug_rng.integers(0, len(AUG_MODES), size=len(chosen))
+                    chosen = [augment_sample(s, AUG_MODES[m])
+                              for s, m in zip(chosen, modes)]
+                record = _batch_step(
+                    replicas, _stack(chosen, "ms"), _stack(chosen, "gt"),
+                    _stack(chosen, "hp"), config.loss_weight, pool)
+                if not math.isfinite(record["total"]):
+                    raise NumericError(
+                        f"non-finite loss at epoch {epoch} step {step}: "
+                        f"l1={record['l1']!r} l_mem={record['l_mem']!r}")
+                adam_step(adam, lr)
+                step += 1
+                for key in sums:
+                    sums[key] += record[key]
+                batches += 1
+                if hook is not None:
+                    hook(model, epoch, step, record)
+            seconds = time.perf_counter() - started
+            if log_fn is not None:
+                log_fn({"epoch": epoch, "step": step,
+                        "l1": sums["l1"] / batches,
+                        "l_mem": sums["l_mem"] / batches,
+                        "total": sums["total"] / batches,
+                        "seconds": seconds, "samples_per_s": n / seconds,
+                        "lr": lr})
+            if (checkpoint_path and checkpoint_every
+                    and (epoch + 1) % checkpoint_every == 0
+                    and epoch + 1 < config.epochs):
+                save_checkpoint(checkpoint_path,
+                                snapshot(model, config, epoch + 1, step))
     final = snapshot(model, config, epoch + 1 if config.epochs else 0, step)
     if checkpoint_path:
         save_checkpoint(checkpoint_path, final)

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -82,7 +83,9 @@ def test_train_emits_epoch_logs(workspace, tmp_path, capsys):
                  "--nin-depth", "1"]) == 0
     lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     assert [rec["epoch"] for rec in lines] == [0, 1]
-    assert all({"l1", "l_mem", "total"} <= set(rec) for rec in lines)
+    assert all({"l1", "l_mem", "total", "seconds", "samples_per_s",
+                "lr"} <= set(rec) for rec in lines)
+    assert all(rec["samples_per_s"] > 0 and rec["lr"] > 0 for rec in lines)
     assert ckpt.is_file()
 
 
@@ -441,17 +444,27 @@ def _run_cli(argv):
         capture_output=True, text=True, env=env, timeout=120)
 
 
-@pytest.mark.parametrize("command", ["infer", "baseline"])
+@pytest.mark.parametrize("command", ["infer", "baseline", "train"])
 def test_overflow_on_huge_finite_input_is_one_error_line(
         workspace, tmp_path, command):
     """Finite inputs that overflow inside the command: exit 3, no output,
-    and no numpy RuntimeWarning lines around the one `error:` line."""
+    and no numpy RuntimeWarning lines around the one `error:` line. train
+    covers the worker threads that run parts of each batch."""
     out = tmp_path / "o.msdt"
     ms = tmp_path / "ms.msdt"
     if command == "infer":
         save_tensor(ms, np.full((4, 8, 8), 1e30, np.float32))
         argv = ["infer", "--ckpt", workspace["ckpt"], "--ms", ms,
                 "--out", out]
+    elif command == "train":
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        for path in data.glob("*/ms.msdt"):
+            save_tensor(path, np.full(load_tensor(path).shape, 1e30,
+                                      np.float32))
+        argv = ["train", "--data", data, "--out", out, "--preset", "desk",
+                "--epochs", "1", "--batch", "4", "--channels", "8",
+                "--mem-slots", "8", "--nin-depth", "1"]
     else:
         pan = tmp_path / "pan.msdt"
         save_tensor(ms, np.full((4, 8, 8), 3e38, np.float32))
