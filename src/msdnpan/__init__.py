@@ -6,7 +6,8 @@ The package is organised as:
   shift-and-accumulate GEMM convolution kernels.
 - msdn / injection_net: the detail-synthesis network and the full model.
 - losses: L1 + weighted memorizing (KL + sparsity) objective.
-- classic_fusion: CS/MRA/SFIM baselines and the high-pass extractor.
+- classic_fusion: box filtering, the CS/MRA/SFIM baselines and the
+  high-pass extractor, forward only on plain ndarrays.
 - metrics: reduced- and full-resolution quality indices.
 - data_pipeline: synthetic scenes, Wald protocol, .msdt and PPM I/O.
 - trainer: Adam, lr schedule, checkpoints.

@@ -5,37 +5,44 @@ an intensity built from the MS bands; multiresolution analysis (MRA) injects
 the difference between the PAN band and its low-pass version, either
 additively or multiplicatively (SFIM). All three operate on the upsampled
 MS image, band by band.
+
+These are fixed operators that nothing trains, so they take and return
+plain ndarrays and never enter the autodiff tape.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
-from .tensor_core import box_filter, constant
 
-MODES = ("cs", "mra_additive", "sfim_multiplicative")
+METHODS = ("cs", "mra-add", "sfim")
 
 _SFIM_FLOOR = 1e-6
 
 
-@dataclass
-class InjectionConfig:
-    gain: float = 1.0           # detail injection gain, shared by all bands
-    window: int = 5             # low-pass box extent
-    mode: str = "mra_additive"
-
-    def validate(self):
-        if not math.isfinite(self.gain):
-            raise ValueError(f"gain must be finite, got {self.gain!r}")
-        if self.window < 1 or self.window % 2 == 0:
-            raise ValueError(f"window must be odd and positive, got {self.window}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        return self
+def box_filter(x, window):
+    """Mean filter over a window x window neighbourhood of the last two axes,
+    replicate-padded so the output has the input's extent. The window sum is
+    accumulated first and divided once, so flat regions stay exactly flat for
+    values with short mantissas."""
+    k = int(window)
+    if k < 1 or k % 2 == 0:
+        raise ShapeError(f"box_filter window must be odd and positive, got {window}")
+    if x.ndim < 2:
+        raise ShapeError("box_filter expects rank >= 2")
+    if k == 1:
+        return x
+    p = k // 2
+    h, w = x.shape[-2:]
+    xe = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(p, p), (p, p)], mode="edge")
+    s = np.zeros_like(x)
+    for u in range(k):
+        for v in range(k):
+            s += xe[..., u : u + h, v : v + w]
+    return s / float(k * k)
 
 
 def _check_pair(ms_up, pan):
@@ -53,33 +60,31 @@ def hp_details(pan, window=5):
     return pan - box_filter(pan, window)
 
 
-def cs_inject(ms_up, pan, config):
-    """Component substitution: per band, ms + gain * (pan - intensity), the
-    intensity being the equal-weight band mean."""
+def inject(ms_up, pan, method, gain=1.0, window=5):
+    """Fuse the upsampled MS stack with the PAN band by one of METHODS.
+
+    ``cs`` adds gain * (pan - intensity), the intensity being the
+    equal-weight band mean; ``mra-add`` adds gain * (pan - lowpass);
+    ``sfim`` rescales each band by pan / lowpass, with the denominator
+    clamped away from zero. The low-pass is a box filter of extent
+    ``window``. Only cs and mra-add read the gain and only mra-add and sfim
+    read the window, but both are checked for every method.
+    """
     _check_pair(ms_up, pan)
-    config.validate()
-    intensity = ms_up.mean(axis=0, keepdims=True)
-    return ms_up + (pan - intensity) * config.gain
-
-
-def mra_inject(ms_up, pan, config):
-    """Multiresolution injection. Mode ``mra_additive`` adds the gain-scaled
-    high-pass; ``sfim_multiplicative`` rescales each band by pan / lowpass,
-    with the denominator clamped away from zero."""
-    _check_pair(ms_up, pan)
-    config.validate()
-    lowpass = box_filter(pan, config.window)
-    if config.mode == "sfim_multiplicative":
-        denom = np.where(np.abs(lowpass.data) < _SFIM_FLOOR,
-                         np.where(lowpass.data < 0, -_SFIM_FLOOR, _SFIM_FLOOR),
-                         lowpass.data)
-        ratio = constant(pan.data / denom, dtype=ms_up.data.dtype)
-        return ms_up * ratio
-    return ms_up + (pan - lowpass) * config.gain
-
-
-def inject(ms_up, pan, config):
-    """Dispatch on config.mode."""
-    if config.mode == "cs":
-        return cs_inject(ms_up, pan, config)
-    return mra_inject(ms_up, pan, config)
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    gain = float(gain)
+    if not math.isfinite(gain):
+        raise ValueError(f"gain must be finite, got {gain!r}")
+    if window < 1 or window % 2 == 0:
+        raise ValueError(f"window must be odd and positive, got {window}")
+    if method == "cs":
+        intensity = ms_up.mean(axis=0, keepdims=True)
+        return ms_up + (pan - intensity) * gain
+    lowpass = box_filter(pan, window)
+    if method == "mra-add":
+        return ms_up + (pan - lowpass) * gain
+    denom = np.where(np.abs(lowpass) < _SFIM_FLOOR,
+                     np.where(lowpass < 0, -_SFIM_FLOOR, _SFIM_FLOOR),
+                     lowpass)
+    return ms_up * np.asarray(pan / denom, dtype=ms_up.dtype)

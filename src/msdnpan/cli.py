@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classic_fusion import InjectionConfig, inject
+from .classic_fusion import METHODS, inject
 from .data_pipeline import (
     export_ppm, generate_dataset, load_manifest, load_split, load_tensor,
     save_tensor,
@@ -33,7 +33,8 @@ from .metrics import (
 )
 from .tensor_core import Tensor, bicubic_upsample
 from .trainer import (
-    TrainConfig, desk_config, load_checkpoint, model_from_checkpoint, train,
+    TrainConfig, desk_config, load_checkpoint, model_from_checkpoint,
+    override, train,
 )
 
 
@@ -52,20 +53,20 @@ def _emit(payload):
 
 
 def _read(path):
-    """A tensor input: non-empty, rank 3 and finite, or a typed error."""
-    t = load_tensor(path)
-    if t.ndim != 3 or t.data.size == 0:
+    """A tensor input as an ndarray: non-empty, rank 3 and finite, or a
+    typed error."""
+    arr = load_tensor(path).data
+    if arr.ndim != 3 or arr.size == 0:
         raise ShapeError(f"{path}: expected a non-empty rank-3 tensor "
-                         f"(bands, h, w), got shape {t.shape}")
-    if not np.isfinite(t.data).all():
+                         f"(bands, h, w), got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise NumericError(f"{path}: input contains NaN or inf")
-    return t
+    return arr
 
 
 def _write(path, arr):
-    """Save an output tensor; a non-finite one raises and writes nothing."""
-    data = arr.data if isinstance(arr, Tensor) else arr
-    if not np.isfinite(data).all():
+    """Save an output ndarray; a non-finite one raises and writes nothing."""
+    if not np.isfinite(arr).all():
         raise NumericError(f"output contains NaN or inf; {path} not written")
     save_tensor(path, arr)
 
@@ -116,12 +117,14 @@ def build_parser():
 
     p = sub.add_parser("baseline", help="classic fusion baselines")
     p.add_argument("--method", required=True,
-                   choices=["cs", "mra-add", "sfim", "bicubic"])
+                   choices=[*METHODS, "bicubic"])
     p.add_argument("--ms", required=True)
     p.add_argument("--pan", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--g", type=float, default=1.0, help="injection gain")
-    p.add_argument("--window", type=int, default=5, help="low-pass extent")
+    p.add_argument("--g", type=float, default=1.0,
+                   help="injection gain (read by cs and mra-add)")
+    p.add_argument("--window", type=int, default=5,
+                   help="low-pass extent (read by mra-add and sfim)")
     p.add_argument("--scale", type=int, default=4,
                    help="upsample factor when no PAN is given (bicubic)")
     p.set_defaults(func=cmd_baseline)
@@ -151,6 +154,9 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
+    if args.checkpoint_every < 0:
+        raise UsageError(f"--checkpoint-every must be >= 0 (0 = never), "
+                         f"got {args.checkpoint_every}")
     base = desk_config() if args.preset == "desk" else TrainConfig()
     overrides = {
         "epochs": args.epochs, "batch_size": args.batch, "lr": args.lr,
@@ -158,9 +164,7 @@ def cmd_train(args):
         "memory_slots": args.mem_slots, "channels": args.channels,
         "nin_depth": args.nin_depth, "head_blocks": args.head_blocks,
     }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(base if hasattr(base, key) else base.model, key, value)
+    override(base, **{k: v for k, v in overrides.items() if v is not None})
     base.validate()
     manifest = load_manifest(args.data)
     samples = load_split(manifest, "train", with_pan=False)
@@ -183,7 +187,7 @@ def cmd_infer(args):
     for p in model.parameters():
         p.requires_grad = False
     ms = _read(args.ms)
-    result = pansharpen(Tensor(ms.data[None]), model).data[0]
+    result = pansharpen(Tensor(ms[None]), model).data[0]
     _write(args.out, result)
     if ppm:
         export_ppm(ppm, result[:3])
@@ -192,19 +196,18 @@ def cmd_infer(args):
 
 
 def cmd_baseline(args):
+    if args.method == "bicubic" and args.scale < 1:
+        raise UsageError(f"--scale must be >= 1, got {args.scale}")
     ms = _read(args.ms)
     if args.method == "bicubic":
-        out = bicubic_upsample(ms, args.scale)
+        out = bicubic_upsample(Tensor(ms), args.scale).data
     elif not args.pan:
         raise UsageError(f"--pan is required for method {args.method}")
     else:
         pan = _read(args.pan)
-        up = bicubic_upsample(ms, scale_ratio(ms.shape[1:], pan.shape[1:],
-                                              "MS/PAN"))
-        mode = {"cs": "cs", "mra-add": "mra_additive",
-                "sfim": "sfim_multiplicative"}[args.method]
-        out = inject(up, pan, InjectionConfig(gain=args.g, window=args.window,
-                                              mode=mode))
+        up = bicubic_upsample(Tensor(ms), scale_ratio(
+            ms.shape[1:], pan.shape[1:], "MS/PAN")).data
+        out = inject(up, pan, args.method, args.g, args.window)
     _write(args.out, out)
     _emit({"out": args.out, "shape": list(out.shape)})
     return 0

@@ -66,7 +66,7 @@ def wald_downsample(img, factor):
     factor = int(factor)
     if factor < 1:
         raise ShapeError(f"factor must be >= 1, got {factor}")
-    data = img.data if isinstance(img, Tensor) else np.asarray(img)
+    data = np.asarray(img)
     if data.ndim < 2:
         raise ShapeError("wald_downsample expects rank >= 2")
     h, w = data.shape[-2:]
@@ -75,8 +75,7 @@ def wald_downsample(img, factor):
     if factor > 1:
         shape = data.shape[:-2] + (h // factor, factor, w // factor, factor)
         data = data.reshape(shape).mean(axis=(-3, -1))
-    out = np.ascontiguousarray(data)
-    return Tensor(out) if isinstance(img, Tensor) else out
+    return np.ascontiguousarray(data)
 
 
 def synth_scene(seed, size, scale=4, hp_window=5, kappa=TEXTURE_KAPPA,
@@ -133,7 +132,7 @@ def synth_scene(seed, size, scale=4, hp_window=5, kappa=TEXTURE_KAPPA,
     gt32 = gt.astype(np.float32)
     pan32 = pan.astype(np.float32)[None]
     ms = wald_downsample(gt32, scale)
-    hp = hp_details(Tensor(pan32), hp_window).data
+    hp = hp_details(pan32, hp_window)
     sid = sample_id if sample_id is not None else f"scene_{seed}"
     return SceneSample(ms=Tensor(ms), gt=Tensor(gt32), pan=Tensor(pan32),
                        hp=Tensor(hp), id=sid)
@@ -230,8 +229,7 @@ def export_ppm(path, img):
     Values are min-max scaled over the whole image and rounded half-up;
     a constant image maps to all zeros.
     """
-    data = np.asarray(img.data if isinstance(img, Tensor) else img,
-                      dtype=np.float64)
+    data = np.asarray(img, dtype=np.float64)
     if data.ndim != 3 or data.shape[0] not in (1, 3):
         raise ShapeError(f"export_ppm expects (1|3, h, w), got {data.shape}")
     lo, hi = data.min(), data.max()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .tensor_core import absolute, constant, div, exp, log, reshape
+from .tensor_core import Tensor, absolute, div, exp, log, reshape
 
 KL_EPS = 1e-12          # keeps log() finite where a softmax underflows to 0
 
@@ -37,7 +37,7 @@ def _flat_softmax(t):
     gradient unchanged."""
     n = t.shape[0]
     flat = reshape(t, (n, -1))
-    shift = constant(flat.data.max(axis=1, keepdims=True), dtype=flat.dtype)
+    shift = Tensor(flat.data.max(axis=1, keepdims=True), dtype=flat.dtype)
     e = exp(flat - shift)
     return div(e, e.sum(axis=1, keepdims=True))
 

@@ -28,8 +28,7 @@ _LAPLACIAN = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]])
 
 
 def _arr(x, rank=None, name="input"):
-    data = x.data if hasattr(x, "data") else x
-    a = np.asarray(data, dtype=np.float64)
+    a = np.asarray(x, dtype=np.float64)
     if rank is not None and a.ndim != rank:
         raise ShapeError(f"{name} must be rank {rank}, got rank {a.ndim}")
     return a

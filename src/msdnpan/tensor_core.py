@@ -10,9 +10,11 @@ it runs, so a forward pass over frozen tensors records and keeps nothing.
 
 Only what the models need is implemented: elementwise arithmetic with numpy
 broadcasting, a handful of activations, stride-1 same-padded convolution,
-separable bicubic upsampling, box filtering, pooling/tiling/reshape, and
-sum/mean/max reductions. float32 and float64 are supported; gradients take
-the dtype of the data they belong to.
+separable bicubic upsampling, pooling/tiling/reshape, and sum/mean/max
+reductions. float32 and float64 are supported; gradients take the dtype of
+the data they belong to. Fixed operators that nothing trains (box
+filtering, the classic baselines, the metrics) work on plain ndarrays
+outside this module.
 
 A trainable parameter is a plain named Tensor made by ``parameter``;
 ``parameters`` finds every one reachable from a model's attributes.
@@ -99,7 +101,7 @@ class Tensor:
         return div(self, other)
 
     def __neg__(self):
-        return neg(self)
+        return scale(self, -1.0)
 
     def sum(self, axis=None, keepdims=False):
         return reduce_sum(self, axis, keepdims)
@@ -121,11 +123,6 @@ def _as_tensor(x, dtype):
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x, dtype=dtype))
-
-
-def constant(data, dtype=None):
-    """A non-differentiable tensor."""
-    return Tensor(data, requires_grad=False, dtype=dtype)
 
 
 def _from_op(data, parents, bw):
@@ -239,13 +236,6 @@ def scale(a, factor):
     return _from_op(out, (a,), bw)
 
 
-def neg(a):
-    def bw(g):
-        _accum(a, -g)
-
-    return _from_op(-a.data, (a,), bw)
-
-
 def absolute(a):
     def bw(g):
         _accum(a, g * np.sign(a.data))
@@ -289,21 +279,14 @@ def sigmoid(a):
 
 
 def prelu(a, slope):
-    """Parametric ReLU. slope is a scalar tensor or a per-channel vector
-    (length = a.shape[1], broadcast over batch and space)."""
-    if slope.data.ndim == 0 or slope.data.size == 1:
-        sl = slope.data.reshape(())
-        reduce_axes = None
-    elif slope.data.ndim == 1:
-        if a.data.ndim < 2 or slope.data.shape[0] != a.data.shape[1]:
-            raise ShapeError(
-                f"per-channel slope of length {slope.data.shape[0]} does not match "
-                f"input with {a.data.shape[1] if a.data.ndim > 1 else 0} channels"
-            )
-        sl = slope.data.reshape((1, -1) + (1,) * (a.data.ndim - 2))
-        reduce_axes = tuple(i for i in range(a.data.ndim) if i != 1)
-    else:
-        raise ShapeError("slope must be a scalar or a rank-1 per-channel vector")
+    """Parametric ReLU with a per-channel slope vector (length a.shape[1],
+    broadcast over batch and space)."""
+    channels = a.data.shape[1] if a.data.ndim > 1 else 0
+    if slope.data.shape != (channels,):
+        raise ShapeError(f"slope of shape {slope.data.shape} is not one value "
+                         f"per channel of an input with {channels} channels")
+    sl = slope.data.reshape((1, -1) + (1,) * (a.data.ndim - 2))
+    reduce_axes = tuple(i for i in range(a.data.ndim) if i != 1)
     # x * slope where x <= 0, else x: branch-free, and exact because one of
     # the two terms is always zero
     out = np.minimum(a.data, 0) * sl
@@ -312,11 +295,7 @@ def prelu(a, slope):
     def bw(g):
         pos = a.data > 0
         _accum(a, g * (pos + sl * ~pos))
-        gs = g * np.minimum(a.data, 0)
-        if reduce_axes is None:
-            _accum(slope, gs.sum().reshape(slope.data.shape))
-        else:
-            _accum(slope, gs.sum(axis=reduce_axes))
+        _accum(slope, (g * np.minimum(a.data, 0)).sum(axis=reduce_axes))
 
     return _from_op(out, (a, slope), bw)
 
@@ -544,51 +523,6 @@ def bicubic_upsample(x, factor):
         _accum(x, ah.T @ (g @ aw))
 
     return _from_op(out, (x,), bw)
-
-
-def box_filter(x, window):
-    """Mean filter over a window x window neighbourhood of the last two axes,
-    replicate-padded so the output has the input's extent. The window sum is
-    accumulated first and divided once, so flat regions stay exactly flat for
-    values with short mantissas."""
-    k = int(window)
-    if k < 1 or k % 2 == 0:
-        raise ShapeError(f"box_filter window must be odd and positive, got {window}")
-    if x.data.ndim < 2:
-        raise ShapeError("box_filter expects rank >= 2")
-    if k == 1:
-        return reshape(x, x.data.shape)
-    p = k // 2
-    h, w = x.data.shape[-2:]
-    pad = [(0, 0)] * (x.data.ndim - 2) + [(p, p), (p, p)]
-    xe = np.pad(x.data, pad, mode="edge")
-    s = np.zeros_like(x.data)
-    for u in range(k):
-        for v in range(k):
-            s += xe[..., u : u + h, v : v + w]
-    out = s / float(k * k)
-
-    def bw(g):
-        gs = g / float(k * k)
-        gxe = np.zeros(xe.shape, dtype=g.dtype)
-        for u in range(k):
-            for v in range(k):
-                gxe[..., u : u + h, v : v + w] += gs
-        _accum(x, _fold_edge_pad(gxe, p))
-
-    return _from_op(out, (x,), bw)
-
-
-def _fold_edge_pad(g, p):
-    """Adjoint of np.pad(mode='edge') over the last two axes."""
-    core = g[..., p:-p, :].copy()
-    core[..., 0, :] += g[..., :p, :].sum(axis=-2)
-    core[..., -1, :] += g[..., -p:, :].sum(axis=-2)
-    g = core
-    core = g[..., :, p:-p].copy()
-    core[..., :, 0] += g[..., :, :p].sum(axis=-1)
-    core[..., :, -1] += g[..., :, -p:].sum(axis=-1)
-    return core
 
 
 # ---------------------------------------------------------------------------

@@ -87,18 +87,23 @@ class TrainConfig:
         return self
 
 
+def override(config, **fields):
+    """Set each named field on config, or else on config.model; an unknown
+    name raises TypeError. Returns config."""
+    for key, value in fields.items():
+        if hasattr(config, key):
+            setattr(config, key, value)
+        elif hasattr(config.model, key):
+            setattr(config.model, key, value)
+        else:
+            raise TypeError(f"unknown config field {key!r}")
+    return config
+
+
 def desk_config(**overrides):
     """Laptop-scale preset: small model, small batches, 8x8 MS patches."""
     model = ModelConfig(channels=16, memory_slots=16, nin_depth=2)
-    cfg = TrainConfig(batch_size=4, model=model)
-    for key, value in overrides.items():
-        if hasattr(cfg, key):
-            setattr(cfg, key, value)
-        elif hasattr(model, key):
-            setattr(model, key, value)
-        else:
-            raise TypeError(f"unknown config field {key!r}")
-    return cfg
+    return override(TrainConfig(batch_size=4, model=model), **overrides)
 
 
 def lr_at(epoch, config):

@@ -16,7 +16,8 @@ import numpy as np
 
 from msdnpan import losses, tensor_core as tc
 from msdnpan.injection_net import (
-    ModelConfig, PansharpenModel, pansharpen_with_details,
+    InjectionBlockWeights, ModelConfig, PansharpenModel, injection_block,
+    pansharpen_with_details,
 )
 
 TOLERANCE = 1e-4
@@ -74,7 +75,7 @@ def _leaf_off_kink(rng, shape, margin=0.1):
 
 def _projected(rng, builder, leaves):
     out_shape = builder().data.shape
-    proj = tc.constant(rng.standard_normal(out_shape))
+    proj = tc.Tensor(rng.standard_normal(out_shape))
 
     def make_loss():
         return (builder() * proj).sum()
@@ -93,17 +94,16 @@ def _case_binary(rng, op):
 
 def _case_scale_neg(rng):
     a = _leaf(rng, (3, 5))
-    return _projected(rng, lambda: tc.neg(tc.scale(a, 1.7)), [a])
+    return _projected(rng, lambda: -tc.scale(a, 1.7), [a])
 
 
 def _case_unary(rng, op, leaf):
     return _projected(rng, lambda: op(leaf), [leaf])
 
 
-def _case_prelu(rng, per_channel):
+def _case_prelu(rng):
     x = _leaf_off_kink(rng, (2, 3, 4, 4))
-    shape = (3,) if per_channel else ()
-    slope = tc.Tensor(rng.uniform(0.1, 0.6, size=shape), requires_grad=True)
+    slope = tc.Tensor(rng.uniform(0.1, 0.6, size=3), requires_grad=True)
     return _projected(rng, lambda: tc.prelu(x, slope), [x, slope])
 
 
@@ -150,9 +150,22 @@ def _case_bicubic(rng, factor):
     return _projected(rng, lambda: tc.bicubic_upsample(x, factor), [x])
 
 
-def _case_box(rng, k):
-    x = _leaf(rng, (1, 2, 6, 6))
-    return _projected(rng, lambda: tc.box_filter(x, k), [x])
+def _nudge(rng, params):
+    # Zero-initialised biases make whole pre-activation regions exactly 0,
+    # parking the evaluation point on relu kinks where central differences
+    # measure one-sided slopes. Nudge every parameter to a generic point.
+    for p in params:
+        sign = rng.integers(0, 2, size=p.data.shape) * 2 - 1
+        p.data += rng.uniform(0.05, 0.25, size=p.data.shape) * sign
+    return params
+
+
+def _case_injection_block(rng):
+    """One NIN block: prelu of y and of -y, three convs, the residual."""
+    block = InjectionBlockWeights("blk", 4, rng, dtype=np.float64)
+    params = _nudge(rng, tc.parameters(block))
+    y = _leaf_off_kink(rng, (2, 4, 4, 4))
+    return _projected(rng, lambda: injection_block(y, block), [y, *params])
 
 
 def _case_l1(rng):
@@ -176,15 +189,10 @@ def _case_end_to_end(rng):
     config = ModelConfig(scale=2, channels=2, memory_slots=2, head_blocks=1,
                          nin_depth=2, spatial_kernel=3, reduction=2)
     model = PansharpenModel(config, rng, dtype=np.float64)
-    # Zero-initialised biases make whole pre-activation regions exactly 0,
-    # parking the evaluation point on relu kinks where central differences
-    # measure one-sided slopes. Nudge every parameter to a generic point.
-    for p in model.parameters():
-        sign = rng.integers(0, 2, size=p.data.shape) * 2 - 1
-        p.data += rng.uniform(0.05, 0.25, size=p.data.shape) * sign
-    ms = tc.constant(rng.uniform(0.1, 0.9, size=(1, 4, 4, 4)))
-    gt = tc.constant(rng.uniform(0.1, 0.9, size=(1, 4, 8, 8)))
-    hp = tc.constant(rng.uniform(-0.2, 0.2, size=(1, 1, 8, 8)))
+    _nudge(rng, model.parameters())
+    ms = tc.Tensor(rng.uniform(0.1, 0.9, size=(1, 4, 4, 4)))
+    gt = tc.Tensor(rng.uniform(0.1, 0.9, size=(1, 4, 8, 8)))
+    hp = tc.Tensor(rng.uniform(-0.2, 0.2, size=(1, 1, 8, 8)))
 
     def make_loss():
         out, details, coeff = pansharpen_with_details(ms, model)
@@ -211,10 +219,10 @@ def cases(seed=0):
                                        requires_grad=True))),
         ("relu", *_case_unary(r(9), tc.relu, _leaf_off_kink(r(109), (3, 4)))),
         ("sigmoid", *_case_unary(r(10), tc.sigmoid, _leaf(r(110), (3, 4)))),
-        ("prelu_scalar", *_case_prelu(r(11), False)),
-        ("prelu_channel", *_case_prelu(r(12), True)),
+        ("prelu_channel", *_case_prelu(r(12))),
         ("sum", *_case_reduce(r(13), tc.reduce_sum, (1, 2), False)),
         ("mean", *_case_reduce(r(14), tc.reduce_mean, 1, True)),
+        ("mean_spatial", *_case_reduce(r(32), tc.reduce_mean, (2, 3), True)),
         ("max", *_case_reduce(r(15), tc.reduce_max, 1, True)),
         ("reshape", *_case_reshape(r(16))),
         ("concat_channels", *_case_concat(r(17))),
@@ -226,8 +234,7 @@ def cases(seed=0):
         ("conv2d_7x7", *_case_conv(r(23), 2, 1, 7, (8, 8))),
         ("bicubic_up2", *_case_bicubic(r(24), 2)),
         ("bicubic_up3", *_case_bicubic(r(25), 3)),
-        ("box_filter3", *_case_box(r(26), 3)),
-        ("box_filter5", *_case_box(r(27), 5)),
+        ("injection_block", *_case_injection_block(r(33))),
         ("l1_loss", *_case_l1(r(28))),
         ("sparsity_loss", *_case_sparsity(r(29))),
         ("kl_divergence", *_case_kl(r(30))),

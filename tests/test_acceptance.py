@@ -13,7 +13,7 @@ import pytest
 
 import gradcheck
 from acceptance_report import record, record_raw
-from msdnpan.classic_fusion import InjectionConfig, inject
+from msdnpan.classic_fusion import inject
 from msdnpan.cli import build_parser, main
 from msdnpan.data_pipeline import load_tensor, synth_scene
 from msdnpan.injection_net import (
@@ -141,17 +141,24 @@ def _mean_detail_correlation(model, scenes):
 def test_c06_memorization_property():
     """Detail planes should converge toward the PAN high-pass target.
 
-    With the shipped loss composition this does not happen at any loss
-    weight: the sparsity term's per-element gradient on the mixing
-    coefficients is constant while the KL term's shaping gradient through
-    the same coefficients is orders of magnitude smaller (the softmax over
-    a 1024-pixel plane makes |q - p| ~ 1e-4 per element), and both scale
-    together with the weight, so sparsity always wins and pins the
-    coefficients near zero. The verdict line reports the honest result.
-    The follow-up run ablates only the sparsity term, keeping the same
-    model, data, seed, optimizer, and KL objective, and clears the bar,
-    demonstrating the memory mechanism itself does learn PAN-derived
-    detail usable without PAN at inference.
+    The shipped run does not get there: 400 full-batch steps with the
+    desk config (lambda 0.001, lr 4e-4 halved every 50 epochs, so 3.1e-6
+    over the last 50) gain about +0.004. No single change to that run
+    clears the bar. Removing only the sparsity term gives +0.006, and
+    lambda 100 alone gives +0.001. The sparsity term's per-element
+    gradient on the mixing coefficients is constant, while the KL term's
+    shaping gradient through them is orders of magnitude smaller (the
+    softmax over a 1024-pixel plane makes |q - p| ~ 1e-4 per element), so
+    it pins the coefficients near zero; the small lambda and the decayed
+    lr hold the run back as well. The verdict line reports the honest
+    result.
+
+    The follow-up control keeps the model, data, seed, optimizer and KL
+    objective but changes four things at once: no sparsity term, lambda
+    100, a constant lr of 2e-3, and 500 full-batch steps. It clears the
+    bar, so the memory mechanism can learn PAN-derived detail usable
+    without PAN at inference; what blocks it is the loss composition and
+    the training schedule together, not the sparsity term alone.
     """
     scenes = _memorization_scenes()
     cfg = desk_config(epochs=400, batch_size=4, augment=False, seed=7)
@@ -216,12 +223,12 @@ def test_c07_ms_only_inference(tmp_path):
 
 def test_c08_baseline_ordering():
     mra_scores, cubic_scores = [], []
-    cfg = InjectionConfig(gain=1.0, window=5, mode="mra_additive")
     for i in range(8):
         s = synth_scene(40 + i, 32, sample_id=f"b{i}")
-        up = bicubic_upsample(s.ms, 4)
-        mra_scores.append(scc(inject(up, s.pan, cfg).data, s.gt.data))
-        cubic_scores.append(scc(up.data, s.gt.data))
+        up = bicubic_upsample(s.ms, 4).data
+        mra = inject(up, s.pan.data, "mra-add", gain=1.0, window=5)
+        mra_scores.append(scc(mra, s.gt.data))
+        cubic_scores.append(scc(up, s.gt.data))
     mra_mean = float(np.mean(mra_scores))
     cubic_mean = float(np.mean(cubic_scores))
     ok = mra_mean > cubic_mean

@@ -125,6 +125,18 @@ def test_train_rejects_non_finite_and_negative_flags(workspace, tmp_path,
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("every", ["-1", "-3"])
+def test_train_rejects_negative_checkpoint_every(tmp_path, capsys, every):
+    """Exit 1 before the dataset is read: the data path does not exist,
+    which would otherwise exit 2."""
+    ckpt = tmp_path / "m.msdc"
+    assert main(["train", "--data", str(tmp_path / "nodata"), "--out",
+                 str(ckpt), "--checkpoint-every", every]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--checkpoint-every" in captured.err
+    assert not ckpt.exists()
+
+
 # ---------------------------------------------------------------------------
 # infer
 
@@ -315,6 +327,14 @@ def test_baseline_errors(workspace, tmp_path):
         assert main(["baseline", "--method", "mra-add", "--ms",
                      str(workspace["ms"]), "--pan", str(workspace["pan"]),
                      "--out", out, "--g", gain]) == 1
+    for window in ("0", "4"):
+        assert main(["baseline", "--method", "sfim", "--ms",
+                     str(workspace["ms"]), "--pan", str(workspace["pan"]),
+                     "--out", out, "--window", window]) == 1
+    for scale in ("0", "-2"):
+        assert main(["baseline", "--method", "bicubic", "--ms",
+                     str(workspace["ms"]), "--out", out,
+                     "--scale", scale]) == 1
     assert not (tmp_path / "o.msdt").exists()
 
 

@@ -28,10 +28,8 @@ def test_wald_preserves_container_and_rank():
     arr = np.arange(32, dtype=np.float32).reshape(2, 4, 4)
     out = wald_downsample(arr, 2)
     assert isinstance(out, np.ndarray) and out.shape == (2, 2, 2)
-    t = wald_downsample(Tensor(arr), 2)
-    assert isinstance(t, Tensor) and np.array_equal(t.data, out)
-    same = wald_downsample(arr, 1)
-    assert np.array_equal(same, arr)
+    same = wald_downsample(arr[:, :, ::-1], 1)
+    assert same.flags.c_contiguous and np.array_equal(same, arr[:, :, ::-1])
 
 
 def test_wald_rejects_bad_input():
@@ -70,8 +68,7 @@ def test_scene_ms_is_wald_of_gt():
 
 def test_scene_hp_recomputable_from_pan():
     s = synth_scene(11, 16)
-    again = hp_details(s.pan, 5)
-    assert np.array_equal(s.hp.data, again.data)
+    assert np.array_equal(s.hp.data, hp_details(s.pan.data, 5))
 
 
 def test_scene_pan_is_weighted_sum_when_kappa_zero():
@@ -175,7 +172,7 @@ def test_ppm_p6_header_and_rounding(tmp_path):
 
 
 def test_ppm_p5_and_constant(tmp_path):
-    grey = Tensor(np.full((1, 4, 5), 0.7, np.float32))
+    grey = np.full((1, 4, 5), 0.7, np.float32)
     path = tmp_path / "img.pgm"
     export_ppm(path, grey)
     raw = path.read_bytes()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from msdnpan.classic_fusion import box_filter
 from msdnpan.errors import ShapeError
 from msdnpan import tensor_core as tc
 from msdnpan.tensor_core import Tensor
@@ -264,6 +265,10 @@ def test_bicubic_rejects_bad_factor():
         tc.bicubic_upsample(Tensor(np.zeros((4, 4))), 0)
 
 
+# ---------------------------------------------------------------------------
+# box filtering: classic_fusion's forward-only ndarray filter, checked here
+# beside the bicubic resampler
+
 def _box_oracle(x, k):
     p = k // 2
     h, w = x.shape
@@ -284,32 +289,20 @@ def test_box_filter_matches_scalar_oracle():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((6, 7))
     for k in (3, 5):
-        np.testing.assert_allclose(tc.box_filter(Tensor(x), k).data,
-                                   _box_oracle(x, k), rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(box_filter(x, k), _box_oracle(x, k),
+                                   rtol=1e-10, atol=1e-12)
 
 
 def test_box_filter_constant_is_bit_exact():
     # 9 * 5.0 = 45.0 and 45.0 / 9.0 = 5.0 are both exact in binary
-    x = Tensor(np.full((4, 4), 5.0, dtype=np.float32))
-    assert np.array_equal(tc.box_filter(x, 3).data, x.data)
+    x = np.full((4, 4), 5.0, dtype=np.float32)
+    out = box_filter(x, 3)
+    assert out.dtype == np.float32 and np.array_equal(out, x)
 
 
 def test_box_filter_rejects_even_window():
     with pytest.raises(ShapeError):
-        tc.box_filter(Tensor(np.zeros((4, 4))), 4)
-
-
-def test_box_filter_adjoint_identity():
-    # <box(x), g> == <x, box_adjoint(g)> exercises the edge-pad fold
-    rng = np.random.default_rng(9)
-    x = Tensor(rng.standard_normal((5, 6)), requires_grad=True)
-    g = rng.standard_normal((5, 6))
-    out = tc.box_filter(x, 5)
-    tc.backward((out * Tensor(g)).sum())
-    lhs = float((out.data * g).sum())
-    rhs = float((x.data * x.grad).sum())
-    # both sides are the same bilinear form evaluated two ways
-    assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
+        box_filter(np.zeros((4, 4)), 4)
 
 
 def test_parameter_is_a_named_leaf_with_zero_grad():
@@ -399,23 +392,31 @@ def test_relu_and_sigmoid_match_the_branching_formulas(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("per_channel", [False, True])
-def test_prelu_matches_the_branching_formulas(dtype, per_channel):
+@pytest.mark.parametrize("distinct", [False, True])
+def test_prelu_matches_the_branching_formulas(dtype, distinct):
+    """One slope per channel: distinct values, or one value shared by
+    every channel."""
     rng = np.random.default_rng(15)
     x = _activation_input(rng, dtype, 3.0)
     g = rng.standard_normal(x.shape).astype(dtype)
-    slope_value = rng.uniform(0.05, 0.5, 3 if per_channel else ()).astype(dtype)
-    slope = Tensor(slope_value, requires_grad=True)
+    slope_value = rng.uniform(0.05, 0.5, 3 if distinct else 1).astype(dtype)
+    slope = Tensor(np.broadcast_to(slope_value, 3), requires_grad=True)
     out, gx = _forward_and_grads(tc.prelu, x, g, slope)
 
-    sl = slope_value.reshape((1, 3, 1, 1) if per_channel else ())
+    sl = slope.data.reshape((1, 3, 1, 1))
     pos = x > 0
     gs = g * np.where(pos, 0.0, x)
     assert out.dtype == gx.dtype == slope.grad.dtype == dtype
     assert np.array_equal(out, np.where(pos, x, sl * x))
     assert np.array_equal(gx, g * np.where(pos, 1.0, sl))
-    assert np.array_equal(slope.grad,
-                          gs.sum(axis=(0, 2, 3)) if per_channel else gs.sum())
+    assert np.array_equal(slope.grad, gs.sum(axis=(0, 2, 3)))
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (2,), (3, 1)])
+def test_prelu_takes_one_slope_per_channel(shape):
+    x = Tensor(np.ones((2, 3, 4, 4)))
+    with pytest.raises(ShapeError):
+        tc.prelu(x, Tensor(np.full(shape, 0.25)))
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +441,9 @@ def test_avg_pool2_is_the_reshape_mean(dtype):
 @pytest.mark.parametrize("slope_value", [0.25, -0.7, 1.5, (0.1, -0.3, 2.5)])
 def test_prelu_is_the_mask_product(dtype, slope_value):
     x = _signed_input(dtype)
-    slope = np.asarray(slope_value, dtype)
+    slope = np.broadcast_to(np.asarray(slope_value, dtype), 3)
     out = tc.prelu(Tensor(x), Tensor(slope)).data
-    sl = slope.reshape((1, 3, 1, 1) if slope.ndim else ())
+    sl = slope.reshape((1, 3, 1, 1))
     pos = x > 0
     assert out.dtype == dtype
     assert np.array_equal(out, x * (pos + sl * ~pos))

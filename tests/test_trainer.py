@@ -23,7 +23,7 @@ from msdnpan.tensor_core import Tensor, parameter
 from msdnpan.trainer import (
     AdamState, TrainConfig, _batch_step, _blas_thread_controls, _replica,
     adam_step, desk_config, load_checkpoint, lr_at, model_from_checkpoint,
-    save_checkpoint, train,
+    override, save_checkpoint, train,
 )
 
 
@@ -339,6 +339,11 @@ def test_train_input_validation():
         train([s], _tiny_config(lr=-1.0))
     with pytest.raises(TypeError):
         desk_config(bogus_field=3)
+    # the one override rule, which `train`'s CLI flags use as well
+    cfg = override(TrainConfig(), epochs=3, channels=8)
+    assert (cfg.epochs, cfg.model.channels) == (3, 8)
+    with pytest.raises(TypeError):
+        override(TrainConfig(), bogus_field=3)
 
 
 def test_loss_drops_on_small_run():
