@@ -154,10 +154,6 @@ class PansharpenModel:
     def named_parameters(self):
         return {p.name: p for p in self.parameters()}
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
-
 
 def pansharpen_with_details(ms, model):
     """Full forward pass. Returns (sharpened, detail plane, coefficient map)."""

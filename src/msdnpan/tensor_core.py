@@ -1,12 +1,18 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
-A Tensor wraps a numpy array plus an optional gradient. Operations record
-their inputs and a backward closure on the output; ``backward`` replays the
-tape in reverse topological order. The tape is dynamic: every forward call
-builds a fresh graph, so Python's GC reclaims old graphs once the loss goes
-out of scope. A forward op computes only its output; anything its backward
-needs (a relu or prelu mask, say) the closure derives from the inputs when
-it runs, so a forward pass over frozen tensors records and keeps nothing.
+A Tensor wraps a numpy array. Operations record their inputs and a
+backward closure on the output; ``backward(loss, leaves)`` replays the tape
+in reverse topological order and returns the leaves' gradients. Each
+closure returns one gradient (or None) per input, which ``backward`` sums
+out of place in a dict local to the call: no Tensor holds gradient state,
+so threads may back-propagate separate graphs that share parameters.
+Returned gradients may be views shared with the tape or with each other,
+so callers treat them as read-only. The tape is dynamic: every forward
+call builds a fresh graph, so Python's GC reclaims old graphs once the loss
+goes out of scope. A forward op computes only its output; anything its
+backward needs (a relu or prelu mask, say) the closure derives from the
+inputs when it runs, so a forward pass over frozen tensors records and
+keeps nothing.
 
 Only what the models need is implemented: elementwise arithmetic with numpy
 broadcasting, a handful of activations, stride-1 same-padded convolution,
@@ -35,14 +41,13 @@ _FLOAT_TYPES = (np.float32, np.float64)
 class Tensor:
     """A dense array plus autodiff bookkeeping."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_prev", "_backward")
+    __slots__ = ("data", "requires_grad", "name", "_prev", "_backward")
 
     def __init__(self, data, requires_grad=False, dtype=None, name=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in _FLOAT_TYPES:
             arr = arr.astype(np.float64)
         self.data = arr
-        self.grad = None
         self.requires_grad = bool(requires_grad)
         self.name = name
         self._prev = ()
@@ -62,12 +67,6 @@ class Tensor:
 
     def item(self):
         return float(self.data)
-
-    def zero_grad(self):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad[...] = 0.0
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -115,9 +114,6 @@ class Tensor:
     def reshape(self, shape):
         return reshape(self, shape)
 
-    def backward(self):
-        backward(self)
-
 
 def _as_tensor(x, dtype):
     if isinstance(x, Tensor):
@@ -134,16 +130,6 @@ def _from_op(data, parents, bw):
     return out
 
 
-def _accum(t, g):
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        # a private copy: add passes one g to both inputs, reductions a view
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
-    else:
-        t.grad += np.asarray(g, dtype=t.data.dtype)
-
-
 def _unbroadcast(g, shape):
     """Sum g down to `shape`, undoing numpy broadcasting."""
     extra = g.ndim - len(shape)
@@ -155,8 +141,14 @@ def _unbroadcast(g, shape):
     return g
 
 
-def backward(root):
-    """Accumulate d(root)/d(leaf) into .grad over the recorded graph."""
+def backward(root, leaves):
+    """Gradients of the scalar root with respect to each of leaves.
+
+    Returns a list parallel to leaves: each one's gradient, in its dtype,
+    or None where the graph does not reach it (or it requires no grad).
+    Nothing is written to any Tensor, and a returned array may be a view
+    shared with another gradient or with the tape, so callers must treat
+    it as read-only."""
     if root.data.size != 1:
         raise ShapeError(f"backward expects a scalar, got shape {root.data.shape}")
     order = []
@@ -174,13 +166,24 @@ def backward(root):
         for p in node._prev:
             if id(p) not in seen:
                 stack.append((p, False))
-    if root.grad is None:
-        root.grad = np.ones_like(root.data)
-    else:
-        root.grad += np.ones_like(root.data)
+    wanted = {id(t) for t in leaves}
+    grads = {id(root): np.ones_like(root.data)}
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if node._backward is None:
+            continue
+        # an intermediate's gradient is dropped once its closure has run
+        key = id(node)
+        g = grads.get(key) if key in wanted else grads.pop(key, None)
+        if g is None:
+            continue
+        for parent, pg in zip(node._prev, node._backward(g)):
+            if pg is None or not parent.requires_grad:
+                continue
+            # out of place: the same array may reach several parents
+            pg = np.asarray(pg, dtype=parent.data.dtype)
+            seen_g = grads.get(id(parent))
+            grads[id(parent)] = pg if seen_g is None else seen_g + pg
+    return [grads.get(id(t)) for t in leaves]
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +193,7 @@ def add(a, b):
     out = a.data + b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
     return _from_op(out, (a, b), bw)
 
@@ -200,8 +202,7 @@ def sub(a, b):
     out = a.data - b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, -_unbroadcast(g, b.data.shape))
+        return _unbroadcast(g, a.data.shape), -_unbroadcast(g, b.data.shape)
 
     return _from_op(out, (a, b), bw)
 
@@ -210,8 +211,8 @@ def mul(a, b):
     out = a.data * b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        return (_unbroadcast(g * b.data, a.data.shape),
+                _unbroadcast(g * a.data, b.data.shape))
 
     return _from_op(out, (a, b), bw)
 
@@ -220,8 +221,8 @@ def div(a, b):
     out = a.data / b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        return (_unbroadcast(g / b.data, a.data.shape),
+                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _from_op(out, (a, b), bw)
 
@@ -231,14 +232,14 @@ def scale(a, factor):
     out = a.data * factor
 
     def bw(g):
-        _accum(a, g * factor)
+        return (g * factor,)
 
     return _from_op(out, (a,), bw)
 
 
 def absolute(a):
     def bw(g):
-        _accum(a, g * np.sign(a.data))
+        return (g * np.sign(a.data),)
 
     return _from_op(np.abs(a.data), (a,), bw)
 
@@ -247,21 +248,21 @@ def exp(a):
     out = np.exp(a.data)
 
     def bw(g):
-        _accum(a, g * out)
+        return (g * out,)
 
     return _from_op(out, (a,), bw)
 
 
 def log(a):
     def bw(g):
-        _accum(a, g / a.data)
+        return (g / a.data,)
 
     return _from_op(np.log(a.data), (a,), bw)
 
 
 def relu(a):
     def bw(g):
-        _accum(a, g * (a.data > 0))
+        return (g * (a.data > 0),)
 
     return _from_op(np.maximum(a.data, 0), (a,), bw)
 
@@ -273,7 +274,7 @@ def sigmoid(a):
     out = (pos + e * ~pos) / (1 + e)
 
     def bw(g):
-        _accum(a, g * out * (1.0 - out))
+        return (g * out * (1.0 - out),)
 
     return _from_op(out, (a,), bw)
 
@@ -294,8 +295,8 @@ def prelu(a, slope):
 
     def bw(g):
         pos = a.data > 0
-        _accum(a, g * (pos + sl * ~pos))
-        _accum(slope, (g * np.minimum(a.data, 0)).sum(axis=reduce_axes))
+        return (g * (pos + sl * ~pos),
+                (g * np.minimum(a.data, 0)).sum(axis=reduce_axes))
 
     return _from_op(out, (a, slope), bw)
 
@@ -323,7 +324,7 @@ def reduce_sum(a, axis=None, keepdims=False):
     out = a.data.sum(axis=axes, keepdims=keepdims)
 
     def bw(g):
-        _accum(a, _expand_grad(g, a.data.shape, axes, keepdims))
+        return (_expand_grad(g, a.data.shape, axes, keepdims),)
 
     return _from_op(out, (a,), bw)
 
@@ -336,7 +337,7 @@ def reduce_mean(a, axis=None, keepdims=False):
     out = a.data.mean(axis=axes, keepdims=keepdims)
 
     def bw(g):
-        _accum(a, _expand_grad(g, a.data.shape, axes, keepdims) / count)
+        return (_expand_grad(g, a.data.shape, axes, keepdims) / count,)
 
     return _from_op(out, (a,), bw)
 
@@ -353,7 +354,7 @@ def reduce_max(a, axis=None, keepdims=False):
         mask = a.data == full
         count = mask.sum(axis=axes, keepdims=True)
         ge = _expand_grad(g, a.data.shape, axes, keepdims)
-        _accum(a, ge * mask / count)
+        return (ge * mask / count,)
 
     return _from_op(out, (a,), bw)
 
@@ -366,7 +367,7 @@ def reshape(a, shape):
     out = a.data.reshape(shape)
 
     def bw(g):
-        _accum(a, g.reshape(a.data.shape))
+        return (g.reshape(a.data.shape),)
 
     return _from_op(out, (a,), bw)
 
@@ -384,8 +385,7 @@ def concat_channels(a, b):
     out = np.concatenate([a.data, b.data], axis=1)
 
     def bw(g):
-        _accum(a, g[:, :ca])
-        _accum(b, g[:, ca:])
+        return g[:, :ca], g[:, ca:]
 
     return _from_op(out, (a, b), bw)
 
@@ -401,7 +401,7 @@ def tile2d(a, reps_h, reps_w):
 
     def bw(g):
         gv = g.reshape(lead + (reps_h, h, reps_w, w))
-        _accum(a, gv.sum(axis=(len(lead), len(lead) + 2)))
+        return (gv.sum(axis=(len(lead), len(lead) + 2)),)
 
     return _from_op(out, (a,), bw)
 
@@ -420,8 +420,7 @@ def avg_pool2(a):
     out /= 4
 
     def bw(g):
-        gx = np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25
-        _accum(a, gx)
+        return (np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25,)
 
     return _from_op(out, (a,), bw)
 
@@ -434,7 +433,7 @@ def nearest_up2(a):
     out = np.repeat(np.repeat(a.data, 2, axis=2), 2, axis=3)
 
     def bw(g):
-        _accum(a, g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
+        return (g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)),)
 
     return _from_op(out, (a,), bw)
 
@@ -467,11 +466,10 @@ def conv2d(x, weight, bias=None):
 
     def bw(g):
         g = np.ascontiguousarray(g)
-        if x.requires_grad:
-            _accum(x, backend.conv2d_grad_input(g, weight.data))
-        _accum(weight, backend.conv2d_grad_weight(x.data, g, k))
-        if bias is not None:
-            _accum(bias, g.sum(axis=(0, 2, 3)))
+        gx = (backend.conv2d_grad_input(g, weight.data) if x.requires_grad
+              else None)
+        gw = backend.conv2d_grad_weight(x.data, g, k)
+        return (gx, gw) if bias is None else (gx, gw, g.sum(axis=(0, 2, 3)))
 
     return _from_op(out, tuple(parents), bw)
 
@@ -520,7 +518,7 @@ def bicubic_upsample(x, factor):
     out = (ah @ x.data) @ aw.T
 
     def bw(g):
-        _accum(x, ah.T @ (g @ aw))
+        return (ah.T @ (g @ aw),)
 
     return _from_op(out, (x,), bw)
 
@@ -529,10 +527,8 @@ def bicubic_upsample(x, factor):
 # parameters and layers
 
 def parameter(name, value):
-    """A named trainable leaf tensor with a zero-initialised gradient buffer."""
-    t = Tensor(value, requires_grad=True, name=name)
-    t.grad = np.zeros_like(t.data)
-    return t
+    """A named trainable leaf tensor."""
+    return Tensor(value, requires_grad=True, name=name)
 
 
 def parameters(obj):

@@ -7,9 +7,10 @@ named substreams, so a run is reproducible bit-for-bit on the same number
 of usable CPUs.
 
 `train` splits each batch into one contiguous part per usable CPU (at most
-one per item). The calling thread runs part 0 on the model and a thread
-pool runs the rest on replicas that share the model's parameter arrays but
-own their gradients. Every loss term is a per-item mean, so each part
+one per item). The calling thread runs part 0 and a thread pool runs the
+rest, all on the one model: `backward` returns gradients instead of storing
+them on the parameters, so the parts share the model's arrays, which stay
+read-only until Adam runs. Every loss term is a per-item mean, so each part
 back-propagates its loss weighted by its share of the batch, and the part
 gradients are summed in part order before one Adam step (the data-parallel
 reduction of Goyal et al., arXiv:1706.02677). OpenBLAS is held at one
@@ -42,7 +43,7 @@ import numpy as np
 
 from .data_pipeline import augment as augment_sample
 from .data_pipeline import decode_tensor, encode_tensor, tensor_extent
-from .errors import FormatError, NumericError
+from .errors import FormatError, NumericError, ShapeError
 from .injection_net import ModelConfig, PansharpenModel, pansharpen_with_details
 from .losses import total_loss
 from .tensor_core import Tensor, backward
@@ -123,14 +124,14 @@ class AdamState:
         self.v = [np.zeros_like(p.data) for p in self.params]
 
 
-def adam_step(state, lr):
-    """One bias-corrected Adam update; gradients are zeroed afterward."""
+def adam_step(state, grads, lr):
+    """One bias-corrected Adam update from grads, a list parallel to
+    state.params; the gradients are only read."""
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
-    for p, m, v in zip(state.params, state.m, state.v):
-        g = p.grad
+    for p, g, m, v in zip(state.params, grads, state.m, state.v, strict=True):
         if g is None:
             raise ValueError(f"parameter {p.name} has no gradient")
         m *= ADAM_BETA1
@@ -138,7 +139,6 @@ def adam_step(state, lr):
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g * g
         p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-        p.zero_grad()
 
 
 @dataclass
@@ -313,71 +313,64 @@ def _one_blas_thread():
         put(before)
 
 
-def _replica(model):
-    """A model whose parameters share model's arrays but own their gradients."""
-    rep = PansharpenModel(model.config, rng=None)
-    for p, q in zip(model.parameters(), rep.parameters()):
-        q.data = p.data
-    return rep
-
-
 def _part(model, ms, gt, hp, loss_weight, share):
     """Forward, loss and share-weighted backward of one part of a batch.
 
-    Returns the part's (l1, l_mem, total) as floats, so its graph dies here.
-    A non-finite loss is not back-propagated; the caller raises on it."""
+    Returns (grads, (l1, l_mem, total)): the gradients as a list parallel
+    to model.parameters() and the losses as floats, so the part's graph
+    dies here. A non-finite loss is not back-propagated and its grads are
+    None; the caller raises on it."""
     out, details, coeff = pansharpen_with_details(Tensor(ms), model)
     tot, l1v, memv = total_loss(out, Tensor(gt), Tensor(hp), details, coeff,
                                 loss_weight)
+    grads = None
     if np.isfinite(tot.data):
-        backward(tot * share)
-    return l1v.item(), memv.item(), tot.item()
+        grads = backward(tot * share, model.parameters())
+    return grads, (l1v.item(), memv.item(), tot.item())
 
 
-def _batch_step(replicas, ms, gt, hp, loss_weight, pool):
-    """Accumulate one batch's loss gradient into replicas[0]'s parameters.
+def _batch_step(model, ms, gt, hp, loss_weight, pool, n_parts):
+    """One batch's loss gradient with respect to model.parameters().
 
-    The batch splits into min(batch, len(replicas)) contiguous parts; part
-    i runs on replicas[i], on the calling thread for part 0 and through
-    `pool` for the rest. Replica gradients are added to replicas[0]'s in
-    part order and zeroed. Returns the batch's l1, l_mem and total as the
+    The batch splits into min(batch, n_parts) contiguous parts, all run on
+    model: part 0 on the calling thread, the rest through `pool`. Returns
+    (grads, record): the part gradients summed in part order (None when a
+    part's loss is non-finite), and the batch's l1, l_mem and total as the
     share-weighted sums of the part values."""
     n = len(ms)
-    replicas = replicas[:n]
-    cuts = [n * i // len(replicas) for i in range(len(replicas) + 1)]
+    k = min(n, n_parts)
+    cuts = [n * i // k for i in range(k + 1)]
     shares = [(b - a) / n for a, b in zip(cuts, cuts[1:])]
-    jobs = [(rep, ms[a:b], gt[a:b], hp[a:b], loss_weight, share)
-            for rep, a, b, share in zip(replicas, cuts, cuts[1:], shares)]
+    jobs = [(model, ms[a:b], gt[a:b], hp[a:b], loss_weight, share)
+            for a, b, share in zip(cuts, cuts[1:], shares)]
     # each worker runs in a copy of the caller's context, so it keeps the
     # caller's numpy error state (cli.main silences overflow warnings)
     later = [pool.submit(contextvars.copy_context().run, _part, *job)
              for job in jobs[1:]]
     parts = [_part(*jobs[0])] + [f.result() for f in later]
-    params = replicas[0].parameters()
-    for rep in replicas[1:]:
-        for p, q in zip(params, rep.parameters()):
-            p.grad += q.grad
-            q.zero_grad()
+    grads = parts[0][0]
+    for part_grads, _ in parts[1:]:
+        grads = (None if grads is None or part_grads is None
+                 else [a + b for a, b in zip(grads, part_grads)])
     record = dict.fromkeys(("l1", "l_mem", "total"), 0.0)
-    for share, values in zip(shares, parts):
+    for share, (_, values) in zip(shares, parts):
         for key, value in zip(record, values):
             record[key] += share * value
-    return record
+    return grads, record
 
 
 @contextmanager
-def _workers(model, batch_size):
-    """Yield the replicas (model first) and the thread pool that run the
-    parts of each step, with BLAS held at one thread throughout. When BLAS
-    cannot be held, the replicas are just [model] and the pool stays idle."""
+def _workers(batch_size):
+    """Yield the thread pool that runs the parts of each step and the part
+    count, with BLAS held at one thread throughout. When BLAS cannot be
+    held, every step is one part and the pool stays idle."""
     # imported here to keep it off the import path of `infer`
     from concurrent.futures import ThreadPoolExecutor
     with _one_blas_thread() as pinned:
         k = min(batch_size, len(os.sched_getaffinity(0))) if pinned else 1
-        replicas = [model] + [_replica(model) for _ in range(k - 1)]
         # threads start on first submit, so a one-part run starts none
         with ThreadPoolExecutor(max(k - 1, 1), "msdnpan-part") as pool:
-            yield replicas, pool
+            yield pool, k
 
 
 def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
@@ -394,18 +387,27 @@ def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
     usable CPUs, and differ only by float32 rounding across CPU counts.
     """
     config.validate()
+    if checkpoint_every < 0:
+        raise ValueError(f"checkpoint_every must be >= 0 (0 = never), "
+                         f"got {checkpoint_every}")
     samples = sorted(samples, key=lambda s: s.id)
     if not samples:
         raise ValueError("training needs at least one sample")
+    first = samples[0]
     for s in samples:
         if s.hp is None:
             raise ValueError(f"sample {s.id} lacks the high-pass target")
+        for attr in ("ms", "gt", "hp"):
+            want, got = getattr(first, attr).shape, getattr(s, attr).shape
+            if got != want:
+                raise ShapeError(f"sample {s.id}: {attr} shape {got} differs "
+                                 f"from {want} of sample {first.id}")
     model = PansharpenModel(config.model, np.random.default_rng((config.seed, 0)))
     adam = AdamState(model.parameters())
     n = len(samples)
     step = 0
     epoch = 0
-    with _workers(model, config.batch_size) as (replicas, pool):
+    with _workers(config.batch_size) as (pool, n_parts):
         for epoch in range(config.epochs):
             started = time.perf_counter()
             lr = lr_at(epoch, config)
@@ -420,14 +422,14 @@ def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
                     modes = aug_rng.integers(0, len(AUG_MODES), size=len(chosen))
                     chosen = [augment_sample(s, AUG_MODES[m])
                               for s, m in zip(chosen, modes)]
-                record = _batch_step(
-                    replicas, _stack(chosen, "ms"), _stack(chosen, "gt"),
-                    _stack(chosen, "hp"), config.loss_weight, pool)
+                grads, record = _batch_step(
+                    model, _stack(chosen, "ms"), _stack(chosen, "gt"),
+                    _stack(chosen, "hp"), config.loss_weight, pool, n_parts)
                 if not math.isfinite(record["total"]):
                     raise NumericError(
                         f"non-finite loss at epoch {epoch} step {step}: "
                         f"l1={record['l1']!r} l_mem={record['l_mem']!r}")
-                adam_step(adam, lr)
+                adam_step(adam, grads, lr)
                 step += 1
                 for key in sums:
                     sums[key] += record[key]

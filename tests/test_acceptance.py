@@ -182,8 +182,8 @@ def test_c06_memorization_property():
     for _ in range(500):
         out, details, _ = pansharpen_with_details(ms, model)
         loss = l1_loss(out, gt) + kl_divergence(hp, details) * 100.0
-        backward(loss)
-        adam_step(adam, 2e-3)
+        grads = backward(loss, adam.params)
+        adam_step(adam, grads, 2e-3)
     ablated = _mean_detail_correlation(model, scenes) - start
     assert record(ablated >= 0.3, "criterion 06 (sparsity-ablated control)",
                   f"same run minus the sparsity term: delta {ablated:+.3f} "

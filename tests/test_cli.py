@@ -15,7 +15,9 @@ import pytest
 
 import msdnpan
 from msdnpan.cli import build_parser, main
-from msdnpan.data_pipeline import load_tensor, save_tensor
+from msdnpan.data_pipeline import (
+    load_manifest, load_tensor, save_tensor, synth_scene,
+)
 from msdnpan.injection_net import ModelConfig, PansharpenModel, pansharpen
 from msdnpan.tensor_core import Tensor
 from msdnpan.trainer import (
@@ -134,6 +136,27 @@ def test_train_rejects_negative_checkpoint_every(tmp_path, capsys, every):
                  str(ckpt), "--checkpoint-every", every]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "--checkpoint-every" in captured.err
+    assert not ckpt.exists()
+
+
+def test_train_rejects_scenes_of_mixed_extent(tmp_path, capsys):
+    """One training scene rewritten at twice the extent is a data error
+    (exit 2) named by sample, not a stacking failure inside numpy."""
+    data = tmp_path / "data"
+    ckpt = tmp_path / "m.msdc"
+    assert main(["gen-data", "--out", str(data), "--count", "6",
+                 "--size", "32", "--seed", "2"]) == 0
+    sid = sorted(load_manifest(data).train_ids())[-1]
+    big = synth_scene(99, 64, sample_id=sid)
+    for name in ("ms", "gt", "pan", "hp"):
+        save_tensor(data / sid / f"{name}.msdt", getattr(big, name))
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(ckpt),
+                 "--preset", "desk", "--batch", "4", "--epochs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: sample {sid}: ")
     assert not ckpt.exists()
 
 

@@ -87,9 +87,9 @@ def test_forward_shapes():
 def test_memory_bank_receives_gradient():
     w = _weights()
     details, _ = msdn_forward(_features(9), w)
-    backward((details * details).sum())
-    assert w.memory.grad is not None
-    assert float(np.abs(w.memory.grad).max()) > 0.0
+    (g,) = backward((details * details).sum(), [w.memory])
+    assert g is not None
+    assert float(np.abs(g).max()) > 0.0
 
 
 def test_weighted_coefficients_channel_check():

@@ -1,11 +1,17 @@
-"""Every function the benchmark's per-layer tracer wraps still exists.
+"""Every function the benchmark's per-layer tracer wraps still exists, and
+training still calls the ones it times through the names it wraps.
 
 The tracer lists a missing probe target as absent and reports 0 for its
 layer, so a rename would otherwise pass silently.
 """
 
 import importlib
+from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
+
+from msdnpan import trainer
+from msdnpan.data_pipeline import synth_scene
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -19,3 +25,34 @@ def test_every_perfbench_probe_resolves_to_a_callable(monkeypatch):
         if not callable(getattr(module, probe.attr, None)):
             missing.append(f"msdnpan.{probe.module}.{probe.attr}")
     assert layers.PROBES and not missing, missing
+
+
+def test_train_calls_the_wrapped_trainer_names(monkeypatch):
+    # the tracer replaces trainer.backward, trainer.total_loss and
+    # trainer.adam_step; a call path that skips those names would leave
+    # their rows (tensor_core.backward_self_s among them) reading 0
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)           # list.append is thread-safe
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("backward", "total_loss", "adam_step"):
+        monkeypatch.setattr(trainer, name, counting(name, getattr(trainer, name)))
+    parts = []
+    workers = trainer._workers
+
+    @contextmanager
+    def counting_workers(batch_size):
+        with workers(batch_size) as (pool, n_parts):
+            parts.append(n_parts)
+            yield pool, n_parts
+
+    monkeypatch.setattr(trainer, "_workers", counting_workers)
+    scenes = [synth_scene(300 + i, 16, sample_id=f"s{i}") for i in range(4)]
+    trainer.train(scenes, trainer.desk_config(epochs=1, batch_size=4))
+    (n_parts,) = parts
+    assert Counter(calls) == {"backward": n_parts, "total_loss": n_parts,
+                              "adam_step": 1}

@@ -32,60 +32,67 @@ def test_float32_is_preserved():
 def test_backward_rejects_non_scalar():
     t = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
-        tc.backward(t + t)
+        tc.backward(t + t, [t])
 
 
 def test_diamond_graph_accumulates():
     # z = x*y + x, so dz/dx = y + 1 and dz/dy = x
     x = Tensor(np.array([2.0, 3.0]), requires_grad=True)
     y = Tensor(np.array([5.0, 7.0]), requires_grad=True)
-    tc.backward((x * y + x).sum())
-    np.testing.assert_array_equal(x.grad, np.array([6.0, 8.0]))
-    np.testing.assert_array_equal(y.grad, np.array([2.0, 3.0]))
+    gx, gy = tc.backward((x * y + x).sum(), [x, y])
+    np.testing.assert_array_equal(gx, np.array([6.0, 8.0]))
+    np.testing.assert_array_equal(gy, np.array([2.0, 3.0]))
 
 
 def test_shared_subgraph_used_twice():
     x = Tensor(np.array([3.0]), requires_grad=True)
     h = x * x
-    tc.backward((h + h).sum())   # d/dx 2x^2 = 4x
-    np.testing.assert_array_equal(x.grad, np.array([12.0]))
+    (gx,) = tc.backward((h + h).sum(), [x])   # d/dx 2x^2 = 4x
+    np.testing.assert_array_equal(gx, np.array([12.0]))
 
 
 def test_broadcast_gradient_is_summed():
     a = Tensor(np.ones((2, 3)), requires_grad=True)
     b = Tensor(np.ones((1, 3)), requires_grad=True)
-    tc.backward((a + b).sum())
-    assert a.grad.shape == (2, 3)
-    assert b.grad.shape == (1, 3)
-    np.testing.assert_array_equal(b.grad, np.full((1, 3), 2.0))
+    ga, gb = tc.backward((a + b).sum(), [a, b])
+    assert ga.shape == (2, 3)
+    assert gb.shape == (1, 3)
+    np.testing.assert_array_equal(gb, np.full((1, 3), 2.0))
 
 
 def test_add_of_a_tensor_to_itself_keeps_gradients_private():
-    # add hands one gradient array to both inputs; x's first gradient must
-    # be its own copy, or the second accumulation writes into y.grad
+    # add hands one gradient array to both inputs; summing x's two
+    # contributions must leave the one returned for y as it was
     rng = np.random.default_rng(11)
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     y = x + x
     g = rng.standard_normal((3, 4))
-    tc.backward((y * Tensor(g)).sum())
-    np.testing.assert_array_equal(y.grad, g)
-    np.testing.assert_array_equal(x.grad, 2 * y.grad)
+    gy, gx = tc.backward((y * Tensor(g)).sum(), [y, x])
+    np.testing.assert_array_equal(gy, g)
+    np.testing.assert_array_equal(gx, 2 * g)
 
 
-def test_reduction_gradients_are_writable_arrays():
-    for reduce in (tc.reduce_sum, tc.reduce_mean):
-        x = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
-        tc.backward(reduce(x))
-        assert x.grad.flags.writeable and x.grad.base is None
-        x.grad[...] = 0.0
-        tc.backward(reduce(x, axis=1).sum() + reduce(x, axis=0).sum())
-        assert x.grad.flags.writeable and x.grad.shape == (2, 3)
+def test_backward_returns_gradients_and_writes_no_tensor():
+    x = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+    unused = Tensor(np.ones(2), requires_grad=True)
+    frozen = Tensor(np.ones((2, 3), np.float32))
+    loss = tc.reduce_mean(x * frozen, axis=1).sum() + tc.reduce_sum(x)
+    state = [(t, k, getattr(t, k)) for t in (x, unused, frozen, loss)
+             for k in Tensor.__slots__]
+    gx, g_unused, g_frozen = tc.backward(loss, [x, unused, frozen])
+    assert gx.dtype == np.float32 and gx.shape == (2, 3)
+    np.testing.assert_allclose(gx, np.full((2, 3), 1.0 + 1.0 / 3.0))
+    assert g_unused is None and g_frozen is None
+    assert all(getattr(t, k) is v for t, k, v in state)
+    assert np.all(x.data == 1.0) and not hasattr(x, "grad")
+    # a second call on the same graph gives the same gradient
+    np.testing.assert_array_equal(tc.backward(loss, [x])[0], gx)
 
 
 def test_reduce_max_splits_ties():
     x = Tensor(np.array([[1.0, 1.0, 0.5]]), requires_grad=True)
-    tc.backward(tc.reduce_max(x, axis=1, keepdims=False).sum())
-    np.testing.assert_array_equal(x.grad, np.array([[0.5, 0.5, 0.0]]))
+    (gx,) = tc.backward(tc.reduce_max(x, axis=1, keepdims=False).sum(), [x])
+    np.testing.assert_array_equal(gx, np.array([[0.5, 0.5, 0.0]]))
 
 
 def test_reduce_mean_value_and_axes():
@@ -172,12 +179,12 @@ def test_conv2d_skips_input_gradient_of_a_constant_input(monkeypatch):
     monkeypatch.setattr(tc.backend, "conv2d_grad_input", counting)
     stem = tc.ConvLayer("stem", 4, 8, 3, np.random.default_rng(12))
     ms = Tensor(np.ones((2, 4, 6, 6), np.float32))
-    tc.backward(tc.relu(stem(ms)).sum())
-    assert calls == [] and stem.weight.grad.any()
+    g_ms, gw = tc.backward(tc.relu(stem(ms)).sum(), [ms, stem.weight])
+    assert calls == [] and g_ms is None and gw.any()
 
     ms = Tensor(np.ones((2, 4, 6, 6), np.float32), requires_grad=True)
-    tc.backward(tc.relu(stem(ms)).sum())
-    assert calls == [(2, 8, 6, 6)] and ms.grad.shape == ms.shape
+    (g_ms,) = tc.backward(tc.relu(stem(ms)).sum(), [ms])
+    assert calls == [(2, 8, 6, 6)] and g_ms.shape == ms.shape
 
 
 def test_conv2d_shape_checks():
@@ -247,9 +254,8 @@ def test_bicubic_float32_is_within_rounding_of_float64():
         x = Tensor(x32.astype(dtype), requires_grad=True)
         out = tc.bicubic_upsample(x, 4)
         assert out.dtype == dtype
-        tc.backward((out * Tensor(g32.astype(dtype))).sum())
         outs.append(out.data)
-        grads.append(x.grad)
+        grads += tc.backward((out * Tensor(g32.astype(dtype))).sum(), [x])
     for lo, hi in (outs, grads):
         assert np.abs(lo - hi).max() <= 1e-6 * np.abs(hi).max()
 
@@ -305,10 +311,10 @@ def test_box_filter_rejects_even_window():
         box_filter(np.zeros((4, 4)), 4)
 
 
-def test_parameter_is_a_named_leaf_with_zero_grad():
+def test_parameter_is_a_named_leaf():
     p = tc.parameter("w", np.ones((2, 3), np.float32))
     assert isinstance(p, Tensor) and p.name == "w" and p.requires_grad
-    assert p.grad.dtype == np.float32 and not p.grad.any()
+    assert p.dtype == np.float32 and p._prev == () and p._backward is None
     assert (p * 2.0).name is None
 
 
@@ -365,10 +371,11 @@ def _where_sigmoid(x):
 
 
 def _forward_and_grads(op, x, g, *extra):
+    """op's output and the gradients of <op(x, *extra), g> with respect to
+    x and each extra."""
     xt = Tensor(x, requires_grad=True)
     out = op(xt, *extra)
-    tc.backward((out * Tensor(g)).sum())
-    return out.data, xt.grad
+    return (out.data, *tc.backward((out * Tensor(g)).sum(), [xt, *extra]))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -401,15 +408,15 @@ def test_prelu_matches_the_branching_formulas(dtype, distinct):
     g = rng.standard_normal(x.shape).astype(dtype)
     slope_value = rng.uniform(0.05, 0.5, 3 if distinct else 1).astype(dtype)
     slope = Tensor(np.broadcast_to(slope_value, 3), requires_grad=True)
-    out, gx = _forward_and_grads(tc.prelu, x, g, slope)
+    out, gx, g_slope = _forward_and_grads(tc.prelu, x, g, slope)
 
     sl = slope.data.reshape((1, 3, 1, 1))
     pos = x > 0
     gs = g * np.where(pos, 0.0, x)
-    assert out.dtype == gx.dtype == slope.grad.dtype == dtype
+    assert out.dtype == gx.dtype == g_slope.dtype == dtype
     assert np.array_equal(out, np.where(pos, x, sl * x))
     assert np.array_equal(gx, g * np.where(pos, 1.0, sl))
-    assert np.array_equal(slope.grad, gs.sum(axis=(0, 2, 3)))
+    assert np.array_equal(g_slope, gs.sum(axis=(0, 2, 3)))
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (2,), (3, 1)])

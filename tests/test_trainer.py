@@ -8,22 +8,28 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from msdnpan import trainer
 from msdnpan.cli import main
 from msdnpan.data_pipeline import (
     SceneSample, encode_tensor, save_tensor, synth_scene, tensor_extent,
 )
-from msdnpan.errors import FormatError, NumericError
-from msdnpan.injection_net import PansharpenModel, pansharpen
-from msdnpan.tensor_core import Tensor, parameter
+from msdnpan.errors import FormatError, NumericError, ShapeError
+from msdnpan.injection_net import (
+    PansharpenModel, pansharpen, pansharpen_with_details,
+)
+from msdnpan.losses import total_loss
+from msdnpan.tensor_core import Tensor, backward, parameter
 from msdnpan.trainer import (
-    AdamState, TrainConfig, _batch_step, _blas_thread_controls, _replica,
-    adam_step, desk_config, load_checkpoint, lr_at, model_from_checkpoint,
-    override, save_checkpoint, train,
+    AdamState, TrainConfig, _batch_step, _blas_thread_controls, adam_step,
+    desk_config, load_checkpoint, lr_at, model_from_checkpoint, override,
+    save_checkpoint, train,
 )
 
 
@@ -68,24 +74,24 @@ def test_config_validation(field, value):
 
 def test_adam_hand_step():
     p = parameter("w", np.array([1.0]))
-    p.grad[...] = 1.0
+    g = np.ones(1)
+    g.flags.writeable = False            # gradients are only read
     state = AdamState([p])
-    adam_step(state, 0.1)
+    adam_step(state, [g], 0.1)
     # bias correction makes both moment ratios exactly 1 on the first step
     assert abs(p.data[0] - (1.0 - 0.1 / (1.0 + 1e-8))) < 1e-15
     assert state.step_count == 1
-    assert np.all(p.grad == 0.0)
 
-    p.grad[...] = 1.0                    # constant gradient: same step size
-    adam_step(state, 0.1)
+    adam_step(state, [g], 0.1)           # constant gradient: same step size
     assert abs(p.data[0] - (1.0 - 2.0 * (0.1 / (1.0 + 1e-8)))) < 1e-12
 
 
-def test_adam_rejects_missing_grad():
+def test_adam_rejects_a_none_or_missing_gradient():
     p = parameter("w", np.zeros(2))
-    p.grad = None
-    with pytest.raises(ValueError):
-        adam_step(AdamState([p]), 0.1)
+    with pytest.raises(ValueError, match="parameter w has no gradient"):
+        adam_step(AdamState([p]), [None], 0.1)
+    with pytest.raises(ValueError):     # one gradient per parameter
+        adam_step(AdamState([p]), [], 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +286,10 @@ def test_updates_write_into_parameter_buffers():
         np.testing.assert_array_equal(b, stored[p.name])
 
     state = AdamState(params)
-    for p in params:
-        p.grad[...] = 1.0
-    adam_step(state, 0.1)
+    adam_step(state, [np.ones_like(b) for b in buffers], 0.1)
     for p, b in zip(params, buffers):
         assert p.data is b and p.data.dtype == np.float32
         assert not np.array_equal(b, stored[p.name])
-        assert np.all(p.grad == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +349,31 @@ def test_train_input_validation():
         override(TrainConfig(), bogus_field=3)
 
 
+@pytest.mark.parametrize("every", [-1, -3])
+def test_train_rejects_negative_checkpoint_every(tmp_path, monkeypatch, every):
+    def no_model(*args, **kwargs):
+        raise AssertionError("train built a model")
+
+    monkeypatch.setattr(trainer, "PansharpenModel", no_model)
+    path = tmp_path / "model.msdc"
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        train(_scenes(2), _tiny_config(epochs=3), checkpoint_path=path,
+              checkpoint_every=every)
+    assert not path.exists()
+
+
+def test_train_rejects_samples_of_mixed_shapes():
+    scenes = _scenes(3)
+    big = synth_scene(150, 32, sample_id="s01")
+    for attr in ("ms", "gt", "hp"):
+        mixed = list(scenes)
+        mixed[1] = replace(scenes[1], **{attr: getattr(big, attr)})
+        with pytest.raises(ShapeError, match=rf"^sample s01: {attr} shape "
+                                             r"\(.*\) differs from \(.*\) "
+                                             r"of sample s00$"):
+            train(mixed, _tiny_config())
+
+
 def test_loss_drops_on_small_run():
     scenes = _scenes(4)
     first, last = {}, {}
@@ -368,29 +396,36 @@ def test_loss_drops_on_small_run():
 SPLIT_RTOL = 1e-5
 
 
-def _split_step(n_items, n_parts):
-    """Gradients and record of one step of a seeded desk model on n_items
-    scenes run as (up to) n_parts parts."""
-    cfg = desk_config(seed=6)
-    model = PansharpenModel(cfg.model, np.random.default_rng((cfg.seed, 0)))
-    replicas = [model] + [_replica(model) for _ in range(n_parts - 1)]
-    chosen = _scenes(n_items, size=32, seed0=200)
-    ms, gt, hp = (np.stack([getattr(s, a).data for s in chosen])
-                  for a in ("ms", "gt", "hp"))
-    # threads switch every 10 us, so a gradient update lost between parts
-    # would show as a difference from the one-part step
+@contextmanager
+def _fast_thread_switches():
+    """Switch threads every 10 us, so work lost or mixed between threads
+    shows as a difference from a sequential run."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with ThreadPoolExecutor(max(n_parts - 1, 1)) as pool:
-            record = _batch_step(replicas, ms, gt, hp, cfg.loss_weight, pool)
+        yield
     finally:
         sys.setswitchinterval(interval)
-    for rep in replicas[1:]:             # replica gradients were handed over
-        assert all(np.all(q.grad == 0.0) for q in rep.parameters())
-        assert all(q.data is p.data for p, q in
-                   zip(model.parameters(), rep.parameters()))
-    return {p.name: p.grad.copy() for p in model.parameters()}, record
+
+
+def _desk_batch(n_items):
+    """A seeded desk model and the stacked (ms, gt, hp) of n_items scenes."""
+    cfg = desk_config(seed=6)
+    model = PansharpenModel(cfg.model, np.random.default_rng((cfg.seed, 0)))
+    chosen = _scenes(n_items, size=32, seed0=200)
+    return model, [np.stack([getattr(s, a).data for s in chosen])
+                   for a in ("ms", "gt", "hp")]
+
+
+def _split_step(n_items, n_parts):
+    """Gradients and record of one step of a seeded desk model on n_items
+    scenes run as (up to) n_parts parts."""
+    model, (ms, gt, hp) = _desk_batch(n_items)
+    with _fast_thread_switches(), \
+            ThreadPoolExecutor(max(n_parts - 1, 1)) as pool:
+        grads, record = _batch_step(model, ms, gt, hp,
+                                    desk_config().loss_weight, pool, n_parts)
+    return {p.name: g for p, g in zip(model.parameters(), grads)}, record
 
 
 @pytest.mark.parametrize("n_items, n_parts", [(4, 2), (3, 2), (1, 2), (4, 4)])
@@ -409,6 +444,27 @@ def test_split_step_matches_one_part(n_items, n_parts):
         assert split_rec == one_rec
         for name, g in one_grads.items():
             assert np.array_equal(split_grads[name], g), name
+
+
+def test_concurrent_backward_passes_are_independent():
+    # two threads back-propagate separate graphs of one shared model
+    model, (ms, gt, hp) = _desk_batch(4)
+    params = model.parameters()
+    before = [p.data.copy() for p in params]
+
+    def run(part):
+        out, details, coeff = pansharpen_with_details(Tensor(ms[part]), model)
+        loss, _, _ = total_loss(out, Tensor(gt[part]), Tensor(hp[part]),
+                                details, coeff, 0.001)
+        return backward(loss, params)
+
+    halves = (slice(0, 2), slice(2, 4))
+    alone = [run(part) for part in halves]
+    with _fast_thread_switches(), ThreadPoolExecutor(2) as pool:
+        together = list(pool.map(run, halves))
+    for a, b in zip(alone, together):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert all(np.array_equal(p.data, d) for p, d in zip(params, before))
 
 
 def _assert_run_restores(run):
@@ -471,8 +527,10 @@ def test_non_finite_loss_raises_and_restores():
 
 def test_train_frees_each_steps_graph():
     # Tracemalloc peak of a seeded desk run: 114.6 MiB when each step's
-    # graph (every node and its .grad) stayed alive through the next
-    # forward pass, 77.4-78.4 MiB with one or two parts once it is freed.
+    # graph (every node and its gradient) stayed alive through the next
+    # forward pass, 77.4-78.4 MiB with one or two parts once it is freed,
+    # 46.8 MiB with two parts once backward also drops each intermediate
+    # gradient as soon as its closure has run.
     scenes = _scenes(8, size=64)
     tracemalloc.start()
     try:
