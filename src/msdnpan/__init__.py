@@ -9,8 +9,9 @@ The package is organised as:
 - classic_fusion: box filtering, the CS/MRA/SFIM baselines and the
   high-pass extractor, forward only on plain ndarrays.
 - metrics: reduced- and full-resolution quality indices.
-- data_pipeline: synthetic scenes, Wald protocol, .msdt and PPM I/O.
-- trainer: Adam, lr schedule, checkpoints.
+- data_pipeline: synthetic scenes as plain float32 arrays, Wald protocol,
+  .msdt and PPM I/O.
+- trainer: batching and flip augmentation, Adam, lr schedule, checkpoints.
 - cli: the `msdnpan` command.
 """
 

@@ -5,7 +5,8 @@ high-frequency texture that only the panchromatic band carries), then
 reduced per Wald's protocol: the generated image is the ground truth, its
 block-averaged downsample is the model input, and the high-pass of the
 panchromatic band is the detail target. Everything is derived from one
-integer seed so datasets are bit-reproducible.
+integer seed so datasets are bit-reproducible. A SceneSample holds plain
+float32 arrays; the trainer stacks and flips them per batch.
 
 Tensor files (.msdt): magic "MSDT", version byte 1, ndim byte (1-4), then
 ndim little-endian uint32 extents, then row-major little-endian float32
@@ -38,11 +39,11 @@ TEXTURE_KAPPA = 0.1
 
 @dataclass
 class SceneSample:
-    """One scene: MS input, ground truth, PAN band, and its high-pass."""
-    ms: Tensor
-    gt: Tensor
-    pan: Tensor | None
-    hp: Tensor | None
+    """One scene's float32 arrays: MS input, ground truth, PAN, high-pass."""
+    ms: np.ndarray
+    gt: np.ndarray
+    pan: np.ndarray | None
+    hp: np.ndarray | None
     id: str
 
 
@@ -134,28 +135,7 @@ def synth_scene(seed, size, scale=4, hp_window=5, kappa=TEXTURE_KAPPA,
     ms = wald_downsample(gt32, scale)
     hp = hp_details(pan32, hp_window)
     sid = sample_id if sample_id is not None else f"scene_{seed}"
-    return SceneSample(ms=Tensor(ms), gt=Tensor(gt32), pan=Tensor(pan32),
-                       hp=Tensor(hp), id=sid)
-
-
-def augment(sample, mode):
-    """Apply the same spatial flip to every tensor of a sample."""
-    if mode == "none":
-        return sample
-    if mode == "hflip":
-        axis = -1
-    elif mode == "vflip":
-        axis = -2
-    else:
-        raise ValueError(f"unknown augmentation mode {mode!r}")
-
-    def flip(t):
-        if t is None:
-            return None
-        return Tensor(np.ascontiguousarray(np.flip(t.data, axis=axis)))
-
-    return SceneSample(ms=flip(sample.ms), gt=flip(sample.gt),
-                       pan=flip(sample.pan), hp=flip(sample.hp), id=sample.id)
+    return SceneSample(ms=ms, gt=gt32, pan=pan32, hp=hp, id=sid)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +143,7 @@ def augment(sample, mode):
 
 def encode_tensor(arr):
     """Serialize an array as .msdt bytes (values stored as float32)."""
-    a = np.ascontiguousarray(arr.data if isinstance(arr, Tensor) else arr)
+    a = np.ascontiguousarray(arr)
     if a.ndim < 1 or a.ndim > 4:
         raise FormatError(f"tensor rank {a.ndim} outside the supported 1..4")
     if any(s >= 2 ** 32 for s in a.shape):
@@ -340,10 +320,10 @@ def load_manifest(root):
 
 def load_sample(root, sample_id, with_pan=True):
     d = Path(root) / sample_id
-    ms = load_tensor(d / "ms.msdt")
-    gt = load_tensor(d / "gt.msdt")
-    hp = load_tensor(d / "hp.msdt")
-    pan = load_tensor(d / "pan.msdt") if with_pan else None
+    ms = load_tensor(d / "ms.msdt").data
+    gt = load_tensor(d / "gt.msdt").data
+    hp = load_tensor(d / "hp.msdt").data
+    pan = load_tensor(d / "pan.msdt").data if with_pan else None
     return SceneSample(ms=ms, gt=gt, pan=pan, hp=hp, id=sample_id)
 
 

@@ -37,6 +37,9 @@ class ModelConfig:
     reduction: int = 4          # channel-attention bottleneck ratio
 
     def validate(self):
+        for name, value in vars(self).items():      # every field is an int
+            if type(value) is not int:
+                raise TypeError(f"{name} must be int, got {value!r}")
         if self.channels % 2:
             raise ValueError("channels must be even (negative-path convs halve them)")
         if self.head_blocks < 0:

@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 
+from .data_pipeline import wald_downsample
 from .errors import DegenerateInputError, ShapeError
 
 _LAPLACIAN = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]])
@@ -181,11 +182,6 @@ def scale_ratio(small, big, what):
     return s
 
 
-def _block_mean(img, factor):
-    h, w = img.shape
-    return img.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
-
-
 def d_lambda(ms, fused):
     """Spectral distortion: mean absolute change of the inter-band Q values
     between scales (exponent p = 1)."""
@@ -217,7 +213,7 @@ def d_s(ms, fused, pan):
             f"pan {pan.shape[1:]} does not match fused {fused.shape[1:]}")
     s = scale_ratio(ms.shape[1:], fused.shape[1:], "d_s")
     p = pan[0]
-    p_low = _block_mean(p, s)
+    p_low = wald_downsample(p, s)
     terms = [
         abs(q_index(fused[i], p) - q_index(ms[i], p_low))
         for i in range(ms.shape[0])
@@ -226,10 +222,13 @@ def d_s(ms, fused, pan):
 
 
 def qnr(d_lambda_value, d_s_value):
-    """(1 - D_lambda) * (1 - D_s): exponents alpha = beta = 1."""
+    """(1 - D_lambda) * (1 - D_s): exponents alpha = beta = 1.
+
+    Each distortion is a mean of |Q - Q| with Q in [-1, 1], so it lies in
+    [0, 2]; QNR is negative when exactly one of them exceeds 1."""
     for name, v in (("d_lambda", d_lambda_value), ("d_s", d_s_value)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        if not 0.0 <= v <= 2.0:
+            raise ValueError(f"{name} must lie in [0, 2], got {v}")
     return (1.0 - d_lambda_value) * (1.0 - d_s_value)
 
 

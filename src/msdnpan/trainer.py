@@ -1,10 +1,11 @@
 """Training loop, Adam optimizer, learning-rate schedule, checkpointing.
 
 Training consumes (ms, gt, hp) triples; the PAN band itself never enters
-the model, only its precomputed high-pass target. All randomness (weight
-init, shuffling, augmentation) is derived from the config seed through
-named substreams, so a run is reproducible bit-for-bit on the same number
-of usable CPUs.
+the model, only its precomputed high-pass target. Each step stacks the
+samples' arrays and flips each item in place by its drawn AUG_MODES entry.
+All randomness (weight init, shuffling, augmentation) is derived from the
+config seed through named substreams, so a run is reproducible bit-for-bit
+on the same number of usable CPUs.
 
 `train` splits each batch into one contiguous part per usable CPU (at most
 one per item). The calling thread runs part 0 and a thread pool runs the
@@ -41,7 +42,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_pipeline import augment as augment_sample
 from .data_pipeline import decode_tensor, encode_tensor, tensor_extent
 from .errors import FormatError, NumericError, ShapeError
 from .injection_net import ModelConfig, PansharpenModel, pansharpen_with_details
@@ -51,7 +51,8 @@ from .tensor_core import Tensor, backward
 CKPT_MAGIC = b"MSDC"
 CKPT_VERSION = 1
 
-AUG_MODES = ("none", "hflip", "vflip")
+# augmentation modes in draw order: (name, the item axis its flip reverses)
+AUG_MODES = (("none", None), ("hflip", -1), ("vflip", -2))
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -71,8 +72,15 @@ class TrainConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def validate(self):
+        for name in ("epochs", "batch_size", "decay_every", "seed", "augment"):
+            value, kind = getattr(self, name), bool if name == "augment" else int
+            if type(value) is not kind:
+                raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
         for name in ("lr", "loss_weight", "decay_factor"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if type(value) not in (int, float):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
@@ -126,14 +134,16 @@ class AdamState:
 
 def adam_step(state, grads, lr):
     """One bias-corrected Adam update from grads, a list parallel to
-    state.params; the gradients are only read."""
+    state.params; the gradients are only read. A missing gradient raises
+    before anything is updated."""
+    for p, g in zip(state.params, grads, strict=True):
+        if g is None:
+            raise ValueError(f"parameter {p.name} has no gradient")
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
-    for p, g, m, v in zip(state.params, grads, state.m, state.v, strict=True):
-        if g is None:
-            raise ValueError(f"parameter {p.name} has no gradient")
+    for p, g, m, v in zip(state.params, grads, state.m, state.v):
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
@@ -266,10 +276,6 @@ def load_checkpoint(path):
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{source}: bad header ({e!r})") from None
     return ckpt
-
-
-def _stack(samples, attr):
-    return np.stack([getattr(s, attr).data for s in samples])
 
 
 def _blas_thread_controls():
@@ -418,13 +424,18 @@ def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
             for start in range(0, n, config.batch_size):
                 chosen = [samples[i]
                           for i in order[start:start + config.batch_size]]
+                # fresh stacks, so the flips below leave the samples intact
+                ms, gt, hp = (np.stack([getattr(s, attr) for s in chosen])
+                              for attr in ("ms", "gt", "hp"))
                 if config.augment:
                     modes = aug_rng.integers(0, len(AUG_MODES), size=len(chosen))
-                    chosen = [augment_sample(s, AUG_MODES[m])
-                              for s, m in zip(chosen, modes)]
-                grads, record = _batch_step(
-                    model, _stack(chosen, "ms"), _stack(chosen, "gt"),
-                    _stack(chosen, "hp"), config.loss_weight, pool, n_parts)
+                    for i, mode in enumerate(modes):
+                        axis = AUG_MODES[mode][1]
+                        if axis is not None:
+                            for batch in (ms, gt, hp):
+                                batch[i] = np.flip(batch[i], axis)
+                grads, record = _batch_step(model, ms, gt, hp,
+                                            config.loss_weight, pool, n_parts)
                 if not math.isfinite(record["total"]):
                     raise NumericError(
                         f"non-finite loss at epoch {epoch} step {step}: "

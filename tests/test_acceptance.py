@@ -132,9 +132,9 @@ def _memorization_scenes():
 
 
 def _mean_detail_correlation(model, scenes):
-    ms = Tensor(np.stack([s.ms.data for s in scenes]))
+    ms = Tensor(np.stack([s.ms for s in scenes]))
     _, details, _ = pansharpen_with_details(ms, model)
-    return float(np.mean([pearson(details.data[i], scenes[i].hp.data)
+    return float(np.mean([pearson(details.data[i], scenes[i].hp)
                           for i in range(len(scenes))]))
 
 
@@ -176,9 +176,9 @@ def test_c06_memorization_property():
 
     model = PansharpenModel(cfg.model, np.random.default_rng((cfg.seed, 0)))
     adam = AdamState(model.parameters())
-    ms = Tensor(np.stack([s.ms.data for s in scenes]))
-    gt = Tensor(np.stack([s.gt.data for s in scenes]))
-    hp = Tensor(np.stack([s.hp.data for s in scenes]))
+    ms = Tensor(np.stack([s.ms for s in scenes]))
+    gt = Tensor(np.stack([s.gt for s in scenes]))
+    hp = Tensor(np.stack([s.hp for s in scenes]))
     for _ in range(500):
         out, details, _ = pansharpen_with_details(ms, model)
         loss = l1_loss(out, gt) + kl_divergence(hp, details) * 100.0
@@ -225,10 +225,10 @@ def test_c08_baseline_ordering():
     mra_scores, cubic_scores = [], []
     for i in range(8):
         s = synth_scene(40 + i, 32, sample_id=f"b{i}")
-        up = bicubic_upsample(s.ms, 4).data
-        mra = inject(up, s.pan.data, "mra-add", gain=1.0, window=5)
-        mra_scores.append(scc(mra, s.gt.data))
-        cubic_scores.append(scc(up, s.gt.data))
+        up = bicubic_upsample(Tensor(s.ms), 4).data
+        mra = inject(up, s.pan, "mra-add", gain=1.0, window=5)
+        mra_scores.append(scc(mra, s.gt))
+        cubic_scores.append(scc(up, s.gt))
     mra_mean = float(np.mean(mra_scores))
     cubic_mean = float(np.mean(cubic_scores))
     ok = mra_mean > cubic_mean
@@ -254,7 +254,7 @@ def test_c09_determinism_and_persistence(tmp_path):
     bit_ckpt = all(np.array_equal(back.params[n], a.params[n])
                    for n in a.params)
 
-    ms = Tensor(scenes[0].ms.data[None])
+    ms = Tensor(scenes[0].ms[None])
     before = pansharpen(ms, model_from_checkpoint(a)).data
     after = pansharpen(ms, model_from_checkpoint(back)).data
     bit_infer = np.array_equal(before, after)

@@ -291,6 +291,32 @@ def test_infer_bad_checkpoint_header_is_format_error(workspace, tmp_path,
     assert not out.exists()
 
 
+# each model value is the workspace checkpoint's own, as a float
+@pytest.mark.parametrize("section, field, value", [
+    ("model", "channels", 8.0), ("model", "scale", 4.0),
+    ("model", "memory_slots", 8.0), ("model", "nin_depth", 1.0),
+    ("model", "head_blocks", 4.0), ("model", "reduction", 4.0),
+    ("model", "spatial_kernel", 7.0), ("train", "epochs", 1.5), ("train", "batch_size", 2.5),
+    ("train", "decay_every", 50.0), ("train", "seed", 4.0),
+    ("train", "epochs", True), ("train", "augment", "yes"),
+    ("train", "augment", 1), ("train", "lr", True),
+], ids=lambda v: repr(v) if not isinstance(v, str) else v)
+def test_infer_mistyped_checkpoint_config_is_format_error(
+        workspace, tmp_path, capsys, section, field, value):
+    def edit(header):
+        config = header["config"]
+        (config["model"] if section == "model" else config)[field] = value
+
+    bad = _with_header(workspace["ckpt"], tmp_path / "bad.msdc", edit)
+    out = tmp_path / "o.msdt"
+    assert main(["infer", "--ckpt", str(bad), "--ms", str(workspace["ms"]),
+                 "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "bad header" in lines[0] and field in lines[0]
+    assert not out.exists()
+
+
 def test_infer_non_finite_input_is_numeric_error(workspace, tmp_path):
     ms = load_tensor(workspace["ms"]).data.copy()
     ms[1, 2, 3] = np.nan
@@ -384,6 +410,24 @@ def test_eval_full_keys(workspace, tmp_path, capsys):
     payload = _last_json(capsys)
     assert set(payload) == {"qnr", "d_lambda", "d_s"}
     assert 0.0 <= payload["qnr"] <= 1.0
+
+
+def test_eval_full_reports_a_spatial_distortion_above_one(tmp_path, capsys):
+    # detail anti-correlated with PAN: each band's Q against PAN turns
+    # negative at full scale, so D_s exceeds 1 and QNR is negative
+    scene = synth_scene(3, 64)
+    up = np.repeat(np.repeat(scene.ms, 4, axis=1), 4, axis=2)
+    pred = up - 5 * (scene.pan - scene.pan.mean())
+    paths = {}
+    for name, arr in (("pred", pred), ("ms", scene.ms), ("pan", scene.pan)):
+        paths[name] = tmp_path / f"{name}.msdt"
+        save_tensor(paths[name], arr)
+    assert main(["eval-full", "--pred", str(paths["pred"]), "--ms",
+                 str(paths["ms"]), "--pan", str(paths["pan"])]) == 0
+    payload = _last_json(capsys)
+    assert 1.0 < payload["d_s"] <= 2.0 and 0.0 <= payload["d_lambda"] <= 2.0
+    assert payload["qnr"] == (1 - payload["d_lambda"]) * (1 - payload["d_s"])
+    assert payload["qnr"] < 0.0
 
 
 def test_eval_shape_and_degenerate_exits(workspace, tmp_path):

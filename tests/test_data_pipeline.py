@@ -7,9 +7,9 @@ import pytest
 
 from msdnpan.classic_fusion import hp_details
 from msdnpan.data_pipeline import (
-    PAN_WEIGHTS, SceneSample, augment, decode_tensor, encode_tensor,
-    export_ppm, generate_dataset, load_manifest, load_sample, load_split,
-    load_tensor, save_tensor, split_of, synth_scene, wald_downsample,
+    PAN_WEIGHTS, decode_tensor, encode_tensor, export_ppm, generate_dataset,
+    load_manifest, load_sample, load_split, load_tensor, save_tensor,
+    split_of, synth_scene, wald_downsample,
 )
 from msdnpan.errors import FormatError, ShapeError
 from msdnpan.tensor_core import Tensor
@@ -53,60 +53,34 @@ def test_scene_shapes_ranges_and_determinism():
     assert a.hp.shape == (1, 16, 16)
     for attr in ("ms", "gt", "pan", "hp"):
         ta, tb = getattr(a, attr), getattr(b, attr)
-        assert ta.data.dtype == np.float32
-        assert np.array_equal(ta.data, tb.data)
-    assert a.gt.data.min() >= 0.0 and a.gt.data.max() <= 1.0
-    assert a.pan.data.min() >= 0.0 and a.pan.data.max() <= 1.0
+        assert type(ta) is np.ndarray and ta.dtype == np.float32
+        assert np.array_equal(ta, tb)
+    assert a.gt.min() >= 0.0 and a.gt.max() <= 1.0
+    assert a.pan.min() >= 0.0 and a.pan.max() <= 1.0
     assert a.id == "scene_5"
-    assert synth_scene(6, 16).gt.data.tolist() != a.gt.data.tolist()
+    assert not np.array_equal(synth_scene(6, 16).gt, a.gt)
 
 
 def test_scene_ms_is_wald_of_gt():
     s = synth_scene(9, 16)
-    assert np.array_equal(s.ms.data, wald_downsample(s.gt.data, 4))
+    assert np.array_equal(s.ms, wald_downsample(s.gt, 4))
 
 
 def test_scene_hp_recomputable_from_pan():
     s = synth_scene(11, 16)
-    assert np.array_equal(s.hp.data, hp_details(s.pan.data, 5))
+    assert np.array_equal(s.hp, hp_details(s.pan, 5))
 
 
 def test_scene_pan_is_weighted_sum_when_kappa_zero():
     s = synth_scene(3, 16, kappa=0.0)
     w = np.asarray(PAN_WEIGHTS, dtype=np.float64).reshape(-1, 1, 1)
-    expect = (s.gt.data.astype(np.float64) * w).sum(axis=0)
-    assert np.allclose(s.pan.data[0], expect, atol=1e-6)
+    expect = (s.gt.astype(np.float64) * w).sum(axis=0)
+    assert np.allclose(s.pan[0], expect, atol=1e-6)
 
 
 def test_scene_validation():
     with pytest.raises(ShapeError):
         synth_scene(0, 10)            # not divisible by scale 4
-
-
-# ---------------------------------------------------------------------------
-# augment
-
-def test_augment_flips_all_planes_consistently():
-    s = synth_scene(2, 8)
-    h = augment(s, "hflip")
-    v = augment(s, "vflip")
-    for attr in ("ms", "gt", "pan", "hp"):
-        orig = getattr(s, attr).data
-        assert np.array_equal(getattr(h, attr).data, orig[..., ::-1])
-        assert np.array_equal(getattr(v, attr).data, orig[..., ::-1, :])
-    back = augment(h, "hflip")
-    assert np.array_equal(back.gt.data, s.gt.data)
-    assert augment(s, "none") is s
-    with pytest.raises(ValueError):
-        augment(s, "rot90")
-
-
-def test_augment_keeps_missing_pan():
-    s = SceneSample(ms=Tensor(np.ones((4, 2, 2), np.float32)),
-                    gt=Tensor(np.ones((4, 8, 8), np.float32)),
-                    pan=None, hp=None, id="x")
-    out = augment(s, "hflip")
-    assert out.pan is None and out.hp is None
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +99,7 @@ def test_tensor_round_trip_all_ranks(tmp_path):
 
 
 def test_encode_accepts_tensor_and_casts():
-    t = Tensor(np.array([1.0, 2.0]))
-    buf = encode_tensor(t)
+    buf = encode_tensor(np.array([1.0, 2.0]))
     assert buf[:4] == b"MSDT" and buf[4] == 1 and buf[5] == 1
     assert np.array_equal(decode_tensor(buf), np.array([1, 2], np.float32))
 
@@ -215,8 +188,9 @@ def test_generate_and_load_dataset(tmp_path):
     sample = load_sample(root, "scene_0002")
     fresh = synth_scene(3 * 100003 + 2, 8, sample_id="scene_0002")
     for attr in ("ms", "gt", "pan", "hp"):
-        assert np.array_equal(getattr(sample, attr).data,
-                              getattr(fresh, attr).data)
+        loaded = getattr(sample, attr)
+        assert type(loaded) is np.ndarray and loaded.dtype == np.float32
+        assert np.array_equal(loaded, getattr(fresh, attr))
 
     train = load_split(manifest, "train")
     test = load_split(manifest, "test")

@@ -185,7 +185,9 @@ def test_qnr_bounds_and_identity():
     with pytest.raises(ValueError):
         qnr(-0.1, 0.0)
     with pytest.raises(ValueError):
-        qnr(0.0, 1.5)
+        qnr(0.0, 2.5)
+    # each distortion lies in [0, 2]; above 1 it makes QNR negative
+    assert qnr(0.5, 1.5) == -0.25
 
 
 def test_d_lambda_of_nearest_upsample_is_exactly_zero():

@@ -94,6 +94,18 @@ def test_adam_rejects_a_none_or_missing_gradient():
         adam_step(AdamState([p]), [], 0.1)
 
 
+@pytest.mark.parametrize("grads", [[np.ones(2), None], [np.ones(2)]],
+                         ids=["none-entry", "one-short"])
+def test_adam_rejects_bad_grads_before_any_update(grads):
+    a, b = parameter("a", np.zeros(2)), parameter("b", np.zeros(2))
+    state = AdamState([a, b])
+    with pytest.raises(ValueError):
+        adam_step(state, grads, 0.1)
+    assert state.step_count == 0
+    for arr in (a.data, b.data, *state.m, *state.v):
+        assert not arr.any()
+
+
 # ---------------------------------------------------------------------------
 # checkpoint format
 
@@ -256,7 +268,7 @@ def test_model_from_checkpoint_matches_and_validates(tmp_path, monkeypatch):
         assert p.data.dtype == final.params[name].dtype
         assert np.array_equal(p.data, final.params[name]), name
 
-    ms = Tensor(scenes[0].ms.data[None])
+    ms = Tensor(scenes[0].ms[None])
     direct = model_from_checkpoint(final)
     assert np.array_equal(pansharpen(ms, restored).data,
                           pansharpen(ms, direct).data)
@@ -305,6 +317,38 @@ def test_training_is_bit_deterministic():
         assert np.array_equal(a.params[name], b.params[name]), name
     c = train(scenes, _tiny_config(augment=True, seed=5))
     assert any(not np.array_equal(a.params[n], c.params[n]) for n in a.params)
+
+
+def test_augmented_batches_flip_each_item_along_its_drawn_axis(monkeypatch):
+    scenes = _scenes(4)
+    before = [{a: getattr(s, a).copy() for a in ("ms", "gt", "hp")}
+              for s in scenes]
+    seen = []
+    batch_step = trainer._batch_step
+
+    def spy(model, ms, gt, hp, *rest):
+        seen.append((ms.copy(), gt.copy(), hp.copy()))
+        return batch_step(model, ms, gt, hp, *rest)
+
+    monkeypatch.setattr(trainer, "_batch_step", spy)
+    cfg = _tiny_config(epochs=1, batch_size=2, augment=True)
+    train(scenes, cfg)
+
+    # one epoch: the permutation and modes of epoch 0's substreams; mode 0
+    # keeps an item, 1 reverses its columns and 2 its rows
+    flips = (lambda x: x, lambda x: x[..., ::-1], lambda x: x[..., ::-1, :])
+    order = np.random.default_rng((cfg.seed, 1, 0)).permutation(4)
+    draws = np.random.default_rng((cfg.seed, 2, 0))
+    modes = np.concatenate([draws.integers(0, 3, size=2) for _ in range(2)])
+    assert set(modes) == {0, 1, 2}
+    items = [[arr[i] for arr in batch] for batch in seen
+             for i in range(len(batch[0]))]
+    assert len(items) == 4
+    for item, index, mode in zip(items, order, modes):
+        for got, attr in zip(item, ("ms", "gt", "hp")):
+            assert np.array_equal(got, flips[mode](before[index][attr]))
+    for s, orig in zip(scenes, before):
+        assert all(np.array_equal(getattr(s, a), orig[a]) for a in orig)
 
 
 def test_hooks_logs_and_periodic_checkpoints(tmp_path):
@@ -413,7 +457,7 @@ def _desk_batch(n_items):
     cfg = desk_config(seed=6)
     model = PansharpenModel(cfg.model, np.random.default_rng((cfg.seed, 0)))
     chosen = _scenes(n_items, size=32, seed0=200)
-    return model, [np.stack([getattr(s, a).data for s in chosen])
+    return model, [np.stack([getattr(s, a) for s in chosen])
                    for a in ("ms", "gt", "hp")]
 
 
@@ -516,7 +560,7 @@ def test_train_restores_blas_and_threads_when_hook_raises():
 def test_non_finite_loss_raises_and_restores():
     scenes = _scenes(4)
     hot = scenes[1]
-    scenes[1] = SceneSample(ms=Tensor(np.full_like(hot.ms.data, 1e30)),
+    scenes[1] = SceneSample(ms=np.full_like(hot.ms, 1e30),
                             gt=hot.gt, pan=hot.pan, hp=hot.hp, id=hot.id)
     with pytest.raises(NumericError,
                        match=r"^non-finite loss at epoch 0 step 0: "
