@@ -11,6 +11,7 @@ from msdnpan.data_pipeline import (
     load_manifest, load_sample, load_split, load_tensor, save_tensor,
     split_of, synth_scene, wald_downsample,
 )
+from msdnpan import trainer
 from msdnpan.errors import FormatError, ShapeError
 from msdnpan.tensor_core import Tensor
 
@@ -81,6 +82,70 @@ def test_scene_pan_is_weighted_sum_when_kappa_zero():
 def test_scene_validation():
     with pytest.raises(ShapeError):
         synth_scene(0, 10)            # not divisible by scale 4
+
+
+# ---------------------------------------------------------------------------
+# augmentation: the flip modes live in trainer.AUG_MODES and train applies
+# them to each stacked batch item
+
+def _augmented_items(monkeypatch, samples, epochs):
+    """Every (ms, gt, hp) item that an augmented desk `train` steps on."""
+    seen = []
+    batch_step = trainer._batch_step
+
+    def spy(model, ms, gt, hp, *rest):
+        seen.extend(zip(ms.copy(), gt.copy(), hp.copy()))
+        return batch_step(model, ms, gt, hp, *rest)
+
+    monkeypatch.setattr(trainer, "_batch_step", spy)
+    trainer.train(samples, trainer.desk_config(
+        epochs=epochs, batch_size=2, channels=8, memory_slots=8, nin_depth=1,
+        augment=True, seed=4))
+    return seen
+
+
+def test_augment_flips_all_planes_consistently(monkeypatch):
+    s = synth_scene(2, 16)
+    assert [name for name, _ in trainer.AUG_MODES] == ["none", "hflip", "vflip"]
+    flips = [lambda x: x] + [lambda x, a=axis: np.flip(x, a)
+                             for _, axis in trainer.AUG_MODES[1:]]
+    for flip, name in zip(flips, ("none", "hflip", "vflip")):
+        for attr in ("ms", "gt", "pan", "hp"):
+            orig = getattr(s, attr)
+            want = {"none": orig, "hflip": orig[..., ::-1],
+                    "vflip": orig[..., ::-1, :]}[name]
+            assert np.array_equal(flip(orig), want)
+        # a flip keeps the scene's planes tied together
+        assert np.allclose(wald_downsample(flip(s.gt), 4), flip(s.ms), atol=1e-6)
+        assert np.allclose(hp_details(flip(s.pan)), flip(s.hp), atol=1e-6)
+        assert np.array_equal(flip(flip(s.gt)), s.gt)
+
+    # in training, each item's ms, gt and hp share one drawn flip
+    samples = [synth_scene(40 + i, 16, sample_id=f"s{i}") for i in range(4)]
+    used = set()
+    for ms, gt, hp in _augmented_items(monkeypatch, samples, epochs=2):
+        hits = [(sample, k) for sample in samples
+                for k, flip in enumerate(flips)
+                if np.array_equal(gt, flip(sample.gt))]
+        assert len(hits) == 1
+        sample, k = hits[0]
+        assert np.array_equal(ms, flips[k](sample.ms))
+        assert np.array_equal(hp, flips[k](sample.hp))
+        used.add(k)
+    assert used == {0, 1, 2}
+
+
+def test_augment_keeps_missing_pan(monkeypatch, tmp_path):
+    manifest = generate_dataset(tmp_path / "data", count=6, size=16, seed=3)
+    samples = load_split(manifest, "train")
+    assert samples and all(s.pan is None for s in samples)
+    before = [{a: getattr(s, a).copy() for a in ("ms", "gt", "hp")}
+              for s in samples]
+    items = _augmented_items(monkeypatch, samples, epochs=1)
+    assert len(items) == len(samples)
+    for s, orig in zip(samples, before):
+        assert s.pan is None
+        assert all(np.array_equal(getattr(s, a), orig[a]) for a in orig)
 
 
 # ---------------------------------------------------------------------------
