@@ -8,11 +8,21 @@ the quaternion Q4 of Alparone et al. (IEEE GRSL 2004); ERGAS normalises
 each band by the prediction mean; D_lambda, D_s and QNR take the usual
 exponents p = q = alpha = beta = 1.
 
-All statistics are computed in float64 with correctly-rounded summation
-(math.fsum). Besides stability this gives a useful exactness property:
-replicating an image k*k-fold scales every fsum by exactly k*k, so means,
-variances, and covariances of a nearest-neighbour upsample are bit-equal
-to those of the original and D_lambda of such an upsample is exactly 0.
+All statistics are computed in float64 from correctly rounded sums.
+``_fsum`` gets them by error-free extraction (Rump, Ogita and Oishi,
+"Accurate floating-point summation, part I", SIAM J. Sci. Comput. 2008):
+adding and subtracting a power of two sigma above n times the largest
+magnitude splits each element exactly into a high part on a grid that
+numpy sums without rounding and a low remainder; a few passes leave a
+remainder that is zero or that math.fsum adds to the exact partial sums. The result is bit-equal
+to ``math.fsum`` of the elements. Input that is not finite, or so large
+that sigma would overflow, goes to ``math.fsum`` itself, so NaN, infinities
+and intermediate overflow behave exactly as they do there.
+
+Besides stability this gives a useful exactness property: replicating an
+image k*k-fold scales every sum by exactly k*k, so means, variances, and
+covariances of a nearest-neighbour upsample are bit-equal to those of the
+original and D_lambda of such an upsample is exactly 0.
 """
 
 from __future__ import annotations
@@ -35,8 +45,40 @@ def _arr(x, rank=None, name="input"):
     return a
 
 
+# Each extraction pass removes about 53 - log2(n) bits from every element;
+# what is left after the cap goes to math.fsum as it is.
+_EXTRACT_PASSES = 4
+
+
 def _fsum(a):
-    return math.fsum(a.ravel().tolist())
+    """Correctly rounded sum of all elements: bit-equal to
+    ``math.fsum(a.ravel().tolist())``, including its results and errors
+    on non-finite input, without building a list for finite input."""
+    p = np.asarray(a, dtype=np.float64).ravel()
+    nbits = (p.size + 2).bit_length()
+    m = max(p.max(initial=0.0), -p.min(initial=0.0))
+    if not math.isfinite(m) or math.frexp(m)[1] + nbits > 1023:
+        return math.fsum(p.tolist())
+    partials = []
+    q = None
+    for _ in range(_EXTRACT_PASSES):
+        if m == 0.0:
+            return math.fsum(partials)
+        # sigma = 2**k with (n + 2) * max|p| < sigma: each q is a multiple
+        # of 2**-53 * sigma and their magnitudes add up to less than sigma,
+        # so q.sum() is exact in any order, and so is p - q
+        sigma = math.ldexp(1.0, math.frexp(m)[1] + nbits)
+        if q is None:  # the first pass leaves the caller's array alone
+            q = p + sigma
+            q -= sigma
+            p = p - q
+        else:
+            np.add(p, sigma, out=q)
+            q -= sigma
+            p -= q
+        partials.append(float(q.sum()))
+        m = max(p.max(), -p.min())
+    return math.fsum(partials + p[p != 0.0].tolist())
 
 
 def _fmean(a):
@@ -245,6 +287,7 @@ def pearson(x, y):
 
 def reduced_resolution_report(pred, gt, ratio=0.25):
     """SAM, ERGAS, SCC, and Q4 of a prediction against its reference."""
+    pred, gt = _arr(pred), _arr(gt)
     return {
         "sam": sam(pred, gt),
         "ergas": ergas(pred, gt, ratio),
@@ -255,6 +298,7 @@ def reduced_resolution_report(pred, gt, ratio=0.25):
 
 def full_resolution_report(pred, ms, pan):
     """QNR with its spectral and spatial distortion components."""
+    pred, ms, pan = _arr(pred), _arr(ms), _arr(pan)
     dl = d_lambda(ms, pred)
     ds = d_s(ms, pred, pan)
     return {"qnr": qnr(dl, ds), "d_lambda": dl, "d_s": ds}

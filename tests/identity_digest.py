@@ -7,7 +7,8 @@ Run it against the sources of two checkouts and compare the JSON lines:
 Without --src it imports the package next to this file. The digests cover
 the files of a generated dataset, `infer` outputs of a seeded full-config
 checkpoint at three MS sizes, every parameter after a short augmented desk
-`train`, and the `eval-reduced`/`eval-full` stdout on three predictions.
+`train`, and the `eval-reduced`/`eval-full` stdout on three predictions of a
+64x64 scene and on the mra-add prediction of a 512x512 scene.
 Training splits each batch per usable CPU, so compare runs made with the
 same CPU affinity. Pytest does not collect this file.
 """
@@ -23,6 +24,7 @@ from pathlib import Path
 
 INFER_MS = (16, 32, 64)
 SCALE = 4
+BIG = 512                     # GT size of the scenes baseline-eval scores
 
 
 def _digest_files(root):
@@ -80,19 +82,26 @@ def digests(work):
             "--out", out)
         result[f"infer.ms{m}"] = hashlib.sha256(out.read_bytes()).hexdigest()
 
-    scene = work / f"ms{INFER_MS[0]}" / "scene_0000"
-    ms, gt, pan = (scene / f"{part}.msdt" for part in ("ms", "gt", "pan"))
-    preds = {"infer": work / f"infer{INFER_MS[0]}.msdt"}
-    for method in ("bicubic", "mra-add"):
-        preds[method] = work / f"{method}.msdt"
-        run("baseline", "--method", method, "--ms", ms, "--pan", pan,
-            "--out", preds[method])
-    for name, pred in preds.items():
-        for command, refs in (("eval-reduced", ("--gt", gt)),
-                              ("eval-full", ("--ms", ms, "--pan", pan))):
-            text = run(command, "--pred", pred, *refs)
-            result[f"{command}.{name}"] = hashlib.sha256(
-                text.encode()).hexdigest()
+    def evaluate(scene, methods, infer=None):
+        ms, gt, pan = (scene / f"{part}.msdt" for part in ("ms", "gt", "pan"))
+        preds = {} if infer is None else {"infer": infer}
+        for method, name in methods.items():
+            preds[name] = work / f"{name}.msdt"
+            run("baseline", "--method", method, "--ms", ms, "--pan", pan,
+                "--out", preds[name])
+        for name, pred in preds.items():
+            for command, refs in (("eval-reduced", ("--gt", gt)),
+                                  ("eval-full", ("--ms", ms, "--pan", pan))):
+                text = run(command, "--pred", pred, *refs)
+                result[f"{command}.{name}"] = hashlib.sha256(
+                    text.encode()).hexdigest()
+
+    evaluate(work / f"ms{INFER_MS[0]}" / "scene_0000",
+             {"bicubic": "bicubic", "mra-add": "mra-add"},
+             infer=work / f"infer{INFER_MS[0]}.msdt")
+    big = work / f"scene{BIG}"
+    run("gen-data", "--out", big, "--count", 1, "--size", BIG, "--seed", BIG)
+    evaluate(big / "scene_0000", {"mra-add": f"scene{BIG}"})
     return result
 
 

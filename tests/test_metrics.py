@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from msdnpan.data_pipeline import synth_scene
 from msdnpan.errors import DegenerateInputError, ShapeError
 from msdnpan.metrics import (
-    d_lambda, d_s, ergas, full_resolution_report, pearson, q4, q_index, qnr,
-    reduced_resolution_report, rmse, sam, scc,
+    _fsum, d_lambda, d_s, ergas, full_resolution_report, pearson, q4, q_index,
+    qnr, reduced_resolution_report, rmse, sam, scc,
 )
 
 
@@ -195,6 +196,56 @@ def test_d_lambda_of_nearest_upsample_is_exactly_zero():
     ms = rng.uniform(0, 1, (4, 4, 4))
     fused = np.repeat(np.repeat(ms, 4, axis=1), 4, axis=2)
     assert d_lambda(ms, fused) == 0.0
+
+
+def test_exactness_at_benchmark_scale():
+    # 512x512 bands put about 2**18 elements in each sum, so the summation
+    # runs at the width and pass count of real scenes
+    scene = synth_scene(21, 512)
+    fused = np.repeat(np.repeat(scene.ms, 4, axis=1), 4, axis=2)
+    assert d_lambda(scene.ms, fused) == 0.0
+    assert sam(scene.gt, scene.gt) == ergas(scene.gt, scene.gt) == 0.0
+
+
+def _fsum_outcome(f, a):
+    try:
+        return f(a)
+    except (ValueError, OverflowError) as e:
+        return type(e)
+
+
+def test_fsum_equals_math_fsum():
+    rng = np.random.default_rng(11)
+    big = 2**20 + 3
+    spread = (rng.choice([-1.0, 1.0], 4096)
+              * 10.0 ** rng.uniform(-300.0, 300.0, 4096))
+    cases = [
+        np.zeros(0), np.array([0.7]), rng.uniform(0, 1, big),
+        rng.uniform(0, 1, big) * rng.uniform(0, 1, big),
+        rng.uniform(0, 1, (4, 8, 8)) * rng.uniform(0, 1, (4, 8, 8)),
+        spread, spread[:3],
+        # the large terms cancel, so only what four passes leave decides it
+        rng.permutation(np.concatenate([spread, -spread, [3e-300]])),
+        rng.integers(1, 2**20, 1000) * 5e-324,          # subnormals only
+        np.array([1e16, 1.0, -1e16, 1e-16]),
+        np.array([1.0, 2.0**-53]), np.array([1.0, 2.0**-53, 2.0**-106]),
+        np.array([1.0, -(2.0**-54), 2.0**-106]),
+        np.zeros(5), np.array([-0.0]), np.array([-0.0, 0.0, -0.0]),
+        np.array([1.0, math.nan]), np.array([math.inf, 1.0]),
+        np.array([-math.inf]), np.array([math.inf, -math.inf]),
+        np.array([1e308, 1e308, -1e308]),
+    ]
+    for a in cases:
+        want = _fsum_outcome(lambda v: math.fsum(v.ravel().tolist()), a)
+        got = _fsum_outcome(_fsum, a)
+        if isinstance(want, float) and math.isnan(want):
+            assert math.isnan(got)
+        elif isinstance(want, float):
+            assert type(got) is float
+            assert (got, math.copysign(1.0, got)) == (
+                want, math.copysign(1.0, want)), a[:4]
+        else:
+            assert got is want, a[:4]
 
 
 def test_pearson_basics():
