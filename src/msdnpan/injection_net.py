@@ -117,7 +117,9 @@ class NinWeights:
             InjectionBlockWeights(f"nin.dec{i}", c, rng, dtype)
             for i in range(d - 1)
         ]
-        self.project = ConvLayer("nin.project", c, BANDS, 1, rng, dtype)
+        # zero weight: a fresh model outputs bicubic(MS) exactly, and
+        # training starts from that baseline (Goyal et al., arXiv:1706.02677)
+        self.project = ConvLayer("nin.project", c, BANDS, 1, None, dtype)
 
 
 def nin_forward(details, weights):
@@ -159,7 +161,7 @@ class PansharpenModel:
 
 
 def pansharpen_with_details(ms, model):
-    """Full forward pass. Returns (sharpened, detail plane, coefficient map)."""
+    """Full forward pass. Returns (sharpened, detail plane)."""
     cfg = model.config
     if ms.ndim != 4 or ms.shape[1] != BANDS:
         raise ShapeError(f"pansharpen expects (n, {BANDS}, h, w), got {ms.shape}")
@@ -172,9 +174,9 @@ def pansharpen_with_details(ms, model):
                          f"{div} for NIN depth {cfg.nin_depth}")
     feat = head(ms, model.head)
     feat_up = bicubic_upsample(feat, cfg.scale)
-    details, coeff = msdn_forward(feat_up, model.msdn)
+    details = msdn_forward(feat_up, model.msdn)
     residual = nin_forward(details, model.nin)
-    return bicubic_upsample(ms, cfg.scale) + residual, details, coeff
+    return bicubic_upsample(ms, cfg.scale) + residual, details
 
 
 def pansharpen(ms, model):

@@ -1,10 +1,15 @@
-"""Training objectives: reconstruction, memorizing (KL), and sparsity terms.
+"""Training objectives: L1 reconstruction and the memorizing (KL) term.
 
 The memorizing loss pushes the synthesized detail plane toward the
 high-pass of the true panchromatic band. Both planes are flattened per
 item and softmax-normalised so they can be compared as distributions; the
 high-pass acts as the target (p) and the synthesized plane as the
 approximation (q) in KL(p || q).
+
+The paper adds an L1 sparsity penalty on the coefficient map. It is left
+out: Adam rescales each step, so the penalty's constant per-element
+gradient pinned the coefficients near zero and the detail plane never
+learned the high-pass (README, criterion 6).
 """
 
 from __future__ import annotations
@@ -22,13 +27,6 @@ def l1_loss(pred, target):
     if pred.shape != target.shape:
         raise ShapeError(f"l1_loss shapes differ: {pred.shape} vs {target.shape}")
     return absolute(pred - target).mean()
-
-
-def sparsity_loss(coeff):
-    """Sum of absolute coefficients, normalised by batch size."""
-    if coeff.ndim < 1:
-        raise ShapeError("sparsity_loss expects a batched tensor")
-    return absolute(coeff).sum() / coeff.shape[0]
 
 
 def _flat_softmax(t):
@@ -57,18 +55,13 @@ def kl_divergence(target, approx):
     return terms.sum(axis=1).mean()
 
 
-def memorizing_loss(highpass, details, coeff):
-    """KL alignment of the detail plane with the PAN high-pass, plus an L1
-    sparsity penalty on the coefficient map."""
+def total_loss(pred, target, highpass, details, weight):
+    """L1 + weight * memorizing, weight being lambda (TrainConfig.loss_weight)
+    and the memorizing term KL(highpass || details) over planes of one shape.
+    Returns (total, l1, memorizing) tensors."""
     if highpass.shape != details.shape:
         raise ShapeError(
             f"high-pass {highpass.shape} and details {details.shape} differ")
-    return kl_divergence(highpass, details) + sparsity_loss(coeff)
-
-
-def total_loss(pred, target, highpass, details, coeff, weight):
-    """L1 + weight * memorizing, weight being lambda (TrainConfig.loss_weight).
-    Returns (total, l1, memorizing) tensors."""
     rec = l1_loss(pred, target)
-    mem = memorizing_loss(highpass, details, coeff)
+    mem = kl_divergence(highpass, details)
     return rec + mem * weight, rec, mem

@@ -97,11 +97,11 @@ def msdn_forward(features, weights):
     """Run the full detail network.
 
     features: (n, C, H, W) upsampled MS features at PAN resolution.
-    Returns (P_s, M_C): the (n, 1, H, W) detail plane and the coefficient map.
+    Returns P_s, the (n, 1, H, W) detail plane.
     """
     _, _, h, w = features.shape
     expanded = expand_memory(weights.memory, weights.config.scale, h, w)
     query = encode_query(features, weights)
     detail = decode_memory(expanded, query, weights)
     coeff = weighted_coefficients(features, weights)
-    return compose_spatial_details(detail, coeff), coeff
+    return compose_spatial_details(detail, coeff)

@@ -1,4 +1,4 @@
-"""Training loop, Adam optimizer, learning-rate schedule, checkpointing.
+"""Training loop, Adam optimizer at a constant learning rate, checkpointing.
 
 Training consumes (ms, gt, hp) triples; the PAN band itself never enters
 the model, only its precomputed high-pass target. Each step stacks the
@@ -63,20 +63,18 @@ ADAM_EPS = 1e-8
 class TrainConfig:
     epochs: int = 200
     batch_size: int = 16
-    lr: float = 4e-4
-    decay_every: int = 50
-    decay_factor: float = 0.5
-    loss_weight: float = 0.001        # lambda, scales the memorizing loss
+    lr: float = 2e-3                  # every step, no schedule
+    loss_weight: float = 100.0        # lambda, scales the memorizing loss
     augment: bool = True
     seed: int = 0
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def validate(self):
-        for name in ("epochs", "batch_size", "decay_every", "seed", "augment"):
+        for name in ("epochs", "batch_size", "seed", "augment"):
             value, kind = getattr(self, name), bool if name == "augment" else int
             if type(value) is not kind:
                 raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
-        for name in ("lr", "loss_weight", "decay_factor"):
+        for name in ("lr", "loss_weight"):
             value = getattr(self, name)
             if type(value) not in (int, float):
                 raise TypeError(f"{name} must be a number, got {value!r}")
@@ -88,8 +86,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.decay_every < 1:
-            raise ValueError("decay_every must be >= 1")
         if self.loss_weight < 0:
             raise ValueError("loss_weight must be >= 0")
         self.model.validate()
@@ -113,13 +109,6 @@ def desk_config(**overrides):
     """Laptop-scale preset: small model, small batches, 8x8 MS patches."""
     model = ModelConfig(channels=16, memory_slots=16, nin_depth=2)
     return override(TrainConfig(batch_size=4, model=model), **overrides)
-
-
-def lr_at(epoch, config):
-    """Stepped decay: lr * factor^(epoch // every)."""
-    if epoch < 0:
-        raise ValueError("epoch must be >= 0")
-    return config.lr * config.decay_factor ** (epoch // config.decay_every)
 
 
 class AdamState:
@@ -326,8 +315,8 @@ def _part(model, ms, gt, hp, loss_weight, share):
     to model.parameters() and the losses as floats, so the part's graph
     dies here. A non-finite loss is not back-propagated and its grads are
     None; the caller raises on it."""
-    out, details, coeff = pansharpen_with_details(Tensor(ms), model)
-    tot, l1v, memv = total_loss(out, Tensor(gt), Tensor(hp), details, coeff,
+    out, details = pansharpen_with_details(Tensor(ms), model)
+    tot, l1v, memv = total_loss(out, Tensor(gt), Tensor(hp), details,
                                 loss_weight)
     grads = None
     if np.isfinite(tot.data):
@@ -384,9 +373,9 @@ def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
     """Optimize a fresh model on SceneSamples; returns the final Checkpoint.
 
     log_fn, when given, receives one dict per epoch (epoch, step, mean l1,
-    l_mem and total, the epoch's wall seconds, samples_per_s and lr). hook,
-    when given, is called after every optimizer step with (model, epoch,
-    step, losses); used by convergence probes.
+    l_mem and total, the epoch's wall seconds, samples_per_s and the
+    constant lr). hook, when given, is called after every optimizer step
+    with (model, epoch, step, losses); used by convergence probes.
 
     Each step runs as one part per usable CPU (see the module docstring),
     so results are bit-identical for the same seed on the same number of
@@ -416,7 +405,6 @@ def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
     with _workers(config.batch_size) as (pool, n_parts):
         for epoch in range(config.epochs):
             started = time.perf_counter()
-            lr = lr_at(epoch, config)
             order = np.random.default_rng((config.seed, 1, epoch)).permutation(n)
             aug_rng = np.random.default_rng((config.seed, 2, epoch))
             sums = {"l1": 0.0, "l_mem": 0.0, "total": 0.0}
@@ -440,7 +428,7 @@ def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
                     raise NumericError(
                         f"non-finite loss at epoch {epoch} step {step}: "
                         f"l1={record['l1']!r} l_mem={record['l_mem']!r}")
-                adam_step(adam, grads, lr)
+                adam_step(adam, grads, config.lr)
                 step += 1
                 for key in sums:
                     sums[key] += record[key]
@@ -454,7 +442,7 @@ def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
                         "l_mem": sums["l_mem"] / batches,
                         "total": sums["total"] / batches,
                         "seconds": seconds, "samples_per_s": n / seconds,
-                        "lr": lr})
+                        "lr": config.lr})
             if (checkpoint_path and checkpoint_every
                     and (epoch + 1) % checkpoint_every == 0
                     and epoch + 1 < config.epochs):

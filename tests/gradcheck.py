@@ -19,6 +19,7 @@ from msdnpan.injection_net import (
     InjectionBlockWeights, ModelConfig, PansharpenModel, injection_block,
     pansharpen_with_details,
 )
+from msdnpan.msdn import MsdnWeights, msdn_forward
 
 TOLERANCE = 1e-4
 STEP = 1e-5
@@ -165,15 +166,21 @@ def _case_injection_block(rng):
     return _projected(rng, lambda: injection_block(y, block), [y, *params])
 
 
+def _case_msdn(rng):
+    """The detail generator: memory expansion, query, decode, spatial and
+    channel attention, coefficients and the channel-sum composition."""
+    config = ModelConfig(scale=2, channels=2, memory_slots=2,
+                         spatial_kernel=3, reduction=2)
+    weights = MsdnWeights(config, rng, dtype=np.float64)
+    params = _nudge(rng, tc.parameters(weights))
+    x = _leaf_off_kink(rng, (2, 2, 4, 4))
+    return _projected(rng, lambda: msdn_forward(x, weights), [x, *params])
+
+
 def _case_l1(rng):
     a = _leaf(rng, (2, 3, 4, 4))
     b = _leaf(rng, (2, 3, 4, 4))
     return (lambda: losses.l1_loss(a, b)), [a, b]
-
-
-def _case_sparsity(rng):
-    a = _leaf_off_kink(rng, (3, 2, 4, 4))
-    return (lambda: losses.sparsity_loss(a)), [a]
 
 
 def _case_kl(rng):
@@ -192,8 +199,8 @@ def _case_end_to_end(rng):
     hp = tc.Tensor(rng.uniform(-0.2, 0.2, size=(1, 1, 8, 8)))
 
     def make_loss():
-        out, details, coeff = pansharpen_with_details(ms, model)
-        return losses.total_loss(out, gt, hp, details, coeff, 0.5)[0]
+        out, details = pansharpen_with_details(ms, model)
+        return losses.total_loss(out, gt, hp, details, 0.5)[0]
 
     return make_loss, model.parameters()
 
@@ -232,8 +239,8 @@ def cases(seed=0):
         ("bicubic_up2", *_case_bicubic(r(24), 2)),
         ("bicubic_up3", *_case_bicubic(r(25), 3)),
         ("injection_block", *_case_injection_block(r(33))),
+        ("msdn_forward", *_case_msdn(r(34))),
         ("l1_loss", *_case_l1(r(28))),
-        ("sparsity_loss", *_case_sparsity(r(29))),
         ("kl_divergence", *_case_kl(r(30))),
         ("end_to_end", *_case_end_to_end(r(31))),
     ]

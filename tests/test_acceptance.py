@@ -1,15 +1,13 @@
 """Acceptance suite: the package's shipped guarantees, one test each.
 
 Every test prints a single [PASS]/[FAIL] verdict line (replayed in the
-terminal summary by conftest). Criterion 6 documents a known limitation
-honestly instead of weakening its threshold; see its docstring.
+terminal summary by conftest) and asserts it.
 """
 
 import json
 import time
 
 import numpy as np
-import pytest
 
 import gradcheck
 from acceptance_report import record, record_raw
@@ -19,14 +17,13 @@ from msdnpan.data_pipeline import load_tensor, synth_scene
 from msdnpan.injection_net import (
     ModelConfig, PansharpenModel, pansharpen, pansharpen_with_details,
 )
-from msdnpan.losses import kl_divergence, l1_loss
 from msdnpan.metrics import (
     d_lambda, d_s, ergas, pearson, q4, qnr, sam, scc,
 )
-from msdnpan.tensor_core import Tensor, backward, bicubic_upsample
+from msdnpan.tensor_core import Tensor, bicubic_upsample
 from msdnpan.trainer import (
-    AdamState, adam_step, desk_config, load_checkpoint,
-    model_from_checkpoint, save_checkpoint, train,
+    desk_config, load_checkpoint, model_from_checkpoint, save_checkpoint,
+    train,
 )
 from test_metrics import _o_d_lambda, _o_d_s, _o_ergas, _o_q4, _o_sam, _o_scc
 
@@ -97,34 +94,38 @@ def test_c04_shape_and_identity():
     model = PansharpenModel(cfg, np.random.default_rng(3))
     ms = Tensor(np.random.default_rng(4)
                 .uniform(0.2, 0.8, (2, 4, 8, 12)).astype(np.float32))
-    out, details, _ = pansharpen_with_details(ms, model)
+    out, details = pansharpen_with_details(ms, model)
     shapes_ok = (out.shape == (2, 4, 8 * cfg.scale, 12 * cfg.scale)
                  and details.shape == (2, 1, 8 * cfg.scale, 12 * cfg.scale))
-    model.nin.project.weight.data = np.zeros_like(model.nin.project.weight.data)
-    model.nin.project.bias.data = np.zeros_like(model.nin.project.bias.data)
-    zero_dev = float(np.abs(pansharpen(ms, model).data
+    # the injection path's output projection starts at zero
+    zero_dev = float(np.abs(out.data
                             - bicubic_upsample(ms, cfg.scale).data).max())
     ok = shapes_ok and zero_dev == 0.0
     assert record(ok, "criterion 04",
                   f"output is {cfg.scale}x input spatially, details are "
-                  f"single-channel, zeroed injection path deviates "
-                  f"{zero_dev:.1e} from bicubic")
+                  f"single-channel, a fresh model's zeroed injection path "
+                  f"deviates {zero_dev:.1e} from bicubic")
 
 
 def test_c05_training_sanity():
     scenes = [synth_scene(300 + i, 32, sample_id=f"t{i:02d}")
               for i in range(16)]
     cfg = desk_config(epochs=50, batch_size=4, seed=1)   # 4 steps/epoch
-    totals = []
+    records = []
     t0 = time.perf_counter()
-    train(scenes, cfg, hook=lambda m, e, s, r: totals.append(r["total"]))
+    train(scenes, cfg, hook=lambda m, e, s, r: records.append(r))
     elapsed = time.perf_counter() - t0
-    drop = 1.0 - totals[-1] / totals[0]
-    ok = len(totals) == 200 and drop >= 0.5 and elapsed < 300.0
+    first, last = records[0], records[-1]
+    drop = 1.0 - last["total"] / first["total"]
+    ok = len(records) == 200 and drop >= 0.5 and elapsed < 300.0
+    # lambda 100 makes the total mostly the memorizing term, so the L1 is
+    # printed beside it: the drop shows that the optimizer runs, not that
+    # reconstruction improves
     assert record(ok, "criterion 05",
-                  f"16-sample desk run: total loss {totals[0]:.4f} -> "
-                  f"{totals[-1]:.4f} over 200 steps ({drop:.1%} drop, "
-                  f"needs >= 50%), {elapsed:.0f}s (< 300s)")
+                  f"16-sample desk run: total loss {first['total']:.4f} -> "
+                  f"{last['total']:.4f} over 200 steps ({drop:.1%} drop, "
+                  f"needs >= 50%; L1 {first['l1']:.4f} -> {last['l1']:.4f}), "
+                  f"{elapsed:.0f}s (< 300s)")
 
 
 def _memorization_scenes():
@@ -133,32 +134,22 @@ def _memorization_scenes():
 
 def _mean_detail_correlation(model, scenes):
     ms = Tensor(np.stack([s.ms for s in scenes]))
-    _, details, _ = pansharpen_with_details(ms, model)
+    _, details = pansharpen_with_details(ms, model)
     return float(np.mean([pearson(details.data[i], scenes[i].hp)
                           for i in range(len(scenes))]))
 
 
 def test_c06_memorization_property():
-    """Detail planes should converge toward the PAN high-pass target.
+    """Detail planes converge toward the PAN high-pass target.
 
-    The shipped run does not get there: 400 full-batch steps with the
-    desk config (lambda 0.001, lr 4e-4 halved every 50 epochs, so 3.1e-6
-    over the last 50) gain about +0.004. No single change to that run
-    clears the bar. Removing only the sparsity term gives +0.006, and
-    lambda 100 alone gives +0.001. The sparsity term's per-element
-    gradient on the mixing coefficients is constant, while the KL term's
-    shaping gradient through them is orders of magnitude smaller (the
-    softmax over a 1024-pixel plane makes |q - p| ~ 1e-4 per element), so
-    it pins the coefficients near zero; the small lambda and the decayed
-    lr hold the run back as well. The verdict line reports the honest
-    result.
-
-    The follow-up control keeps the model, data, seed, optimizer and KL
-    objective but changes four things at once: no sparsity term, lambda
-    100, a constant lr of 2e-3, and 500 full-batch steps. It clears the
-    bar, so the memory mechanism can learn PAN-derived detail usable
-    without PAN at inference; what blocks it is the loss composition and
-    the training schedule together, not the sparsity term alone.
+    400 full-batch steps of the desk config on 4 scenes. Three defaults
+    make this work, and each departs from the paper: the memorizing term
+    is the KL alone (the paper's L1 sparsity penalty on the coefficient
+    map pinned the coefficients near zero, since Adam gives its constant
+    per-element gradient a full-size step), lambda is 100, and the lr is a
+    constant 2e-3. The zero-initialised output projection makes a fresh
+    model exactly bicubic, so the early steps shape the detail plane
+    instead of undoing a random residual. README gives the measured gains.
     """
     scenes = _memorization_scenes()
     cfg = desk_config(epochs=400, batch_size=4, augment=False, seed=7)
@@ -166,32 +157,10 @@ def test_c06_memorization_property():
     start = _mean_detail_correlation(init_model, scenes)
     trained = model_from_checkpoint(train(scenes, cfg))
     delta = _mean_detail_correlation(trained, scenes) - start
-    ok = delta >= 0.3
-    record(ok, "criterion 06",
-           f"memorization: mean detail/high-pass correlation "
-           f"{start:+.3f} -> {start + delta:+.3f} over 400 steps "
-           f"(delta {delta:+.3f}, needs >= +0.3)")
-    if ok:
-        return
-
-    model = PansharpenModel(cfg.model, np.random.default_rng((cfg.seed, 0)))
-    adam = AdamState(model.parameters())
-    ms = Tensor(np.stack([s.ms for s in scenes]))
-    gt = Tensor(np.stack([s.gt for s in scenes]))
-    hp = Tensor(np.stack([s.hp for s in scenes]))
-    for _ in range(500):
-        out, details, _ = pansharpen_with_details(ms, model)
-        loss = l1_loss(out, gt) + kl_divergence(hp, details) * 100.0
-        grads = backward(loss, adam.params)
-        adam_step(adam, grads, 2e-3)
-    ablated = _mean_detail_correlation(model, scenes) - start
-    assert record(ablated >= 0.3, "criterion 06 (sparsity-ablated control)",
-                  f"same run minus the sparsity term: delta {ablated:+.3f} "
-                  f">= +0.3; the sparsity term is the blocker, not the "
-                  f"memory mechanism")
-    pytest.xfail("the pinned loss composition cannot reach +0.3: its "
-                 "sparsity term zeroes the coefficients that carry the KL "
-                 "shaping signal (the ablated control above clears the bar)")
+    assert record(delta >= 0.3, "criterion 06",
+                  f"memorization: mean detail/high-pass correlation "
+                  f"{start:+.3f} -> {start + delta:+.3f} over 400 steps "
+                  f"(delta {delta:+.3f}, needs >= +0.3)")
 
 
 def test_c07_ms_only_inference(tmp_path):
@@ -284,10 +253,18 @@ def test_c10_ablation_grid(tmp_path, capsys):
                      str(data / "scene_0000" / "gt.msdt")]) == 0
         out = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
         rows.append((slots, depth, json.loads(out[-1])))
+    bicubic = tmp_path / "bicubic.msdt"
+    assert main(["baseline", "--method", "bicubic", "--ms",
+                 str(data / "scene_0000" / "ms.msdt"),
+                 "--out", str(bicubic)]) == 0
+    assert main(["eval-reduced", "--pred", str(bicubic), "--gt",
+                 str(data / "scene_0000" / "gt.msdt")]) == 0
+    out = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
     record_raw("ablation comparison (2-epoch desk runs, scene_0000):")
     record_raw("  slots depth      sam    ergas      scc       q4")
-    for slots, depth, vals in rows:
-        record_raw(f"  {slots:>5} {depth:>5} {vals['sam']:>8.4f} "
+    labelled = [(f"{slots:>5} {depth:>5}", vals) for slots, depth, vals in rows]
+    for label, vals in [*labelled, (f"{'bicubic':>11}", json.loads(out[-1]))]:
+        record_raw(f"  {label} {vals['sam']:>8.4f} "
                    f"{vals['ergas']:>8.4f} {vals['scc']:>8.4f} "
                    f"{vals['q4']:>8.4f}")
     distinct = len({(s, d) for s, d, _ in rows})

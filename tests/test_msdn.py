@@ -79,14 +79,14 @@ def test_compose_is_channel_sum_of_products():
 
 def test_forward_shapes():
     w = _weights()
-    details, coeff = msdn_forward(_features(8), w)
-    assert details.shape == (2, 1, 8, 8)
-    assert coeff.shape == (2, 8, 8, 8)
+    features = _features(8)
+    assert msdn_forward(features, w).shape == (2, 1, 8, 8)
+    assert weighted_coefficients(features, w).shape == (2, 8, 8, 8)
 
 
 def test_memory_bank_receives_gradient():
     w = _weights()
-    details, _ = msdn_forward(_features(9), w)
+    details = msdn_forward(_features(9), w)
     (g,) = backward((details * details).sum(), [w.memory])
     assert g is not None
     assert float(np.abs(g).max()) > 0.0

@@ -1,4 +1,4 @@
-"""Optimizer, schedule, checkpoint format, and end-to-end training runs."""
+"""Optimizer, config checks, checkpoint format, and end-to-end training runs."""
 
 import json
 import math
@@ -28,7 +28,7 @@ from msdnpan.losses import total_loss
 from msdnpan.tensor_core import Tensor, backward, parameter
 from msdnpan.trainer import (
     AdamState, TrainConfig, _batch_step, _blas_thread_controls, adam_step,
-    desk_config, load_checkpoint, lr_at, model_from_checkpoint, override,
+    desk_config, load_checkpoint, model_from_checkpoint, override,
     save_checkpoint, train,
 )
 
@@ -46,23 +46,11 @@ def _tiny_config(**overrides):
 
 
 # ---------------------------------------------------------------------------
-# schedule
-
-def test_lr_schedule_steps():
-    cfg = TrainConfig(lr=4e-4, decay_every=50, decay_factor=0.5)
-    assert lr_at(0, cfg) == 4e-4
-    assert lr_at(49, cfg) == 4e-4
-    assert lr_at(50, cfg) == 2e-4
-    assert lr_at(99, cfg) == 2e-4
-    assert lr_at(100, cfg) == 1e-4
-    with pytest.raises(ValueError):
-        lr_at(-1, cfg)
-
+# config
 
 @pytest.mark.parametrize("field, value", [
     ("lr", math.nan), ("lr", math.inf), ("lr", 0.0),
     ("loss_weight", math.nan), ("loss_weight", math.inf), ("loss_weight", -1.0),
-    ("decay_factor", math.nan), ("decay_factor", -math.inf),
 ])
 def test_config_validation(field, value):
     with pytest.raises(ValueError):
@@ -497,9 +485,9 @@ def test_concurrent_backward_passes_are_independent():
     before = [p.data.copy() for p in params]
 
     def run(part):
-        out, details, coeff = pansharpen_with_details(Tensor(ms[part]), model)
+        out, details = pansharpen_with_details(Tensor(ms[part]), model)
         loss, _, _ = total_loss(out, Tensor(gt[part]), Tensor(hp[part]),
-                                details, coeff, 0.001)
+                                details, 100.0)
         return backward(loss, params)
 
     halves = (slice(0, 2), slice(2, 4))
