@@ -13,11 +13,20 @@ All statistics are computed in float64 from correctly rounded sums.
 "Accurate floating-point summation, part I", SIAM J. Sci. Comput. 2008):
 adding and subtracting a power of two sigma above n times the largest
 magnitude splits each element exactly into a high part on a grid that
-numpy sums without rounding and a low remainder; a few passes leave a
-remainder that is zero or that math.fsum adds to the exact partial sums. The result is bit-equal
-to ``math.fsum`` of the elements. Input that is not finite, or so large
-that sigma would overflow, goes to ``math.fsum`` itself, so NaN, infinities
-and intermediate overflow behave exactly as they do there.
+numpy sums without rounding and a low remainder. The sigmas of all passes
+are fixed from the global maximum, so the passes run block by block over
+cache-sized pieces, each block's partial sums add up exactly across
+blocks, and a product x * y is formed one block at a time. What a few
+passes leave is zero or goes to math.fsum with the exact partial sums.
+The result is bit-equal to ``math.fsum`` of the elements. Input that is
+not finite, or so large that sigma would overflow, goes to ``math.fsum``
+itself, so NaN, infinities and intermediate overflow behave exactly as
+they do there.
+
+Each statistic is summed once: D_lambda and D_s take every band's mean
+and mean square once per scale (shared between them in
+``full_resolution_report``), so only the cross products are summed per
+pair of images, and every Q value comes from one formula.
 
 Besides stability this gives a useful exactness property: replicating an
 image k*k-fold scales every sum by exactly k*k, so means, variances, and
@@ -35,8 +44,6 @@ import numpy as np
 from .data_pipeline import wald_downsample
 from .errors import DegenerateInputError, ShapeError
 
-_LAPLACIAN = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]])
-
 
 def _arr(x, rank=None, name="input"):
     a = np.asarray(x, dtype=np.float64)
@@ -49,48 +56,72 @@ def _arr(x, rank=None, name="input"):
 # what is left after the cap goes to math.fsum as it is.
 _EXTRACT_PASSES = 4
 
+# Elements per block: the two float64 scratch buffers of _fsum (256 KiB
+# each) stay in a core's L2 cache while every pass runs over them.
+_BLOCK = 1 << 15
 
-def _fsum(a):
-    """Correctly rounded sum of all elements: bit-equal to
-    ``math.fsum(a.ravel().tolist())``, including its results and errors
-    on non-finite input, without building a list for finite input."""
-    p = np.asarray(a, dtype=np.float64).ravel()
-    nbits = (p.size + 2).bit_length()
-    m = max(p.max(initial=0.0), -p.min(initial=0.0))
+
+def _absmax(p):
+    return max(p.max(initial=0.0), -p.min(initial=0.0))
+
+
+def _fsum(x, y=None):
+    """Correctly rounded sum of the elements of x, or of the products
+    x * y: bit-equal to ``math.fsum((x * y).ravel().tolist())``, including
+    its results and errors on non-finite input, without building the
+    products or a list for finite input."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    if y is not None:
+        y = np.asarray(y, dtype=np.float64).ravel()
+    n = x.size
+    nbits = (n + 2).bit_length()
+    # bounds every |x * y| as rounding is monotonic; a loose bound only
+    # leaves more to the later passes
+    m = _absmax(x) if y is None else _absmax(x) * _absmax(y)
     if not math.isfinite(m) or math.frexp(m)[1] + nbits > 1023:
-        return math.fsum(p.tolist())
-    partials = []
-    q = None
-    for _ in range(_EXTRACT_PASSES):
-        if m == 0.0:
-            return math.fsum(partials)
-        # sigma = 2**k with (n + 2) * max|p| < sigma: each q is a multiple
-        # of 2**-53 * sigma and their magnitudes add up to less than sigma,
-        # so q.sum() is exact in any order, and so is p - q
-        sigma = math.ldexp(1.0, math.frexp(m)[1] + nbits)
-        if q is None:  # the first pass leaves the caller's array alone
-            q = p + sigma
-            q -= sigma
-            p = p - q
+        return math.fsum((x if y is None else x * y).tolist())
+    if m == 0.0:
+        return 0.0
+    # sigma_1 = 2**k with (n + 2) * max|p| < sigma_1: each q is a multiple
+    # of 2**-53 * sigma and their magnitudes add up to less than sigma, so
+    # every block's q.sum(), their total and p - q are exact. What is left
+    # is at most 2**-53 * sigma_i, below sigma_(i+1) / (n + 2). (A sigma
+    # that underflows to 0 meets a remainder already 0.)
+    top = math.frexp(m)[1] + nbits
+    sigmas = [math.ldexp(1.0, top - i * (53 - nbits))
+              for i in range(_EXTRACT_PASSES)]
+    totals = [0.0] * _EXTRACT_PASSES
+    rest = []
+    q = np.empty(min(n, _BLOCK))
+    p = np.empty_like(q)
+    for start in range(0, n, _BLOCK):
+        pb = x[start:start + _BLOCK]
+        qb = q[:pb.size]
+        if y is not None:
+            pb = np.multiply(pb, y[start:start + _BLOCK], out=p[:pb.size])
+        for i, sigma in enumerate(sigmas):
+            np.add(pb, sigma, out=qb)
+            qb -= sigma
+            # the first pass leaves the caller's array alone
+            pb = np.subtract(pb, qb, out=p[:pb.size])
+            totals[i] += float(qb.sum())
+            if not pb.any():
+                break
         else:
-            np.add(p, sigma, out=q)
-            q -= sigma
-            p -= q
-        partials.append(float(q.sum()))
-        m = max(p.max(), -p.min())
-    return math.fsum(partials + p[p != 0.0].tolist())
+            rest += pb[pb != 0.0].tolist()
+    return math.fsum(totals + rest)
 
 
-def _fmean(a):
-    return _fsum(a) / a.size
+def _fmean(x, y=None):
+    return _fsum(x, y) / x.size
 
 
 def _moments(x, y):
     """(mx, my, vx, vy, cov): means, variances clamped at 0, covariance."""
     mx, my = _fmean(x), _fmean(y)
-    vx = max(_fmean(x * x) - mx * mx, 0.0)
-    vy = max(_fmean(y * y) - my * my, 0.0)
-    cov = _fmean(x * y) - mx * my
+    vx = max(_fmean(x, x) - mx * mx, 0.0)
+    vy = max(_fmean(y, y) - my * my, 0.0)
+    cov = _fmean(x, y) - mx * my
     return mx, my, vx, vy, cov
 
 
@@ -100,7 +131,7 @@ def rmse(x, y):
     if x.shape != y.shape:
         raise ShapeError(f"rmse shapes differ: {x.shape} vs {y.shape}")
     d = x - y
-    return math.sqrt(_fmean(d * d))
+    return math.sqrt(_fmean(d, d))
 
 
 def sam(x, y):
@@ -119,16 +150,21 @@ def sam(x, y):
         raise ShapeError(f"sam shapes differ: {x.shape} vs {y.shape}")
     if x.shape[0] < 2:
         raise ShapeError("sam needs at least 2 bands")
-    nx = np.sqrt(np.einsum("khw,khw->hw", x, x))
-    ny = np.sqrt(np.einsum("khw,khw->hw", y, y))
-    ok = (nx > 0) & (ny > 0)
-    ux = x / np.where(ok, nx, 1.0)
-    uy = y / np.where(ok, ny, 1.0)
-    d = ux - uy
-    s = ux + uy
-    nd = np.sqrt(np.einsum("khw,khw->hw", d, d))
-    ns = np.sqrt(np.einsum("khw,khw->hw", s, s))
-    angles = np.where(ok, 2.0 * np.arctan2(nd, ns), 0.0)
+    k, h, w = x.shape
+    angles = np.empty((h, w))
+    rows = max(1, _BLOCK // (k * w))     # band stacks of about one block
+    for r in range(0, h, rows):
+        xb, yb = x[:, r:r + rows], y[:, r:r + rows]
+        nx = np.sqrt(np.einsum("khw,khw->hw", xb, xb))
+        ny = np.sqrt(np.einsum("khw,khw->hw", yb, yb))
+        ok = (nx > 0) & (ny > 0)
+        ux = xb / np.where(ok, nx, 1.0)
+        uy = yb / np.where(ok, ny, 1.0)
+        d = ux - uy
+        s = ux + uy
+        nd = np.sqrt(np.einsum("khw,khw->hw", d, d))
+        ns = np.sqrt(np.einsum("khw,khw->hw", s, s))
+        angles[r:r + rows] = np.where(ok, 2.0 * np.arctan2(nd, ns), 0.0)
     return _fmean(angles)
 
 
@@ -154,13 +190,19 @@ def ergas(x, y, ratio=0.25):
 
 
 def _laplacian(img):
-    # valid 3x3 correlation; the kernel is symmetric
-    out = np.zeros((img.shape[0] - 2, img.shape[1] - 2))
-    for u in range(3):
-        for v in range(3):
-            c = _LAPLACIAN[u, v]
-            if c:
-                out += c * img[u:u + img.shape[0] - 2, v:v + img.shape[1] - 2]
+    """Valid 3x3 Laplacian correlation over the last two axes.
+
+    The taps add in the order a zero-initialised accumulation would, so
+    the values match it up to the sign of a zero, which no sum sees."""
+    h, w = img.shape[-2:]
+
+    def at(u, v):
+        return img[..., u:u + h - 2, v:v + w - 2]
+
+    out = at(0, 1) + at(1, 0)
+    out -= 4.0 * at(1, 1)
+    out += at(1, 2)
+    out += at(2, 1)
     return out
 
 
@@ -171,12 +213,31 @@ def scc(x, y):
         raise ShapeError(f"scc shapes differ: {x.shape} vs {y.shape}")
     if x.shape[1] < 3 or x.shape[2] < 3:
         raise ShapeError("scc needs at least 3x3 images")
-    fx = np.stack([_laplacian(x[k]) for k in range(x.shape[0])])
-    fy = np.stack([_laplacian(y[k]) for k in range(y.shape[0])])
-    _, _, vx, vy, cov = _moments(fx, fy)
+    _, _, vx, vy, cov = _moments(_laplacian(x), _laplacian(y))
     if vx == 0.0 or vy == 0.0:
         raise DegenerateInputError("zero variance after Laplacian filtering")
     return cov / math.sqrt(vx * vy)
+
+
+def _stats(img):
+    """(img, mean, mean square): what a Q index needs of one image alone."""
+    return img, _fmean(img), _fmean(img, img)
+
+
+def _q(a, b):
+    """Q index of two ``_stats`` triples; only their mean product is
+    summed here."""
+    x, mx, mxx = a
+    y, my, myy = b
+    vx = max(mxx - mx * mx, 0.0)
+    vy = max(myy - my * my, 0.0)
+    sx, sy = math.sqrt(vx), math.sqrt(vy)
+    if sx * sy == 0.0:
+        return 1.0 if np.array_equal(x, y) else 0.0
+    cov = _fmean(x, y) - mx * my
+    lum_den = mx * mx + my * my
+    lum = 1.0 if lum_den == 0.0 else 2.0 * mx * my / lum_den
+    return (cov / (sx * sy)) * lum * (2.0 * sx * sy / (vx + vy))
 
 
 def q_index(x, y):
@@ -186,13 +247,26 @@ def q_index(x, y):
     x, y = _arr(x, 2, "x"), _arr(y, 2, "y")
     if x.shape != y.shape:
         raise ShapeError(f"q_index shapes differ: {x.shape} vs {y.shape}")
-    mx, my, vx, vy, cov = _moments(x, y)
-    sx, sy = math.sqrt(vx), math.sqrt(vy)
-    if sx * sy == 0.0:
-        return 1.0 if np.array_equal(x, y) else 0.0
-    lum_den = mx * mx + my * my
-    lum = 1.0 if lum_den == 0.0 else 2.0 * mx * my / lum_den
-    return (cov / (sx * sy)) * lum * (2.0 * sx * sy / (vx + vy))
+    return _q(_stats(x), _stats(y))
+
+
+class _Bands:
+    """A rank-3 band stack whose bands' ``_stats`` are each summed once,
+    however many Q values use them."""
+
+    def __init__(self, a, name):
+        self.a = _arr(a, 3, name)
+        self.shape = self.a.shape
+        self._stats = [None] * self.shape[0]
+
+    def __getitem__(self, k):
+        if self._stats[k] is None:
+            self._stats[k] = _stats(self.a[k])
+        return self._stats[k]
+
+
+def _bands(a, name):
+    return a if isinstance(a, _Bands) else _Bands(a, name)
 
 
 def q4(x, y):
@@ -227,15 +301,15 @@ def scale_ratio(small, big, what):
 def d_lambda(ms, fused):
     """Spectral distortion: mean absolute change of the inter-band Q values
     between scales (exponent p = 1)."""
-    ms, fused = _arr(ms, 3, "ms"), _arr(fused, 3, "fused")
+    ms, fused = _bands(ms, "ms"), _bands(fused, "fused")
     k = ms.shape[0]
     if k < 2:
         raise ShapeError("d_lambda needs at least 2 bands")
     if fused.shape[0] != k:
         raise ShapeError(f"band counts differ: {k} vs {fused.shape[0]}")
     scale_ratio(ms.shape[1:], fused.shape[1:], "d_lambda")
-    # q_index is symmetric, so each unordered pair stands for both orders
-    terms = [abs(q_index(ms[i], ms[j]) - q_index(fused[i], fused[j]))
+    # Q is symmetric, so each unordered pair stands for both orders
+    terms = [abs(_q(ms[i], ms[j]) - _q(fused[i], fused[j]))
              for i, j in itertools.combinations(range(k), 2)]
     return math.fsum(terms) / len(terms)
 
@@ -243,7 +317,7 @@ def d_lambda(ms, fused):
 def d_s(ms, fused, pan):
     """Spatial distortion: mean absolute change of each band's Q against PAN
     between scales (exponent q = 1)."""
-    ms, fused = _arr(ms, 3, "ms"), _arr(fused, 3, "fused")
+    ms, fused = _bands(ms, "ms"), _bands(fused, "fused")
     pan = _arr(pan, 3, "pan")
     if pan.shape[0] != 1:
         raise ShapeError(f"pan must have a single band, got {pan.shape[0]}")
@@ -254,12 +328,10 @@ def d_s(ms, fused, pan):
         raise ShapeError(
             f"pan {pan.shape[1:]} does not match fused {fused.shape[1:]}")
     s = scale_ratio(ms.shape[1:], fused.shape[1:], "d_s")
-    p = pan[0]
-    p_low = wald_downsample(p, s)
-    terms = [
-        abs(q_index(fused[i], p) - q_index(ms[i], p_low))
-        for i in range(ms.shape[0])
-    ]
+    p = _stats(pan[0])
+    p_low = _stats(wald_downsample(pan[0], s))
+    terms = [abs(_q(fused[i], p) - _q(ms[i], p_low))
+             for i in range(ms.shape[0])]
     return math.fsum(terms) / len(terms)
 
 
@@ -297,8 +369,9 @@ def reduced_resolution_report(pred, gt, ratio=0.25):
 
 
 def full_resolution_report(pred, ms, pan):
-    """QNR with its spectral and spatial distortion components."""
-    pred, ms, pan = _arr(pred), _arr(ms), _arr(pan)
+    """QNR with its spectral and spatial distortion components. D_lambda
+    and D_s share each band's mean and mean square."""
+    ms, pred = _Bands(ms, "ms"), _Bands(pred, "fused")
     dl = d_lambda(ms, pred)
     ds = d_s(ms, pred, pan)
     return {"qnr": qnr(dl, ds), "d_lambda": dl, "d_s": ds}

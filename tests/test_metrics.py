@@ -1,15 +1,17 @@
 """Quality indices against direct-summation scalar oracles."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from msdnpan.data_pipeline import synth_scene
+from msdnpan import metrics
+from msdnpan.data_pipeline import synth_scene, wald_downsample
 from msdnpan.errors import DegenerateInputError, ShapeError
 from msdnpan.metrics import (
-    _fsum, d_lambda, d_s, ergas, full_resolution_report, pearson, q4, q_index,
-    qnr, reduced_resolution_report, rmse, sam, scc,
+    _BLOCK, _fsum, d_lambda, d_s, ergas, full_resolution_report, pearson, q4,
+    q_index, qnr, reduced_resolution_report, rmse, sam, scc,
 )
 
 
@@ -207,6 +209,87 @@ def test_exactness_at_benchmark_scale():
     assert sam(scene.gt, scene.gt) == ergas(scene.gt, scene.gt) == 0.0
 
 
+def _whole_sam(x, y):
+    nx = np.sqrt(np.einsum("khw,khw->hw", x, x))
+    ny = np.sqrt(np.einsum("khw,khw->hw", y, y))
+    ok = (nx > 0) & (ny > 0)
+    ux, uy = x / np.where(ok, nx, 1.0), y / np.where(ok, ny, 1.0)
+    nd = np.sqrt(np.einsum("khw,khw->hw", ux - uy, ux - uy))
+    ns = np.sqrt(np.einsum("khw,khw->hw", ux + uy, ux + uy))
+    return math.fsum(np.where(ok, 2.0 * np.arctan2(nd, ns), 0.0).ravel()
+                     .tolist()) / ok.size
+
+
+def _whole_scc(x, y):
+    def lap(img):
+        out = np.zeros((img.shape[0] - 2, img.shape[1] - 2))
+        for (u, v), c in np.ndenumerate([[0, 1, 0], [1, -4, 1], [0, 1, 0]]):
+            if c:
+                out += c * img[u:u + out.shape[0], v:v + out.shape[1]]
+        return out
+
+    fx = np.stack([lap(b) for b in x])
+    fy = np.stack([lap(b) for b in y])
+    return _o_cov(fx, fy) / math.sqrt(_o_var(fx) * _o_var(fy))
+
+
+def test_row_blocks_equal_whole_array_forms():
+    # 100 rows of 512 make row blocks of 16 with a short last one
+    rng = np.random.default_rng(12)
+    x = rng.uniform(0, 1, (4, 100, 512))
+    y = x + rng.normal(0, 0.05, x.shape)
+    y[:, 7, 9] = 0.0                        # a zero spectrum counts angle 0
+    assert sam(x, y) == _whole_sam(x, y)
+    assert scc(x, y) == _whole_scc(x, y)
+
+
+def _pairwise_d_lambda(ms, fused):
+    terms = [abs(q_index(ms[i], ms[j]) - q_index(fused[i], fused[j]))
+             for i, j in itertools.combinations(range(ms.shape[0]), 2)]
+    return math.fsum(terms) / len(terms)
+
+
+def _pairwise_d_s(ms, fused, pan):
+    p = np.asarray(pan[0], np.float64)      # downsampled in float64, as d_s does
+    p_low = wald_downsample(p, fused.shape[1] // ms.shape[1])
+    terms = [abs(q_index(fused[i], p) - q_index(ms[i], p_low))
+             for i in range(ms.shape[0])]
+    return math.fsum(terms) / len(terms)
+
+
+def test_shared_sums_equal_pairwise_q_index():
+    for seed in (31, 32, 33):
+        scene = synth_scene(seed, 64)
+        up = np.repeat(np.repeat(scene.ms, 4, axis=1), 4, axis=2)
+        noisy = up + np.random.default_rng(seed).normal(0, 0.01, up.shape)
+        flat_ms, flat = scene.ms.copy(), noisy.copy()
+        flat_ms[2], flat[1] = 0.25, 0.5     # sx * sy == 0: array_equal rule
+        for ms, fused in ((scene.ms, up), (scene.ms, noisy), (scene.ms, scene.gt),
+                          (flat_ms, flat), (flat_ms, noisy)):
+            want = (_pairwise_d_lambda(ms, fused),
+                    _pairwise_d_s(ms, fused, scene.pan))
+            got = full_resolution_report(fused, ms, scene.pan)
+            assert (d_lambda(ms, fused), d_s(ms, fused, scene.pan)) == want
+            assert (got["d_lambda"], got["d_s"]) == want
+        assert d_lambda(scene.ms, up) == 0.0
+
+
+def test_report_sum_counts(monkeypatch):
+    calls = []
+    fsum = metrics._fsum
+    monkeypatch.setattr(metrics, "_fsum",
+                        lambda *a: calls.append(1) or fsum(*a))
+    scene = synth_scene(41, 64)
+    fused = np.repeat(np.repeat(scene.ms, 4, axis=1), 4, axis=2) + 0.01
+    # each band's mean and mean square once per scale, the PAN and PAN-low
+    # ones once, and one mean product per Q value
+    full_resolution_report(fused, scene.ms, scene.pan)
+    assert len(calls) <= 40
+    calls.clear()
+    reduced_resolution_report(fused, scene.gt)
+    assert len(calls) == 19
+
+
 def _fsum_outcome(f, a):
     try:
         return f(a)
@@ -235,17 +318,52 @@ def test_fsum_equals_math_fsum():
         np.array([-math.inf]), np.array([math.inf, -math.inf]),
         np.array([1e308, 1e308, -1e308]),
     ]
+    # block boundaries: every block's pass sums must add up exactly
+    for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+        cases.append(rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n))
+    tail = rng.uniform(1, 2, _BLOCK)
+    cases += [
+        np.concatenate([np.zeros(_BLOCK), tail]),      # leading zero block
+        np.concatenate([tail, np.full(_BLOCK, -0.0), -tail[:9]]),
+    ]
+    # values near 1 leave nothing after two passes and cancel in pairs;
+    # the 1e-60 ones survive all four passes, in the last block only, and
+    # decide the result
+    ones = rng.uniform(1, 2, _BLOCK)
+    quarter = ones[:_BLOCK // 4]
+    tiny = rng.uniform(-1, 1, quarter.size) * 1e-60
+    cases.append(np.concatenate(
+        [ones, -ones, np.column_stack([quarter, -quarter, tiny]).ravel()]))
     for a in cases:
-        want = _fsum_outcome(lambda v: math.fsum(v.ravel().tolist()), a)
-        got = _fsum_outcome(_fsum, a)
-        if isinstance(want, float) and math.isnan(want):
-            assert math.isnan(got)
-        elif isinstance(want, float):
-            assert type(got) is float
-            assert (got, math.copysign(1.0, got)) == (
-                want, math.copysign(1.0, want)), a[:4]
-        else:
-            assert got is want, a[:4]
+        _assert_same(_fsum_outcome(_fsum, a),
+                     _fsum_outcome(lambda v: math.fsum(v.ravel().tolist()), a),
+                     a[:4])
+    # products, summed by _fsum(x, y) without forming x * y
+    n = 3 * _BLOCK + 7
+    pairs = [
+        (rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n),
+         rng.standard_normal(n)),
+        (np.array([1e200, 1e-200]), np.array([1e-200, 1e200])),  # loose bound
+        (np.array([math.inf, 1.0]), np.array([0.0, 1.0])),        # inf * 0
+        (np.array([1e200, 1e200]), np.array([1e200, -1e200])),   # inf - inf
+    ]
+    with np.errstate(all="ignore"):
+        for x, y in pairs:
+            _assert_same(
+                _fsum_outcome(lambda v: _fsum(*v), (x, y)),
+                _fsum_outcome(lambda v: math.fsum(v.ravel().tolist()), x * y),
+                x[:4])
+
+
+def _assert_same(got, want, label):
+    if isinstance(want, float) and math.isnan(want):
+        assert math.isnan(got)
+    elif isinstance(want, float):
+        assert type(got) is float
+        assert (got, math.copysign(1.0, got)) == (
+            want, math.copysign(1.0, want)), label
+    else:
+        assert got is want, label
 
 
 def test_pearson_basics():
