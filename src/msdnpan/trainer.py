@@ -8,17 +8,25 @@ config seed through named substreams, so a run is reproducible bit-for-bit
 on the same number of usable CPUs.
 
 `train` splits each batch into one contiguous part per usable CPU (at most
-one per item). The calling thread runs part 0 and a thread pool runs the
-rest, all on the one model: `backward` returns gradients instead of storing
-them on the parameters, so the parts share the model's arrays, which stay
-read-only until Adam runs. Every loss term is a per-item mean, so each part
-back-propagates its loss weighted by its share of the batch, and the part
-gradients are summed in part order before one Adam step (the data-parallel
-reduction of Goyal et al., arXiv:1706.02677). OpenBLAS is held at one
-thread for the whole run, so the parts, not BLAS helper threads, fill the
-cores. The part count sets the float summation order: across part counts
-float32 results differ by rounding only. Where the loaded BLAS exposes no
-thread control, every step runs as one part.
+one per item). The calling process runs part 0; parts 1.. run in worker
+processes forked once per run, each with its own copy of the model. A part
+makes thousands of small numpy calls, which on threads would contend for
+the interpreter lock; processes do not. Each step the parent pipes every
+worker its part's arrays and the current parameter values as one pickle,
+and the worker sends back its gradients and three loss floats. Every loss
+term is a per-item mean, so each part back-propagates its loss weighted by
+its share of the batch, and the part gradients are summed in part order
+before one Adam step in the parent (the data-parallel reduction of Goyal
+et al., arXiv:1706.02677). OpenBLAS is held at one thread for the whole
+run, so the parts, not BLAS helper threads, fill the cores. The part count
+sets the float summation order: across part counts float32 results differ
+by rounding only. Where the loaded BLAS exposes no thread control, or the
+platform cannot fork, every step runs as one part.
+
+A worker ignores SIGINT, leaves through `os._exit` and holds no write end
+of any job pipe, so it ends when the run's pipes close, and also when the
+parent dies. An exception raised in a worker's part is raised again in the
+parent with its type and message.
 
 Checkpoint files: magic "MSDC", version byte, a length-prefixed UTF-8 JSON
 header (config, epoch, step, RNG counters), an entry count, then one entry
@@ -29,11 +37,11 @@ payload length is stored. Optimizer state is not stored.
 
 from __future__ import annotations
 
-import contextvars
 import ctypes
 import json
 import math
 import os
+import pickle
 import struct
 import time
 from contextlib import contextmanager
@@ -324,25 +332,62 @@ def _part(model, ms, gt, hp, loss_weight, share):
     return grads, (l1v.item(), memv.item(), tot.item())
 
 
-def _batch_step(model, ms, gt, hp, loss_weight, pool, n_parts):
+def _send(fd, obj):
+    """Write obj to a pipe as one pickle."""
+    view = memoryview(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _serve(model, jobs, results):
+    """A part worker's loop: for each job read from the file `jobs`, load
+    the sent parameter values into model, run `_part` and send back its
+    result, or the exception it raised, on the fd `results`. Returns when
+    the parent closes the job pipe."""
+    params = model.parameters()
+    while True:
+        try:
+            values, job = pickle.load(jobs)
+        except EOFError:
+            return
+        for p, value in zip(params, values, strict=True):
+            p.data[...] = value
+        try:
+            reply = _part(model, *job)
+        except Exception as e:
+            reply = e
+        _send(results, reply)
+
+
+def _batch_step(model, ms, gt, hp, loss_weight, workers):
     """One batch's loss gradient with respect to model.parameters().
 
-    The batch splits into min(batch, n_parts) contiguous parts, all run on
-    model: part 0 on the calling thread, the rest through `pool`. Returns
-    (grads, record): the part gradients summed in part order (None when a
-    part's loss is non-finite), and the batch's l1, l_mem and total as the
-    share-weighted sums of the part values."""
+    The batch splits into min(batch, 1 + len(workers)) contiguous parts:
+    part 0 runs on model in this process, part i on the forked worker
+    workers[i - 1], which first receives the current parameter values.
+    Returns (grads, record): the part gradients summed in part order (None
+    when a part's loss is non-finite), and the batch's l1, l_mem and total
+    as the share-weighted sums of the part values. An exception raised in
+    a worker's part is raised here."""
     n = len(ms)
-    k = min(n, n_parts)
+    k = min(n, 1 + len(workers))
     cuts = [n * i // k for i in range(k + 1)]
     shares = [(b - a) / n for a, b in zip(cuts, cuts[1:])]
-    jobs = [(model, ms[a:b], gt[a:b], hp[a:b], loss_weight, share)
+    jobs = [(ms[a:b], gt[a:b], hp[a:b], loss_weight, share)
             for a, b, share in zip(cuts, cuts[1:], shares)]
-    # each worker runs in a copy of the caller's context, so it keeps the
-    # caller's numpy error state (cli.main silences overflow warnings)
-    later = [pool.submit(contextvars.copy_context().run, _part, *job)
-             for job in jobs[1:]]
-    parts = [_part(*jobs[0])] + [f.result() for f in later]
+    current = [p.data for p in model.parameters()]
+    for worker, job in zip(workers, jobs[1:]):
+        _send(worker.jobs, (current, job))
+    parts = [_part(model, *jobs[0])]
+    for worker in workers[:k - 1]:
+        try:
+            reply = pickle.load(worker.results)
+        except EOFError:
+            raise ChildProcessError(
+                f"part worker {worker.pid} exited mid-step") from None
+        if isinstance(reply, Exception):
+            raise reply
+        parts.append(reply)
     grads = parts[0][0]
     for part_grads, _ in parts[1:]:
         grads = (None if grads is None or part_grads is None
@@ -354,18 +399,72 @@ def _batch_step(model, ms, gt, hp, loss_weight, pool, n_parts):
     return grads, record
 
 
+@dataclass
+class _Worker:
+    pid: int
+    jobs: int          # fd the parent writes each job to
+    results: object    # binary file the parent reads each reply from
+
+
 @contextmanager
-def _workers(batch_size):
-    """Yield the thread pool that runs the parts of each step and the part
-    count, with BLAS held at one thread throughout. When BLAS cannot be
-    held, every step is one part and the pool stays idle."""
+def _forked(model, count):
+    """Fork count part workers, each holding a copy of model, and yield
+    them as a list of _Worker. On exit the pipes close, so each worker
+    reads EOF and leaves (or fails to write, if it is mid-part), and every
+    worker is reaped."""
     # imported here to keep it off the import path of `infer`
-    from concurrent.futures import ThreadPoolExecutor
+    import signal
+    workers = []
+    try:
+        for _ in range(count):
+            job_r, job_w = os.pipe()
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    # the terminal's Ctrl-C reaches the parent, which stops
+                    # the run; a worker ends when its job pipe closes
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)
+                    # hold no write end of any job pipe, so a dead parent
+                    # reads as EOF
+                    os.close(job_w)
+                    os.close(result_r)
+                    for w in workers:
+                        os.close(w.jobs)
+                        os.close(w.results.fileno())
+                    with open(job_r, "rb") as jobs:
+                        _serve(model, jobs, result_w)
+                    status = 0
+                finally:
+                    # skip the parent's exit handlers and its inherited
+                    # stdout buffer
+                    os._exit(status)
+            os.close(job_r)
+            os.close(result_w)
+            workers.append(_Worker(pid, job_w, open(result_r, "rb")))
+        yield workers
+    finally:
+        for w in workers:
+            os.close(w.jobs)
+            w.results.close()
+        for w in workers:
+            os.waitpid(w.pid, 0)
+
+
+@contextmanager
+def _workers(model, batch_size):
+    """Yield the forked workers that run parts 1.. of each step, one fewer
+    than the part count, with BLAS held at one thread throughout. When
+    BLAS cannot be held or the platform cannot fork, every step is one
+    part and no worker starts."""
+    if not hasattr(os, "fork"):
+        yield []
+        return
     with _one_blas_thread() as pinned:
         k = min(batch_size, len(os.sched_getaffinity(0))) if pinned else 1
-        # threads start on first submit, so a one-part run starts none
-        with ThreadPoolExecutor(max(k - 1, 1), "msdnpan-part") as pool:
-            yield pool, k
+        with _forked(model, k - 1) as workers:
+            yield workers
 
 
 def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
@@ -373,9 +472,11 @@ def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
     """Optimize a fresh model on SceneSamples; returns the final Checkpoint.
 
     log_fn, when given, receives one dict per epoch (epoch, step, mean l1,
-    l_mem and total, the epoch's wall seconds, samples_per_s and the
-    constant lr). hook, when given, is called after every optimizer step
-    with (model, epoch, step, losses); used by convergence probes.
+    l_mem and total, the mean grad_norm, the epoch's wall seconds,
+    samples_per_s and the constant lr); a step's grad_norm is the L2 norm,
+    over all parameters, of the summed gradient that Adam receives. hook,
+    when given, is called after every optimizer step with (model, epoch,
+    step, losses); used by convergence probes.
 
     Each step runs as one part per usable CPU (see the module docstring),
     so results are bit-identical for the same seed on the same number of
@@ -402,12 +503,12 @@ def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
     n = len(samples)
     step = 0
     epoch = 0
-    with _workers(config.batch_size) as (pool, n_parts):
+    with _workers(model, config.batch_size) as workers:
         for epoch in range(config.epochs):
             started = time.perf_counter()
             order = np.random.default_rng((config.seed, 1, epoch)).permutation(n)
             aug_rng = np.random.default_rng((config.seed, 2, epoch))
-            sums = {"l1": 0.0, "l_mem": 0.0, "total": 0.0}
+            sums = {"l1": 0.0, "l_mem": 0.0, "total": 0.0, "grad_norm": 0.0}
             batches = 0
             for start in range(0, n, config.batch_size):
                 chosen = [samples[i]
@@ -423,15 +524,17 @@ def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
                             for batch in (ms, gt, hp):
                                 batch[i] = np.flip(batch[i], axis)
                 grads, record = _batch_step(model, ms, gt, hp,
-                                            config.loss_weight, pool, n_parts)
+                                            config.loss_weight, workers)
                 if not math.isfinite(record["total"]):
                     raise NumericError(
                         f"non-finite loss at epoch {epoch} step {step}: "
                         f"l1={record['l1']!r} l_mem={record['l_mem']!r}")
                 adam_step(adam, grads, config.lr)
                 step += 1
-                for key in sums:
+                for key in record:
                     sums[key] += record[key]
+                sums["grad_norm"] += math.sqrt(sum(
+                    float(np.square(g, dtype=np.float64).sum()) for g in grads))
                 batches += 1
                 if hook is not None:
                     hook(model, epoch, step, record)
@@ -441,6 +544,7 @@ def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
                         "l1": sums["l1"] / batches,
                         "l_mem": sums["l_mem"] / batches,
                         "total": sums["total"] / batches,
+                        "grad_norm": sums["grad_norm"] / batches,
                         "seconds": seconds, "samples_per_s": n / seconds,
                         "lr": config.lr})
             if (checkpoint_path and checkpoint_every

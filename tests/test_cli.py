@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 
 import msdnpan
+from msdnpan import trainer
 from msdnpan.cli import build_parser, main
 from msdnpan.data_pipeline import (
     load_manifest, load_tensor, save_tensor, synth_scene,
 )
+from msdnpan.errors import NumericError
 from msdnpan.injection_net import ModelConfig, PansharpenModel, pansharpen
 from msdnpan.tensor_core import Tensor
 from msdnpan.trainer import (
@@ -89,6 +91,42 @@ def test_train_emits_epoch_logs(workspace, tmp_path, capsys):
                 "lr"} <= set(rec) for rec in lines)
     assert all(rec["samples_per_s"] > 0 and rec["lr"] > 0 for rec in lines)
     assert ckpt.is_file()
+
+
+def test_train_prints_one_json_line_per_epoch(workspace, tmp_path):
+    # the real process, stdout a pipe: forked part workers must not flush
+    # a copy of the parent's stdout buffer
+    proc = _run_cli(["train", "--data", workspace["data"], "--out",
+                     tmp_path / "m.msdc", "--preset", "desk", "--epochs", "3",
+                     "--batch", "4", "--channels", "8", "--mem-slots", "8",
+                     "--nin-depth", "1"])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [json.loads(line)["epoch"] for line in lines] == [0, 1, 2]
+
+
+def test_numeric_error_in_a_part_worker_exits_3(workspace, tmp_path,
+                                                monkeypatch, capsys):
+    if trainer._blas_thread_controls() is None:
+        pytest.skip("BLAS exposes no thread control, so train runs one part")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent, part = os.getpid(), trainer._part
+
+    def faulty(*args):
+        if os.getpid() != parent:
+            raise NumericError("raised in a worker")
+        return part(*args)
+
+    monkeypatch.setattr(trainer, "_part", faulty)
+    out = tmp_path / "m.msdc"
+    assert main(["train", "--data", str(workspace["data"]), "--out", str(out),
+                 "--preset", "desk", "--epochs", "1", "--batch", "4",
+                 "--channels", "8", "--mem-slots", "8",
+                 "--nin-depth", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: raised in a worker\n"
+    assert not out.exists()
 
 
 def test_train_bad_inputs(workspace, tmp_path):
@@ -539,7 +577,7 @@ def test_overflow_on_huge_finite_input_is_one_error_line(
         workspace, tmp_path, command):
     """Finite inputs that overflow inside the command: exit 3, no output,
     and no numpy RuntimeWarning lines around the one `error:` line. train
-    covers the worker threads that run parts of each batch."""
+    covers the forked workers that run parts of each batch."""
     out = tmp_path / "o.msdt"
     ms = tmp_path / "ms.msdt"
     if command == "infer":

@@ -27,15 +27,18 @@ def test_every_perfbench_probe_resolves_to_a_callable(monkeypatch):
     assert layers.PROBES and not missing, missing
 
 
-def test_train_calls_the_wrapped_trainer_names(monkeypatch):
+def test_train_calls_the_wrapped_trainer_names(monkeypatch, tmp_path):
     # the tracer replaces trainer.backward, trainer.total_loss and
     # trainer.adam_step; a call path that skips those names would leave
-    # their rows (tensor_core.backward_self_s among them) reading 0
-    calls = []
+    # their rows (tensor_core.backward_self_s among them) reading 0. Forked
+    # part workers inherit the wrappers, so every call, in this process or a
+    # worker, appends one line to a file.
+    log = tmp_path / "calls.txt"
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
-            calls.append(name)           # list.append is thread-safe
+            with open(log, "a") as f:
+                f.write(name + "\n")
             return real(*args, **kwargs)
         return wrapper
 
@@ -45,14 +48,14 @@ def test_train_calls_the_wrapped_trainer_names(monkeypatch):
     workers = trainer._workers
 
     @contextmanager
-    def counting_workers(batch_size):
-        with workers(batch_size) as (pool, n_parts):
-            parts.append(n_parts)
-            yield pool, n_parts
+    def counting_workers(model, batch_size):
+        with workers(model, batch_size) as forked:
+            parts.append(1 + len(forked))
+            yield forked
 
     monkeypatch.setattr(trainer, "_workers", counting_workers)
     scenes = [synth_scene(300 + i, 16, sample_id=f"s{i}") for i in range(4)]
     trainer.train(scenes, trainer.desk_config(epochs=1, batch_size=4))
     (n_parts,) = parts
-    assert Counter(calls) == {"backward": n_parts, "total_loss": n_parts,
-                              "adam_step": 1}
+    assert Counter(log.read_text().split()) == {
+        "backward": n_parts, "total_loss": n_parts, "adam_step": 1}

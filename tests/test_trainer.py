@@ -3,9 +3,12 @@
 import json
 import math
 import os
+import signal
 import struct
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -15,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import msdnpan
 from msdnpan import trainer
 from msdnpan.cli import main
 from msdnpan.data_pipeline import (
@@ -354,12 +358,30 @@ def test_hooks_logs_and_periodic_checkpoints(tmp_path):
     assert seen_steps == [1, 2, 3, 4]
     assert [g["epoch"] for g in logs] == [0, 1, 2, 3]
     assert all(set(g) == {"epoch", "step", "l1", "l_mem", "total",
-                          "seconds", "samples_per_s", "lr"} for g in logs)
+                          "grad_norm", "seconds", "samples_per_s", "lr"}
+               for g in logs)
     assert all(g["seconds"] > 0 and g["lr"] == cfg.lr for g in logs)
     assert all(g["samples_per_s"] == 4 / g["seconds"] for g in logs)
     assert final.step == 4
     back = load_checkpoint(path)          # final overwrite of the periodic file
     assert back.step == 4 and back.epoch == 4
+
+
+def test_grad_norm_is_the_norm_of_the_gradient_adam_receives(monkeypatch):
+    received = []
+    step = trainer.adam_step
+
+    def spy(state, grads, lr):
+        received.append([g.copy() for g in grads])
+        return step(state, grads, lr)
+
+    monkeypatch.setattr(trainer, "adam_step", spy)
+    logs = []
+    train(_scenes(2), _tiny_config(epochs=1, batch_size=2), log_fn=logs.append)
+    (grads,) = received                  # one step
+    want = math.sqrt(math.fsum(float(x) ** 2 for g in grads for x in g.flat))
+    # float64 sums of float32 squares in another order: rounding only
+    assert want > 0 and math.isclose(logs[0]["grad_norm"], want, rel_tol=1e-12)
 
 
 def test_train_input_validation():
@@ -451,19 +473,18 @@ def _desk_batch(n_items):
 
 def _split_step(n_items, n_parts):
     """Gradients and record of one step of a seeded desk model on n_items
-    scenes run as (up to) n_parts parts."""
+    scenes run as (up to) n_parts parts, parts 1.. in forked workers."""
     model, (ms, gt, hp) = _desk_batch(n_items)
-    with _fast_thread_switches(), \
-            ThreadPoolExecutor(max(n_parts - 1, 1)) as pool:
+    with trainer._forked(model, n_parts - 1) as workers:
         grads, record = _batch_step(model, ms, gt, hp,
-                                    desk_config().loss_weight, pool, n_parts)
+                                    desk_config().loss_weight, workers)
     return {p.name: g for p, g in zip(model.parameters(), grads)}, record
 
 
 @pytest.mark.parametrize("n_items, n_parts", [(4, 2), (3, 2), (1, 2), (4, 4)])
 def test_split_step_matches_one_part(n_items, n_parts):
     # batch 4 runs as 2+2, batch 3 as 1+2, batch 1 as a single part, and
-    # batch 4 as four parts, more threads than a 2-CPU machine has cores
+    # batch 4 as four parts, more processes than a 2-CPU machine has cores
     one_grads, one_rec = _split_step(n_items, 1)
     split_grads, split_rec = _split_step(n_items, n_parts)
     for name, g in one_grads.items():
@@ -499,20 +520,32 @@ def test_concurrent_backward_passes_are_independent():
     assert all(np.array_equal(p.data, d) for p, d in zip(params, before))
 
 
+def _has_children():
+    """Whether this process has a child, running or exited but unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
 def _assert_run_restores(run):
     """run() trains from a BLAS count of 2; afterwards BLAS threads and live
-    threads are as before, and during training BLAS was held at one thread."""
+    threads are as before and no child process remains, and during training
+    BLAS was held at one thread and, with two usable CPUs, a worker ran."""
     controls = _blas_thread_controls()
     if controls:
         get, put = controls
         original = get()
         put(2)
     threads_before = threading.active_count()
-    during = []
+    assert not _has_children()
+    during, children = [], []
 
     def hook(model, epoch, step, record):
         if controls:
             during.append(get())
+        children.append(_has_children())
 
     try:
         return run(hook)
@@ -521,7 +554,10 @@ def _assert_run_restores(run):
             after = get()
             put(original)
             assert after == 2 and set(during) <= {1}
+            if len(os.sched_getaffinity(0)) > 1:
+                assert all(children)
         assert threading.active_count() == threads_before
+        assert not _has_children()
 
 
 def test_train_restores_blas_and_threads_on_return():
@@ -557,12 +593,120 @@ def test_non_finite_loss_raises_and_restores():
             lambda hook: train(scenes, _tiny_config(batch_size=4), hook=hook))
 
 
+def test_worker_exception_reraises_with_its_type_and_message(monkeypatch):
+    if _blas_thread_controls() is None:
+        pytest.skip("BLAS exposes no thread control, so train runs one part")
+    # two usable CPUs: one part here, one in a forked worker, which raises
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent, part = os.getpid(), trainer._part
+
+    def faulty(*args):
+        if os.getpid() != parent:
+            raise ShapeError("raised in a worker")
+        return part(*args)
+
+    monkeypatch.setattr(trainer, "_part", faulty)
+    with pytest.raises(ShapeError, match="^raised in a worker$"):
+        _assert_run_restores(
+            lambda hook: train(_scenes(4), _tiny_config(batch_size=4),
+                               hook=hook))
+
+
+def test_train_runs_one_part_where_fork_is_missing(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    workers_seen = []
+    batch_step = trainer._batch_step
+
+    def spy(model, ms, gt, hp, loss_weight, workers):
+        workers_seen.append(len(workers))
+        return batch_step(model, ms, gt, hp, loss_weight, workers)
+
+    monkeypatch.setattr(trainer, "_batch_step", spy)
+    children = []
+    train(_scenes(4), _tiny_config(batch_size=4),
+          hook=lambda *args: children.append(_has_children()))
+    assert workers_seen == [0, 0] and children == [False, False]
+
+
+def _gone(pid):
+    """Whether process pid has exited. An orphan that has exited but that
+    init has not reaped yet is a zombie, which still answers kill(pid, 0)."""
+    try:
+        os.kill(pid, 0)
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except (ProcessLookupError, FileNotFoundError):
+        return True
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads process states from /proc")
+def test_worker_ignores_sigint_and_exits_when_training_is_killed(tmp_path):
+    if _blas_thread_controls() is None:
+        pytest.skip("BLAS exposes no thread control, so train runs one part")
+    pid_file = tmp_path / "worker.pid"
+    # train forever on two parts; a worker appends its pid after each part
+    # and then waits for its next job while the parent's hook sleeps, so
+    # the kill below finds it waiting on its job pipe
+    script = """if True:
+        import os, sys, time
+        from msdnpan import trainer
+        from msdnpan.data_pipeline import synth_scene
+        os.sched_getaffinity = lambda pid: {0, 1}
+        parent, part = os.getpid(), trainer._part
+        def noting(*args):
+            result = part(*args)
+            if os.getpid() != parent:
+                with open(sys.argv[1], "a") as f:
+                    f.write(f"{os.getpid()}\\n")
+            return result
+        trainer._part = noting
+        scenes = [synth_scene(300 + i, 16, sample_id=f"s{i}")
+                  for i in range(4)]
+        trainer.train(scenes, trainer.desk_config(epochs=10 ** 9),
+                      hook=lambda *args: time.sleep(0.3))
+    """
+    src = str(Path(msdnpan.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-c", script, str(pid_file)],
+                            env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE)
+
+    def parts_run(at_least):
+        deadline = time.monotonic() + 60
+        while True:
+            pids = pid_file.read_text().split() if pid_file.exists() else []
+            if len(pids) >= at_least:
+                return pids
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline, f"{len(pids)} parts ran"
+            time.sleep(0.02)
+
+    try:
+        (worker,) = set(map(int, parts_run(2)))
+        # Ctrl-C in a terminal reaches the worker too; it keeps serving
+        os.kill(worker, signal.SIGINT)
+        assert set(map(int, parts_run(len(pid_file.read_text().split()) + 2))
+                   ) == {worker}
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=10)
+        proc.stderr.close()
+    deadline = time.monotonic() + 5
+    while not _gone(worker):
+        assert time.monotonic() < deadline, f"worker {worker} still running"
+        time.sleep(0.05)
+
+
 def test_train_frees_each_steps_graph():
     # Tracemalloc peak of a seeded desk run: 114.6 MiB when each step's
     # graph (every node and its gradient) stayed alive through the next
     # forward pass, 77.4-78.4 MiB with one or two parts once it is freed,
     # 46.8 MiB with two parts once backward also drops each intermediate
-    # gradient as soon as its closure has run.
+    # gradient as soon as its closure has run. tracemalloc sees this process
+    # only: with part 1 in a forked worker it reads 23.5 MiB, and one part
+    # run here still has to free its graph each step to stay under the bound.
     scenes = _scenes(8, size=64)
     tracemalloc.start()
     try:
