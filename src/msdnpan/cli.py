@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +181,7 @@ def cmd_train(args):
 
 
 def cmd_infer(args):
+    started = time.perf_counter()
     ppm = Path(args.export_ppm) if args.export_ppm else None
     if ppm and not ppm.parent.is_dir():  # fail before --out is written
         raise FileNotFoundError(f"{ppm}: no such directory {ppm.parent}")
@@ -191,7 +194,11 @@ def cmd_infer(args):
     _write(args.out, result)
     if ppm:
         export_ppm(ppm, result[:3])
-    _emit({"out": args.out, "shape": list(result.shape)})
+    # ru_maxrss counts KiB on Linux and bytes on macOS
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    _emit({"out": args.out, "shape": list(result.shape),
+           "wall_s": time.perf_counter() - started,
+           "peak_rss_mb": peak / (2 ** 20 if sys.platform == "darwin" else 1024)})
     return 0
 
 

@@ -37,7 +37,6 @@ payload length is stored. Optimizer state is not stored.
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
 import os
@@ -50,6 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .backend import _one_blas_thread
 from .data_pipeline import decode_tensor, encode_tensor, tensor_extent
 from .errors import FormatError, NumericError, ShapeError
 from .injection_net import ModelConfig, PansharpenModel, pansharpen_with_details
@@ -273,47 +273,6 @@ def load_checkpoint(path):
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{source}: bad header ({e!r})") from None
     return ckpt
-
-
-def _blas_thread_controls():
-    """(get, set) thread-count functions of the OpenBLAS mapped into this
-    process, or None when there is none or it exposes no such symbols."""
-    try:
-        with open("/proc/self/maps") as f:
-            libs = {line.split()[-1] for line in f if "openblas" in line.lower()}
-    except OSError:
-        return None
-    for path in sorted(libs):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas_", "64_"),
-                               ("openblas_", "64_"), ("openblas_", "")):
-            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold BLAS at one thread and restore its count on exit. Yields False,
-    changing nothing, when BLAS has no thread controls."""
-    controls = _blas_thread_controls()
-    if controls is None:
-        yield False
-        return
-    get, put = controls
-    before = get()
-    put(1)
-    try:
-        yield True
-    finally:
-        put(before)
 
 
 def _part(model, ms, gt, hp, loss_weight, share):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import msdnpan
-from msdnpan import trainer
+from msdnpan import backend, trainer
 from msdnpan.cli import build_parser, main
 from msdnpan.data_pipeline import (
     load_manifest, load_tensor, save_tensor, synth_scene,
@@ -107,7 +107,7 @@ def test_train_prints_one_json_line_per_epoch(workspace, tmp_path):
 
 def test_numeric_error_in_a_part_worker_exits_3(workspace, tmp_path,
                                                 monkeypatch, capsys):
-    if trainer._blas_thread_controls() is None:
+    if backend._blas_thread_controls() is None:
         pytest.skip("BLAS exposes no thread control, so train runs one part")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     parent, part = os.getpid(), trainer._part
@@ -209,6 +209,7 @@ def test_infer_roundtrip_and_ppm(workspace, tmp_path, capsys):
                  "--export-ppm", str(ppm)]) == 0
     payload = _last_json(capsys)
     assert payload["shape"] == [4, 16, 16]
+    assert payload["wall_s"] > 0 and payload["peak_rss_mb"] > 0
     assert load_tensor(out).shape == (4, 16, 16)
     assert ppm.read_bytes().startswith(b"P6\n16 16\n255\n")
     # infer freezes the model; its product equals the taped pass bit for bit

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pickle
 import signal
 import struct
 import subprocess
@@ -20,6 +21,7 @@ import pytest
 
 import msdnpan
 from msdnpan import trainer
+from msdnpan.backend import _blas_thread_controls
 from msdnpan.cli import main
 from msdnpan.data_pipeline import (
     SceneSample, encode_tensor, save_tensor, synth_scene, tensor_extent,
@@ -31,9 +33,8 @@ from msdnpan.injection_net import (
 from msdnpan.losses import total_loss
 from msdnpan.tensor_core import Tensor, backward, parameter
 from msdnpan.trainer import (
-    AdamState, TrainConfig, _batch_step, _blas_thread_controls, adam_step,
-    desk_config, load_checkpoint, model_from_checkpoint, override,
-    save_checkpoint, train,
+    AdamState, TrainConfig, _batch_step, adam_step, desk_config,
+    load_checkpoint, model_from_checkpoint, override, save_checkpoint, train,
 )
 
 
@@ -715,3 +716,42 @@ def test_train_frees_each_steps_graph():
     finally:
         tracemalloc.stop()
     assert peak < 96 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_part_worker_loop_frees_each_jobs_graph(tmp_path):
+    # `train`'s workers run `_serve` in forked processes, out of sight of
+    # tracemalloc, so run the loop here on four half-batch desk jobs. Jobs
+    # and replies go through files: a 160 KB reply would block on a pipe
+    # that nothing reads. Tracemalloc peak of this seeded loop: 23.0 MiB
+    # (the same over 8 jobs), 37.7 MiB when each job's graph stays alive
+    # through the next job, 78.9 MiB when every job's graph is kept.
+    cfg = desk_config(seed=3)
+    model = PansharpenModel(cfg.model, np.random.default_rng((3, 0)))
+    values = [p.data for p in model.parameters()]
+    scenes = _scenes(8, size=64)
+    jobs_path, replies_path = tmp_path / "jobs", tmp_path / "replies"
+    with open(jobs_path, "wb") as f:
+        for i in range(0, len(scenes), 2):
+            part = scenes[i:i + 2]
+            arrays = tuple(np.stack([getattr(s, attr) for s in part])
+                           for attr in ("ms", "gt", "hp"))
+            pickle.dump((values, arrays + (cfg.loss_weight, 0.5)), f,
+                        pickle.HIGHEST_PROTOCOL)
+    fd = os.open(replies_path, os.O_WRONLY | os.O_CREAT)
+    try:
+        with open(jobs_path, "rb") as jobs:
+            tracemalloc.start()
+            try:
+                trainer._serve(model, jobs, fd)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+    finally:
+        os.close(fd)
+    with open(replies_path, "rb") as f:
+        replies = [pickle.load(f) for _ in range(4)]
+        assert f.read() == b""
+    for grads, losses in replies:
+        assert len(grads) == len(values)
+        assert all(map(math.isfinite, losses))
+    assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
