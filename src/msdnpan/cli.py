@@ -13,6 +13,8 @@ writes a tensor that holds NaN or inf; it exits 3 and writes nothing.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import resource
 import sys
@@ -42,6 +44,30 @@ from .trainer import (
 
 class UsageError(Exception):
     pass
+
+
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _keep_freed_memory():
+    """Keep freed array memory in the process, once per process (glibc).
+
+    By default glibc returns each freed block above a dynamic threshold
+    (128 KiB at first) to the kernel, so every command faults its arrays
+    in again. A 32 MiB mmap threshold (glibc's cap) serves each per-op
+    array from the heap and a 256 MiB trim threshold keeps that heap;
+    setting either one turns the dynamic threshold off, so both are set.
+    Without mallopt (macOS) or on a rejected value nothing changes.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1:
+        mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,6 +208,7 @@ def cmd_train(args):
 
 def cmd_infer(args):
     started = time.perf_counter()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     ppm = Path(args.export_ppm) if args.export_ppm else None
     if ppm and not ppm.parent.is_dir():  # fail before --out is written
         raise FileNotFoundError(f"{ppm}: no such directory {ppm.parent}")
@@ -194,11 +221,12 @@ def cmd_infer(args):
     _write(args.out, result)
     if ppm:
         export_ppm(ppm, result[:3])
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     # ru_maxrss counts KiB on Linux and bytes on macOS
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak = usage.ru_maxrss / (2 ** 20 if sys.platform == "darwin" else 1024)
     _emit({"out": args.out, "shape": list(result.shape),
-           "wall_s": time.perf_counter() - started,
-           "peak_rss_mb": peak / (2 ** 20 if sys.platform == "darwin" else 1024)})
+           "wall_s": time.perf_counter() - started, "peak_rss_mb": peak,
+           "minor_faults": usage.ru_minflt - faults})
     return 0
 
 
@@ -233,6 +261,7 @@ def cmd_eval_full(args):
 
 
 def main(argv=None):
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour, run in-process via main(argv)."""
 
+import ctypes
 import importlib.util
 import json
 import os
@@ -8,13 +9,14 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import msdnpan
-from msdnpan import backend, trainer
+from msdnpan import backend, cli, trainer
 from msdnpan.cli import build_parser, main
 from msdnpan.data_pipeline import (
     load_manifest, load_tensor, save_tensor, synth_scene,
@@ -210,6 +212,7 @@ def test_infer_roundtrip_and_ppm(workspace, tmp_path, capsys):
     payload = _last_json(capsys)
     assert payload["shape"] == [4, 16, 16]
     assert payload["wall_s"] > 0 and payload["peak_rss_mb"] > 0
+    assert payload["minor_faults"] >= 0
     assert load_tensor(out).shape == (4, 16, 16)
     assert ppm.read_bytes().startswith(b"P6\n16 16\n255\n")
     # infer freezes the model; its product equals the taped pass bit for bit
@@ -224,17 +227,22 @@ def test_infer_roundtrip_and_ppm(workspace, tmp_path, capsys):
     assert np.array_equal(load_tensor(out).data, taped.data[0])
 
 
-def test_infer_traced_peak_is_tape_free(tmp_path):
-    """Guard against infer recording the autodiff graph again. Basis: a
-    seeded full-config model on a 16x16 MS input peaks at 7.8 MB of
-    traced allocations tape-free and 24.7 MB with the tape kept."""
+def _full_infer_argv(tmp_path, m):
+    """infer argv for a seeded full-config checkpoint on an m x m MS input."""
     cfg = TrainConfig(seed=5, model=ModelConfig())
     model = PansharpenModel(cfg.model, np.random.default_rng((5, 0)))
     ckpt, ms = tmp_path / "full.msdc", tmp_path / "ms.msdt"
     save_checkpoint(ckpt, snapshot(model, cfg))
-    save_tensor(ms, np.random.default_rng(0).random((4, 16, 16), np.float32))
-    argv = ["infer", "--ckpt", str(ckpt), "--ms", str(ms),
+    save_tensor(ms, np.random.default_rng(0).random((4, m, m), np.float32))
+    return ["infer", "--ckpt", str(ckpt), "--ms", str(ms),
             "--out", str(tmp_path / "o.msdt")]
+
+
+def test_infer_traced_peak_is_tape_free(tmp_path):
+    """Guard against infer recording the autodiff graph again. Basis: a
+    seeded full-config model on a 16x16 MS input peaks at 7.8 MB of
+    traced allocations tape-free and 24.7 MB with the tape kept."""
+    argv = _full_infer_argv(tmp_path, 16)
     assert main(argv) == 0  # warm-up: imports and first-call caches
     tracemalloc.start()
     try:
@@ -243,6 +251,19 @@ def test_infer_traced_peak_is_tape_free(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="libc has no mallopt")
+def test_infer_reuses_freed_memory(tmp_path, capsys):
+    """A repeated infer draws its arrays from the heap the first one freed.
+    Basis: the second run faults 2-16 pages with the allocator policy and
+    6,800-8,200 without it."""
+    argv = _full_infer_argv(tmp_path, 32)
+    assert main(argv) == 0
+    assert main(argv) == 0
+    faults = _last_json(capsys)["minor_faults"]
+    assert 0 <= faults < 200, f"{faults} minor faults"
 
 
 def test_infer_has_no_pan_input(capsys):
@@ -666,3 +687,54 @@ def test_unknown_and_missing_commands():
                                 "eval-reduced", "eval-full"}
     assert main(["gradcheck"]) == 1
     assert importlib.util.find_spec("msdnpan.gradcheck") is None
+
+
+# ---------------------------------------------------------------------------
+# allocator policy
+
+class _Mallopt:
+    """Stands in for libc's mallopt: records each call, answers `accepts`."""
+
+    def __init__(self, accepts):
+        self.accepts, self.calls = accepts, []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return int(self.accepts)
+
+
+@pytest.fixture
+def fake_libc(monkeypatch):
+    """cli's ctypes with CDLL(None) answering the given stand-in libc; the
+    once-per-process policy runs again inside the test and after it."""
+    def install(libc):
+        monkeypatch.setattr(cli, "ctypes", types.SimpleNamespace(
+            CDLL=lambda name: libc, c_int=ctypes.c_int))
+    cli._keep_freed_memory.cache_clear()
+    yield install
+    cli._keep_freed_memory.cache_clear()
+
+
+def _gen_data(tmp_path, name):
+    return main(["gen-data", "--out", str(tmp_path / name), "--count", "2",
+                 "--size", "16"])
+
+
+@pytest.mark.parametrize("accepts", [True, False])
+def test_allocator_policy_is_set_once(fake_libc, tmp_path, accepts):
+    """The mmap threshold goes first; the trim threshold follows only if
+    glibc accepted it, and a second command makes no further call."""
+    mallopt = _Mallopt(accepts)
+    fake_libc(types.SimpleNamespace(mallopt=mallopt))
+    assert _gen_data(tmp_path, "a") == 0
+    mmap, trim = (-3, 32 << 20), (-1, 256 << 20)  # glibc's malloc.h
+    expected = [mmap, trim] if accepts else [mmap]
+    assert mallopt.calls == expected
+    assert _gen_data(tmp_path, "b") == 0
+    assert mallopt.calls == expected
+
+
+def test_allocator_policy_without_mallopt(fake_libc, tmp_path):
+    """A libc without mallopt (macOS) is left as it is."""
+    fake_libc(types.SimpleNamespace())
+    assert _gen_data(tmp_path, "a") == 0
