@@ -25,8 +25,8 @@ import numpy as np
 
 from .classic_fusion import METHODS, inject
 from .data_pipeline import (
-    export_ppm, generate_dataset, load_manifest, load_split, load_tensor,
-    save_tensor,
+    check_image, export_ppm, generate_dataset, load_manifest, load_split,
+    load_tensor, save_tensor,
 )
 from .errors import (
     DegenerateInputError, FormatError, NumericError, ShapeError,
@@ -81,15 +81,8 @@ def _emit(payload):
 
 
 def _read(path):
-    """A tensor input as an ndarray: non-empty, rank 3 and finite, or a
-    typed error."""
-    arr = load_tensor(path).data
-    if arr.ndim != 3 or arr.size == 0:
-        raise ShapeError(f"{path}: expected a non-empty rank-3 tensor "
-                         f"(bands, h, w), got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise NumericError(f"{path}: input contains NaN or inf")
-    return arr
+    """A tensor input as an ndarray that `check_image` accepts."""
+    return check_image(load_tensor(path).data, path)
 
 
 def _write(path, arr):

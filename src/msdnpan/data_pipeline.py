@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .classic_fusion import hp_details
-from .errors import FormatError, ShapeError
+from .errors import FormatError, NumericError, ShapeError
 from .tensor_core import Tensor
 
 MAGIC = b"MSDT"
@@ -203,6 +203,18 @@ def load_tensor(path):
     return Tensor(decode_tensor(buf, source=str(path)))
 
 
+def check_image(arr, source):
+    """Return arr if it is a non-empty rank-3 (bands, h, w) array of finite
+    values; else raise ShapeError (rank or size) or NumericError (NaN or
+    inf) naming source."""
+    if arr.ndim != 3 or arr.size == 0:
+        raise ShapeError(f"{source}: expected a non-empty rank-3 tensor "
+                         f"(bands, h, w), got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NumericError(f"{source}: input contains NaN or inf")
+    return arr
+
+
 def export_ppm(path, img):
     """Write a 1-channel PGM (P5) or 3-channel PPM (P6), maxval 255.
 
@@ -319,12 +331,15 @@ def load_manifest(root):
 
 
 def load_sample(root, sample_id, with_pan=True):
+    """One scene's arrays, each passed through `check_image`."""
     d = Path(root) / sample_id
-    ms = load_tensor(d / "ms.msdt").data
-    gt = load_tensor(d / "gt.msdt").data
-    hp = load_tensor(d / "hp.msdt").data
-    pan = load_tensor(d / "pan.msdt").data if with_pan else None
-    return SceneSample(ms=ms, gt=gt, pan=pan, hp=hp, id=sample_id)
+
+    def read(name):
+        path = d / f"{name}.msdt"
+        return check_image(load_tensor(path).data, path)
+
+    return SceneSample(ms=read("ms"), gt=read("gt"), hp=read("hp"),
+                       pan=read("pan") if with_pan else None, id=sample_id)
 
 
 def load_split(manifest, which, with_pan=False):

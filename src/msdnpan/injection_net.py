@@ -33,8 +33,6 @@ class ModelConfig:
     memory_slots: int = 64      # N, memory bank size
     head_blocks: int = 4
     nin_depth: int = 3
-    spatial_kernel: int = 7     # spatial-attention conv extent
-    reduction: int = 4          # channel-attention bottleneck ratio
 
     def validate(self):
         for name, value in vars(self).items():      # every field is an int
@@ -52,10 +50,6 @@ class ModelConfig:
             raise ValueError("scale must be >= 1")
         if self.channels < 1:               # 0 passes the even check above
             raise ValueError("channels must be >= 1")
-        if self.spatial_kernel % 2 == 0 or self.spatial_kernel < 1:
-            raise ValueError("spatial_kernel must be odd and positive")
-        if self.reduction < 1:
-            raise ValueError("reduction must be >= 1")
         return self
 
 

@@ -19,10 +19,13 @@ from .tensor_core import (
     sigmoid, tile2d,
 )
 
+SPATIAL_KERNEL = 7      # spatial-attention conv extent
+REDUCTION = 4           # channel-attention bottleneck ratio
+
 
 class MsdnWeights:
     """All trainable pieces of the detail network, sized by a ModelConfig
-    (channels, memory_slots, scale, spatial_kernel, reduction)."""
+    (channels, memory_slots, scale)."""
 
     def __init__(self, config, rng, dtype=np.float32):
         self.config = config
@@ -35,10 +38,10 @@ class MsdnWeights:
         self.decode_conv = ConvLayer("msdn.decode_conv", n, c, 3, rng, dtype)
         self.detail_proj = ConvLayer("msdn.detail_proj", c, c, 1, rng, dtype)
         self.spatial_conv = ConvLayer(
-            "msdn.spatial_conv", 2, 1, config.spatial_kernel, rng, dtype)
+            "msdn.spatial_conv", 2, 1, SPATIAL_KERNEL, rng, dtype)
         self.coeff_in = ConvLayer("msdn.coeff_in", c, c, 1, rng, dtype)
         self.coeff_out = ConvLayer("msdn.coeff_out", c, c, 1, rng, dtype)
-        hidden = max(c // config.reduction, 1)
+        hidden = max(c // REDUCTION, 1)
         self.channel_squeeze = ConvLayer("msdn.channel_squeeze", c, hidden, 1,
                                          rng, dtype)
         self.channel_excite = ConvLayer("msdn.channel_excite", hidden, c, 1,

@@ -29,7 +29,7 @@ parent dies. An exception raised in a worker's part is raised again in the
 parent with its type and message.
 
 Checkpoint files: magic "MSDC", version byte, a length-prefixed UTF-8 JSON
-header (config, epoch, step, RNG counters), an entry count, then one entry
+header (config, epoch, step), an entry count, then one entry
 per model parameter: (uint32 name length, "param." + name bytes, embedded
 .msdt tensor blob). The tensor blobs are self-describing, so no per-entry
 payload length is stored. Optimizer state is not stored.
@@ -57,7 +57,7 @@ from .losses import total_loss
 from .tensor_core import Tensor, backward
 
 CKPT_MAGIC = b"MSDC"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 # augmentation modes in draw order: (name, the item axis its flip reverses)
 AUG_MODES = (("none", None), ("hflip", -1), ("vflip", -2))
@@ -114,7 +114,7 @@ def override(config, **fields):
 
 
 def desk_config(**overrides):
-    """Laptop-scale preset: small model, small batches, 8x8 MS patches."""
+    """Laptop-scale preset: small model, small batches."""
     model = ModelConfig(channels=16, memory_slots=16, nin_depth=2)
     return override(TrainConfig(batch_size=4, model=model), **overrides)
 
@@ -183,17 +183,11 @@ def _config_from_json(d):
     return TrainConfig(model=model, **d)
 
 
-def _rng_header(ckpt):
-    # The RNG substreams are keyed by (seed, epoch); the header records them.
-    return {"seed": ckpt.config.seed, "epoch": ckpt.epoch, "step": ckpt.step}
-
-
 def save_checkpoint(path, ckpt):
     header = {
         "config": asdict(ckpt.config),
         "epoch": ckpt.epoch,
         "step": ckpt.step,
-        "rng": _rng_header(ckpt),
     }
     hjson = json.dumps(header, sort_keys=True).encode("utf-8")
     entries = [("param." + name, ckpt.params[name])
@@ -266,13 +260,10 @@ def load_checkpoint(path):
         raise FormatError(f"{source}: {len(buf) - pos} trailing bytes")
     try:
         config = _config_from_json(header["config"]).validate()
-        ckpt = Checkpoint(config=config, params=params,
+        return Checkpoint(config=config, params=params,
                           epoch=header["epoch"], step=header["step"])
-        if header["rng"] != _rng_header(ckpt):
-            raise ValueError("rng counters disagree with seed, epoch and step")
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{source}: bad header ({e!r})") from None
-    return ckpt
 
 
 def _part(model, ms, gt, hp, loss_weight, share):

@@ -169,8 +169,7 @@ def _case_injection_block(rng):
 def _case_msdn(rng):
     """The detail generator: memory expansion, query, decode, spatial and
     channel attention, coefficients and the channel-sum composition."""
-    config = ModelConfig(scale=2, channels=2, memory_slots=2,
-                         spatial_kernel=3, reduction=2)
+    config = ModelConfig(scale=2, channels=2, memory_slots=2)
     weights = MsdnWeights(config, rng, dtype=np.float64)
     params = _nudge(rng, tc.parameters(weights))
     x = _leaf_off_kink(rng, (2, 2, 4, 4))
@@ -191,7 +190,7 @@ def _case_kl(rng):
 
 def _case_end_to_end(rng):
     config = ModelConfig(scale=2, channels=2, memory_slots=2, head_blocks=1,
-                         nin_depth=2, spatial_kernel=3, reduction=2)
+                         nin_depth=2)
     model = PansharpenModel(config, rng, dtype=np.float64)
     _nudge(rng, model.parameters())
     ms = tc.Tensor(rng.uniform(0.1, 0.9, size=(1, 4, 4, 4)))

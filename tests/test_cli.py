@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,55 @@ def test_train_rejects_scenes_of_mixed_extent(tmp_path, capsys):
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("defect, code", [("rank2", 2), ("nan", 3)])
+@pytest.mark.parametrize("name", ["ms", "gt", "hp"])
+def test_train_checks_each_tensor_it_reads(workspace, tmp_path, capsys, name,
+                                           defect, code):
+    """A training scene's tensor is held to the contract every command's
+    inputs meet: a rank-2 one exits 2 and one holding NaN exits 3, before
+    any step runs."""
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    sid = sorted(load_manifest(data).train_ids())[0]
+    path = data / sid / f"{name}.msdt"
+    arr = load_tensor(path).data.copy()
+    if defect == "rank2":
+        arr = arr[0]
+    else:
+        arr[0, 1, 1] = np.nan
+    save_tensor(path, arr)
+    ckpt = tmp_path / "m.msdc"
+    assert main(["train", "--data", str(data), "--out", str(ckpt),
+                 "--preset", "desk", "--epochs", "1", "--channels", "8",
+                 "--mem-slots", "8", "--nin-depth", "1"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), lines
+    assert not ckpt.exists()
+
+
+def test_every_model_field_but_scale_has_a_train_flag(workspace, tmp_path,
+                                                      monkeypatch):
+    """A ModelConfig field that no flag sets would be a constant in every
+    checkpoint `train` writes; the scale comes from the data."""
+    flags = {"channels": ("--channels", 6),
+             "memory_slots": ("--mem-slots", 5),
+             "head_blocks": ("--head-blocks", 2),
+             "nin_depth": ("--nin-depth", 1)}
+    assert set(flags) == {f.name for f in fields(ModelConfig)} - {"scale"}
+    seen = []
+    monkeypatch.setattr(cli, "train",
+                        lambda samples, config, **kw: seen.append(config))
+    argv = ["train", "--data", str(workspace["data"]), "--out",
+            str(tmp_path / "m.msdc"), "--preset", "desk"]
+    for flag, value in flags.values():
+        argv += [flag, str(value)]
+    assert main(argv) == 0
+    assert {name: getattr(seen[0].model, name) for name in flags} == {
+        name: value for name, (_, value) in flags.items()}
+
+
 # ---------------------------------------------------------------------------
 # infer
 
@@ -333,14 +383,12 @@ def _with_header(ckpt, out, edit):
     lambda h: h.pop("config"),
     lambda h: h.pop("epoch"),
     lambda h: h.pop("step"),
-    lambda h: h.pop("rng"),
     lambda h: h["config"].update(warp_factor=9),
     lambda h: h["config"]["model"].update(warp_factor=9),
     lambda h: h["config"]["model"].update(channels=7),
-    lambda h: h["rng"].update(step=h["step"] + 1),
     lambda h: h["config"].update(lr=float("nan")),
-], ids=["no-config", "no-epoch", "no-step", "no-rng", "unknown-key",
-        "unknown-model-key", "odd-channels", "rng-mismatch", "nan-lr"])
+], ids=["no-config", "no-epoch", "no-step", "unknown-key",
+        "unknown-model-key", "odd-channels", "nan-lr"])
 def test_infer_bad_checkpoint_header_is_format_error(workspace, tmp_path,
                                                      edit, capsys):
     bad = _with_header(workspace["ckpt"], tmp_path / "bad.msdc", edit)
@@ -355,14 +403,15 @@ def test_infer_bad_checkpoint_header_is_format_error(workspace, tmp_path,
 @pytest.mark.parametrize("section, field, value", [
     ("model", "channels", 8.0), ("model", "scale", 4.0),
     ("model", "memory_slots", 8.0), ("model", "nin_depth", 1.0),
-    ("model", "head_blocks", 4.0), ("model", "reduction", 4.0),
-    ("model", "spatial_kernel", 7.0), ("train", "epochs", 1.5), ("train", "batch_size", 2.5),
+    ("model", "head_blocks", 4.0),
+    ("train", "epochs", 1.5), ("train", "batch_size", 2.5),
     ("train", "seed", 4.0),
     ("train", "epochs", True), ("train", "augment", "yes"),
     ("train", "augment", 1), ("train", "lr", True),
-    # stale fields: the lr schedule is gone, and a checkpoint written
-    # before that still names it in its header
+    # stale fields: the lr schedule and the two attention knobs are gone,
+    # and a header that still names one is rejected
     ("train", "decay_every", 50.0), ("train", "decay_factor", 0.5),
+    ("model", "reduction", 4.0), ("model", "spatial_kernel", 7.0),
 ], ids=lambda v: repr(v) if not isinstance(v, str) else v)
 def test_infer_mistyped_checkpoint_config_is_format_error(
         workspace, tmp_path, capsys, section, field, value):

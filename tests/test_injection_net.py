@@ -16,7 +16,7 @@ from msdnpan.trainer import desk_config
 
 def _config(**kw):
     base = dict(scale=4, channels=8, memory_slots=4, head_blocks=1,
-                nin_depth=2, spatial_kernel=3, reduction=2)
+                nin_depth=2)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -130,8 +130,7 @@ def test_model_config_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("memory_slots", 0), ("scale", 0), ("channels", 0), ("spatial_kernel", 4),
-    ("spatial_kernel", -1), ("reduction", 0),
+    ("memory_slots", 0), ("scale", 0), ("channels", 0),
 ])
 def test_model_config_rejects_bad_detail_network(field, value):
     # channels=0 passes the even-channels check and needs its own

@@ -14,8 +14,7 @@ from msdnpan.tensor_core import Tensor, backward, parameter, parameters
 
 
 def _weights(seed=0, channels=8, slots=4, scale=4):
-    cfg = ModelConfig(memory_slots=slots, scale=scale, channels=channels,
-                      spatial_kernel=7, reduction=4)
+    cfg = ModelConfig(memory_slots=slots, scale=scale, channels=channels)
     return MsdnWeights(cfg, np.random.default_rng(seed), dtype=np.float64)
 
 
