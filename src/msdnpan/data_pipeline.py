@@ -252,8 +252,7 @@ def _scene_seed(seed, index):
     return int(seed) * 100003 + int(index)
 
 
-def generate_dataset(root, count, size, seed, scale=4, hp_window=5,
-                     kappa=TEXTURE_KAPPA):
+def generate_dataset(root, count, size, seed, scale=4, hp_window=5):
     """Write `count` scenes plus manifest.json under `root`. The arguments
     are checked before anything is created."""
     if count < 1:
@@ -272,7 +271,7 @@ def generate_dataset(root, count, size, seed, scale=4, hp_window=5,
     for i in range(count):
         sid = f"scene_{i:04d}"
         sample = synth_scene(_scene_seed(seed, i), size, scale=scale,
-                             hp_window=hp_window, kappa=kappa, sample_id=sid)
+                             hp_window=hp_window, sample_id=sid)
         d = rootp / sid
         d.mkdir(exist_ok=True)
         save_tensor(d / "ms.msdt", sample.ms)
@@ -282,7 +281,7 @@ def generate_dataset(root, count, size, seed, scale=4, hp_window=5,
         ids.append(sid)
         split[sid] = split_of(seed, sid)
     params = {"count": count, "size": size, "scale": scale,
-              "hp_window": hp_window, "kappa": kappa}
+              "hp_window": hp_window, "kappa": TEXTURE_KAPPA}
     manifest = DatasetManifest(root=str(root), ids=ids, split=split,
                                seed=int(seed), params=params)
     payload = {"version": MANIFEST_VERSION, "seed": manifest.seed, "ids": ids,
@@ -292,14 +291,22 @@ def generate_dataset(root, count, size, seed, scale=4, hp_window=5,
     return manifest
 
 
+def read_json(raw, what):
+    """Parse JSON bytes; bytes that are not JSON text, nest too deeply or
+    hold too long an integer raise FormatError(f"{what} (reason)")."""
+    try:
+        return json.loads(raw)
+    except (ValueError, RecursionError) as e:
+        raise FormatError(f"{what} ({e})") from None
+
+
 def load_manifest(root):
     path = Path(root) / "manifest.json"
     try:
-        payload = json.loads(path.read_bytes())
+        raw = path.read_bytes()
     except FileNotFoundError:
         raise FormatError(f"{path}: no such file") from None
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"{path}: invalid JSON ({e})") from None
+    payload = read_json(raw, f"{path}: invalid JSON")
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: expected a JSON object")
     for key in ("version", "seed", "ids", "split", "params"):
@@ -312,12 +319,16 @@ def load_manifest(root):
     ids, split, seed = payload["ids"], payload["split"], payload["seed"]
     if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
         raise FormatError(f"{path}: 'ids' must be a list of strings")
+    seen = set()
     for i in ids:
         # an id names one directory under the root; "/" and "\\" also
         # rule out absolute paths
         if i in ("", ".", "..") or "/" in i or "\\" in i:
             raise FormatError(
                 f"{path}: id {i!r} is not a plain directory name")
+        if i in seen:
+            raise FormatError(f"{path}: id {i!r} is listed twice")
+        seen.add(i)
     if not (isinstance(split, dict)
             and all(split.get(i) in ("train", "test") for i in ids)):
         raise FormatError(

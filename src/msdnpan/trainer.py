@@ -28,11 +28,11 @@ of any job pipe, so it ends when the run's pipes close, and also when the
 parent dies. An exception raised in a worker's part is raised again in the
 parent with its type and message.
 
-Checkpoint files: magic "MSDC", version byte, a length-prefixed UTF-8 JSON
-header (config, epoch, step), an entry count, then one entry
-per model parameter: (uint32 name length, "param." + name bytes, embedded
-.msdt tensor blob). The tensor blobs are self-describing, so no per-entry
-payload length is stored. Optimizer state is not stored.
+Checkpoint files: magic "MSDC", version byte 3, a uint32 header length,
+a UTF-8 JSON header (config, epoch, step, params: the sorted parameter
+names), then one .msdt tensor blob per listed name, in list order. The
+blobs are self-describing, so no payload length is stored. Optimizer state
+is not stored.
 """
 
 from __future__ import annotations
@@ -50,14 +50,16 @@ from pathlib import Path
 import numpy as np
 
 from .backend import _one_blas_thread
-from .data_pipeline import decode_tensor, encode_tensor, tensor_extent
+from .data_pipeline import (
+    decode_tensor, encode_tensor, read_json, tensor_extent,
+)
 from .errors import FormatError, NumericError, ShapeError
 from .injection_net import ModelConfig, PansharpenModel, pansharpen_with_details
 from .losses import total_loss
 from .tensor_core import Tensor, backward
 
 CKPT_MAGIC = b"MSDC"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 
 # augmentation modes in draw order: (name, the item axis its flip reverses)
 AUG_MODES = (("none", None), ("hflip", -1), ("vflip", -2))
@@ -163,8 +165,11 @@ def snapshot(model, config, epoch=0, step=0):
 
 def model_from_checkpoint(ckpt):
     """Rebuild the model, drawing no initial values, and copy in the stored
-    tensors."""
-    model = PansharpenModel(ckpt.config.model, rng=None)
+    tensors; a model too large to allocate raises FormatError."""
+    try:
+        model = PansharpenModel(ckpt.config.model, rng=None)
+    except (MemoryError, ValueError) as e:     # ValueError: too big to index
+        raise FormatError(f"checkpoint model cannot be built ({e})") from None
     named = model.named_parameters()
     if set(named) != set(ckpt.params):
         missing = set(named) ^ set(ckpt.params)
@@ -178,31 +183,22 @@ def model_from_checkpoint(ckpt):
     return model
 
 
-def _config_from_json(d):
-    model = ModelConfig(**d.pop("model"))
-    return TrainConfig(model=model, **d)
-
-
 def save_checkpoint(path, ckpt):
+    names = sorted(ckpt.params)
     header = {
         "config": asdict(ckpt.config),
         "epoch": ckpt.epoch,
         "step": ckpt.step,
+        "params": names,
     }
     hjson = json.dumps(header, sort_keys=True).encode("utf-8")
-    entries = [("param." + name, ckpt.params[name])
-               for name in sorted(ckpt.params)]
     out = bytearray()
     out += CKPT_MAGIC
     out.append(CKPT_VERSION)
     out += struct.pack("<I", len(hjson))
     out += hjson
-    out += struct.pack("<I", len(entries))
-    for name, arr in entries:
-        nb = name.encode("utf-8")
-        out += struct.pack("<I", len(nb))
-        out += nb
-        out += encode_tensor(arr)
+    for name in names:
+        out += encode_tensor(ckpt.params[name])
     # Write beside the target and rename over it, so a failed write leaves
     # the previous checkpoint intact.
     path = Path(path)
@@ -220,7 +216,7 @@ def load_checkpoint(path):
         buf = Path(path).read_bytes()
     except FileNotFoundError:
         raise FormatError(f"{source}: no such file") from None
-    if len(buf) < 13 or buf[:4] != CKPT_MAGIC:
+    if len(buf) < 9 or buf[:4] != CKPT_MAGIC:
         raise FormatError(f"{source}: not a checkpoint file (bad magic)")
     version = buf[4]
     if version != CKPT_VERSION:
@@ -228,42 +224,29 @@ def load_checkpoint(path):
             f"{source}: unsupported checkpoint version {version} "
             f"(expected {CKPT_VERSION})")
     (hlen,) = struct.unpack_from("<I", buf, 5)
-    pos = 9
-    if len(buf) < pos + hlen + 4:
+    pos = 9 + hlen
+    if len(buf) < pos:
         raise FormatError(f"{source}: truncated header")
+    header = read_json(buf[9:pos], f"{source}: bad header")
     try:
-        header = json.loads(buf[pos:pos + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"{source}: bad header ({e})") from None
-    pos += hlen
-    (count,) = struct.unpack_from("<I", buf, pos)
-    pos += 4
+        model = ModelConfig(**header["config"].pop("model"))
+        config = TrainConfig(model=model, **header["config"]).validate()
+        epoch, step, names = header["epoch"], header["step"], header["params"]
+        if not (isinstance(names, list)
+                and all(isinstance(name, str) for name in names)):
+            raise TypeError("params must be a list of names")
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"{source}: bad header ({e!r})") from None
     params = {}
-    for _ in range(count):
-        if len(buf) < pos + 4:
-            raise FormatError(f"{source}: truncated entry")
-        (nlen,) = struct.unpack_from("<I", buf, pos)
-        pos += 4
-        try:
-            name = buf[pos:pos + nlen].decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"{source}: entry name is not UTF-8") from None
-        pos += nlen
-        if not name.startswith("param."):
-            raise FormatError(f"{source}: unknown entry {name!r}")
-        if name[6:] in params:
-            raise FormatError(f"{source}: duplicate entry {name!r}")
+    for name in names:
+        if name in params:
+            raise FormatError(f"{source}: bad header ({name!r} listed twice)")
         _, end = tensor_extent(buf, pos, source)
-        params[name[6:]] = decode_tensor(buf[pos:end], source=source)
+        params[name] = decode_tensor(buf[pos:end], source=source)
         pos = end
     if pos != len(buf):
         raise FormatError(f"{source}: {len(buf) - pos} trailing bytes")
-    try:
-        config = _config_from_json(header["config"]).validate()
-        return Checkpoint(config=config, params=params,
-                          epoch=header["epoch"], step=header["step"])
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"{source}: bad header ({e!r})") from None
+    return Checkpoint(config=config, params=params, epoch=epoch, step=step)
 
 
 def _part(model, ms, gt, hp, loss_weight, share):

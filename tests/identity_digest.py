@@ -6,7 +6,8 @@ Run it against the sources of two checkouts and compare the JSON lines:
 
 Without --src it imports the package next to this file. The digests cover
 the files of a generated dataset, `infer` outputs of a seeded full-config
-checkpoint at three MS sizes, every parameter after a short augmented desk
+checkpoint (its output projection drawn too, so that no layer is zero) at
+three MS sizes, every parameter after a short augmented desk
 `train`, and the `eval-reduced`/`eval-full` stdout on three predictions of a
 64x64 scene and on the mra-add prediction of a 512x512 scene.
 Training splits each batch per usable CPU, so compare runs made with the
@@ -49,6 +50,7 @@ def digests(work):
     from msdnpan import cli
     from msdnpan.data_pipeline import load_manifest, load_split
     from msdnpan.injection_net import ModelConfig, PansharpenModel
+    from msdnpan.tensor_core import kaiming_normal
     from msdnpan.trainer import (
         TrainConfig, desk_config, save_checkpoint, snapshot, train,
     )
@@ -72,6 +74,12 @@ def digests(work):
 
     ckpt = work / "full.msdc"
     model = PansharpenModel(ModelConfig(), np.random.default_rng(5))
+    # a fresh nin.project is zero, so infer would return bicubic(MS)
+    # exactly; seeded values let the infer digests see every layer
+    project = model.nin.project.weight
+    project.data[...] = kaiming_normal(np.random.default_rng(6),
+                                       project.shape, project.shape[1],
+                                       project.data.dtype)
     save_checkpoint(ckpt, snapshot(model, TrainConfig()))
     for m in INFER_MS:
         scenes = work / f"ms{m}"

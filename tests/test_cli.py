@@ -387,8 +387,12 @@ def _with_header(ckpt, out, edit):
     lambda h: h["config"]["model"].update(warp_factor=9),
     lambda h: h["config"]["model"].update(channels=7),
     lambda h: h["config"].update(lr=float("nan")),
+    lambda h: h.pop("params"),
+    lambda h: h.update(params=dict.fromkeys(h["params"], 0)),
+    lambda h: h["params"].insert(1, h["params"][0]),
 ], ids=["no-config", "no-epoch", "no-step", "unknown-key",
-        "unknown-model-key", "odd-channels", "nan-lr"])
+        "unknown-model-key", "odd-channels", "nan-lr", "no-params",
+        "params-not-list", "params-duplicate"])
 def test_infer_bad_checkpoint_header_is_format_error(workspace, tmp_path,
                                                      edit, capsys):
     bad = _with_header(workspace["ckpt"], tmp_path / "bad.msdc", edit)
@@ -396,6 +400,64 @@ def test_infer_bad_checkpoint_header_is_format_error(workspace, tmp_path,
     assert main(["infer", "--ckpt", str(bad), "--ms", str(workspace["ms"]),
                  "--out", str(out)]) == 2
     assert "bad header" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _one_error_line(capsys, needle=""):
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert needle in lines[0] and captured.out == ""
+
+
+@pytest.mark.parametrize("channels", [2 ** 17, 2 ** 62])
+def test_infer_checkpoint_naming_an_unallocatable_model_is_format_error(
+        workspace, tmp_path, capsys, channels):
+    # one 3x3 conv of 2**17 channels needs 576 GiB, and 2**62 channels
+    # overflow the address space. The model's arrays are zero-filled, so
+    # either allocating them fails at once or a shape check fails before
+    # any page is touched.
+    def edit(header):
+        header["config"]["model"]["channels"] = channels
+
+    bad = _with_header(workspace["ckpt"], tmp_path / "bad.msdc", edit)
+    out = tmp_path / "o.msdt"
+    assert main(["infer", "--ckpt", str(bad), "--ms", str(workspace["ms"]),
+                 "--out", str(out)]) == 2
+    _one_error_line(capsys)
+    assert not out.exists()
+
+
+# JSON the parser cannot take: nested past the recursion limit, and an
+# integer longer than Python converts to int
+UNPARSABLE_JSON = {"deep": b"[" * 200000 + b"]" * 200000,
+                   "long-int": b"[" + b"1" * 5000 + b"]"}
+
+
+@pytest.mark.parametrize("kind", sorted(UNPARSABLE_JSON))
+def test_unparsable_manifest_is_format_error(tmp_path, capsys, kind):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "manifest.json").write_bytes(UNPARSABLE_JSON[kind])
+    out = tmp_path / "m.msdc"
+    assert main(["train", "--data", str(data), "--out", str(out)]) == 2
+    _one_error_line(capsys, "invalid JSON")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(UNPARSABLE_JSON))
+def test_unparsable_checkpoint_header_is_format_error(workspace, tmp_path,
+                                                     capsys, kind):
+    raw = workspace["ckpt"].read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, 5)
+    hjson = UNPARSABLE_JSON[kind]
+    bad = tmp_path / "bad.msdc"
+    bad.write_bytes(raw[:5] + struct.pack("<I", len(hjson)) + hjson
+                    + raw[9 + hlen:])
+    out = tmp_path / "o.msdt"
+    assert main(["infer", "--ckpt", str(bad), "--ms", str(workspace["ms"]),
+                 "--out", str(out)]) == 2
+    _one_error_line(capsys, "bad header")
     assert not out.exists()
 
 

@@ -278,6 +278,11 @@ def test_load_manifest_errors(tmp_path):
     (tmp_path / "manifest.json").write_text("5")
     with pytest.raises(FormatError):
         load_manifest(tmp_path)
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"version": 1, "seed": 0, "ids": ["a", "b", "a"],
+         "split": {"a": "train", "b": "train"}, "params": {}}))
+    with pytest.raises(FormatError, match="id 'a' is listed twice"):
+        load_manifest(tmp_path)
     with pytest.raises(ValueError):
         generate_dataset(tmp_path / "d", count=0, size=8, seed=0)
 
@@ -318,11 +323,12 @@ def _manifest_with(root, edit):
     lambda m: _with_id(m, "a/b"),
     lambda m: _with_id(m, "a\\b"),
     lambda m: _with_id(m, "/tmp/scene_0000"),
+    lambda m: m["ids"].append(m["ids"][0]),
 ], ids=["split-lacks-id", "split-not-train-or-test", "split-not-dict",
         "ids-not-list", "ids-not-strings", "seed-string", "seed-float",
         "seed-bool", "params-not-dict", "version-99", "version-string",
         "version-bool", "id-empty", "id-dot", "id-dotdot", "id-parent-path",
-        "id-slash", "id-backslash", "id-absolute"])
+        "id-slash", "id-backslash", "id-absolute", "id-duplicate"])
 def test_load_manifest_rejects_bad_types(tmp_path, edit):
     root = _manifest_with(tmp_path / "d", edit)
     with pytest.raises(FormatError):

@@ -60,22 +60,17 @@ def _checkpoint_bytes(tmp_path):
 
 def _structure_offsets(buf):
     """Offsets of the checkpoint bytes that are not tensor payload, split
-    in two: the binary fields before the first entry name (magic, version,
-    header length, entry count, first name length), and the rest (header
-    JSON, entry names, name lengths and tensor headers)."""
+    in two: the 9 fixed bytes (magic, version, header length), and the rest
+    (header JSON and each tensor blob's header)."""
     (hlen,) = struct.unpack_from("<I", buf, 5)
     pos = 9 + hlen
-    (count,) = struct.unpack_from("<I", buf, pos)
-    binary = [*range(9), *range(pos, pos + 8)]
     rest = list(range(9, pos))
-    pos += 4
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", buf, pos)
-        shape, end = tensor_extent(buf, pos + 4 + nlen)
-        rest += range(pos, pos + 4 + nlen + 6 + 4 * len(shape))
+    for _ in json.loads(buf[9:pos])["params"]:
+        shape, end = tensor_extent(buf, pos)
+        rest += range(pos, pos + 6 + 4 * len(shape))
         pos = end
     assert pos == len(buf)
-    return binary, [i for i in rest if i not in binary]
+    return list(range(9)), rest
 
 
 def test_load_checkpoint_truncation_and_bit_flips(tmp_path):

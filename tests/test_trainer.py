@@ -1,5 +1,6 @@
 """Optimizer, config checks, checkpoint format, and end-to-end training runs."""
 
+import json
 import math
 import os
 import pickle
@@ -101,17 +102,19 @@ def test_adam_rejects_bad_grads_before_any_update(grads):
 # ---------------------------------------------------------------------------
 # checkpoint format
 
-def _entry_names(raw):
-    """Entry names of a checkpoint file, in stored order."""
+def _header(raw):
+    """The JSON header of checkpoint bytes and the offset just past it."""
     (hlen,) = struct.unpack_from("<I", raw, 5)
-    pos = 9 + hlen
-    (count,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
-    names = []
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", raw, pos)
-        names.append(raw[pos + 4:pos + 4 + nlen].decode("utf-8"))
-        _, pos = tensor_extent(raw, pos + 4 + nlen)
+    return json.loads(raw[9:9 + hlen]), 9 + hlen
+
+
+def _entry_names(raw):
+    """Parameter names a checkpoint file's header lists, in stored order;
+    checks that one tensor blob per name fills the rest of the file."""
+    header, pos = _header(raw)
+    names = header["params"]
+    for _ in names:
+        _, pos = tensor_extent(raw, pos)
     assert pos == len(raw)
     return names
 
@@ -130,9 +133,9 @@ def test_checkpoint_round_trip(tmp_path):
     for name, arr in final.params.items():
         assert np.array_equal(back.params[name], arr.astype(np.float32))
     raw = path.read_bytes()
-    names = _entry_names(raw)           # parameters only, no optimizer state
-    assert len(names) == len(final.params)
-    assert all(n.startswith("param.") for n in names)
+    assert set(_header(raw)[0]) == {"config", "epoch", "step", "params"}
+    # parameters only, no optimizer state
+    assert _entry_names(raw) == sorted(final.params)
 
 
 def test_failed_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
@@ -176,11 +179,14 @@ def test_checkpoint_error_battery(tmp_path):
         load_checkpoint(bad)
     assert "version" in str(err.value)
 
-    # version 1 also stored a copy of seed, epoch and step as "rng"
-    bad.write_bytes(raw[:4] + bytes([1]) + raw[5:])
-    with pytest.raises(FormatError, match="unsupported checkpoint version 1"):
-        load_checkpoint(bad)
-    _infer_exits_2_without_output(tmp_path, bad)
+    # version 1 also stored a copy of seed, epoch and step as "rng";
+    # versions 1 and 2 framed every tensor with its own "param." name
+    for version in (1, 2):
+        bad.write_bytes(raw[:4] + bytes([version]) + raw[5:])
+        with pytest.raises(FormatError,
+                           match=f"unsupported checkpoint version {version}"):
+            load_checkpoint(bad)
+        _infer_exits_2_without_output(tmp_path, bad)
 
     bad.write_bytes(raw[:-8])
     with pytest.raises(FormatError):
@@ -190,30 +196,23 @@ def test_checkpoint_error_battery(tmp_path):
     with pytest.raises(FormatError):
         load_checkpoint(bad)
 
-    (hlen,) = struct.unpack_from("<I", raw, 5)
-    first_name = 9 + hlen + 4 + 4
-    bad.write_bytes(raw[:first_name] + b"\xff" + raw[first_name + 1:])
-    with pytest.raises(FormatError) as err:
-        load_checkpoint(bad)
-    assert "UTF-8" in str(err.value)
 
-
-def _with_extra_entry(tmp_path, prefix, value_of):
-    """Train a tiny model, save it, and write a copy with one more entry,
-    prefix + first parameter name holding value_of(its value), appended and
-    counted."""
+def _with_extra_entry(tmp_path, name_of, value_of):
+    """Train a tiny model, save it, and write a copy whose header lists one
+    more parameter, name_of(first parameter name), with the tensor
+    value_of(its value) appended."""
     final = train(_scenes(2), _tiny_config(epochs=1))
     path = tmp_path / "model.msdc"
     save_checkpoint(path, final)
     raw = path.read_bytes()
-    (hlen,) = struct.unpack_from("<I", raw, 5)
-    (count,) = struct.unpack_from("<I", raw, 9 + hlen)
-    name = sorted(final.params)[0]
-    entry = (prefix + name).encode("utf-8")
+    header, blobs = _header(raw)
+    name = header["params"][0]
+    header["params"].append(name_of(name))
+    hjson = json.dumps(header).encode()
     bad = tmp_path / "bad.msdc"
-    bad.write_bytes(raw[:9 + hlen] + struct.pack("<I", count + 1)
-                    + raw[9 + hlen + 4:] + struct.pack("<I", len(entry))
-                    + entry + encode_tensor(value_of(final.params[name])))
+    extra = encode_tensor(value_of(final.params[name]))
+    bad.write_bytes(raw[:5] + struct.pack("<I", len(hjson)) + hjson
+                    + raw[blobs:] + extra)
     return bad
 
 
@@ -227,21 +226,23 @@ def _infer_exits_2_without_output(tmp_path, ckpt):
 
 def test_checkpoint_with_adam_entry_is_rejected(tmp_path):
     # Checkpoints once also stored Adam moments as adam.m.* / adam.v.*
-    # entries; such a file is now a format error, and infer exits 2.
-    old = _with_extra_entry(tmp_path, "adam.m.", np.zeros_like)
+    # entries; a header that lists one names no model parameter, so the
+    # model cannot be rebuilt from it, and infer exits 2.
+    old = _with_extra_entry(tmp_path, lambda name: "adam.m." + name,
+                            np.zeros_like)
     with pytest.raises(FormatError) as err:
-        load_checkpoint(old)
-    assert "unknown entry" in str(err.value)
+        model_from_checkpoint(load_checkpoint(old))
+    assert "mismatch" in str(err.value) and "adam.m." in str(err.value)
     _infer_exits_2_without_output(tmp_path, old)
 
 
 def test_checkpoint_with_duplicate_entry_is_rejected(tmp_path):
-    # a second copy of the first param.* entry must not silently win
-    dup = _with_extra_entry(tmp_path, "param.", np.copy)
+    # a second copy of the first listed parameter must not silently win
+    dup = _with_extra_entry(tmp_path, lambda name: name, np.copy)
     first = _entry_names(dup.read_bytes())[0]
     with pytest.raises(FormatError) as err:
         load_checkpoint(dup)
-    assert "duplicate entry" in str(err.value) and first in str(err.value)
+    assert "listed twice" in str(err.value) and first in str(err.value)
     _infer_exits_2_without_output(tmp_path, dup)
 
 
