@@ -29,9 +29,10 @@ own threads, with no scratch buffer and no numpy pass per tap.
 The gemm is the cblas ?gemm of the OpenBLAS that numpy loaded, bound
 through ctypes when first needed. Only symbols whose name fixes 64-bit
 integer arguments are bound (`scipy_cblas_?gemm64_`, `cblas_?gemm64_`).
-Raw pointers bypass numpy's bounds checks, so every operand is a
-C-contiguous array of the gemm's own dtype, and the last tap's window is
-checked to end inside the row before any call. It starts (k - 1) *
+Raw pointers bypass numpy's bounds checks, so before any call every
+operand is checked to be a C-contiguous array of the gemm's own dtype,
+the input and output to have one row per input and output channel of the
+taps, and the last tap's window to end inside the row. It starts (k - 1) *
 (w + 2p) + k - 1 into the last item's plane and spans h * (w + 2p)
 columns, so it ends exactly at that plane's end, (h + 2p) * (w + 2p) +
 k - 1: the k - 1 spare zeros are what keep it in bounds.
@@ -155,6 +156,9 @@ def _taps_gemm(gemm, taps, xp, wp, out, cols):
     row = xp.shape[1]
     if (k - 1) * (wp + 1) + cols > row or cols > out.shape[1]:
         raise ValueError("the last tap's window overruns the flat buffer")
+    if xp.shape[0] != ci or out.shape[0] != co:
+        raise ValueError(f"taps of {ci} -> {co} channels do not fit "
+                         f"{xp.shape[0]} input and {out.shape[0]} output rows")
     for a in (taps, xp, out):
         if a.dtype != out.dtype or not a.flags.c_contiguous:
             raise ValueError("gemm operands must be C-contiguous and of one dtype")

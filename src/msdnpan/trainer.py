@@ -9,24 +9,26 @@ on the same number of usable CPUs.
 
 `train` splits each batch into one contiguous part per usable CPU (at most
 one per item). The calling process runs part 0; parts 1.. run in worker
-processes forked once per run, each with its own copy of the model. A part
-makes thousands of small numpy calls, which on threads would contend for
-the interpreter lock; processes do not. Each step the parent pipes every
-worker its part's arrays and the current parameter values as one pickle,
-and the worker sends back its gradients and three loss floats. Every loss
-term is a per-item mean, so each part back-propagates its loss weighted by
-its share of the batch, and the part gradients are summed in part order
-before one Adam step in the parent (the data-parallel reduction of Goyal
-et al., arXiv:1706.02677). OpenBLAS is held at one thread for the whole
-run, so the parts, not BLAS helper threads, fill the cores. The part count
-sets the float summation order: across part counts float32 results differ
-by rounding only. Where the loaded BLAS exposes no thread control, or the
-platform cannot fork, every step runs as one part.
+processes forked once per run, each with its own copy of the model and one
+duplex connection to the parent. A part makes thousands of small numpy
+calls, which on threads would contend for the interpreter lock; processes
+do not. Each step the parent sends every worker its part's arrays and the
+current parameter values, and the worker sends back its gradients and a
+dict of its losses, whose keys `_part` alone names. Every loss term is a
+per-item mean, so each part back-propagates its loss weighted by its share
+of the batch; the part gradients, and each loss share-weighted, are summed
+in part order before one Adam step in the parent (the data-parallel
+reduction of Goyal et al., arXiv:1706.02677). OpenBLAS is held at one
+thread for the whole run, so the parts, not BLAS helper threads, fill the
+cores. The part count sets the float summation order: across part counts
+float32 results differ by rounding only. Where the loaded BLAS exposes no
+thread control, or the platform cannot fork, every step runs as one part.
 
-A worker ignores SIGINT, leaves through `os._exit` and holds no write end
-of any job pipe, so it ends when the run's pipes close, and also when the
-parent dies. An exception raised in a worker's part is raised again in the
-parent with its type and message.
+A worker ignores SIGINT, leaves through `os._exit` and holds no parent end
+of any connection, so it ends when the run's connections close, and also
+when the parent dies. An exception raised in a worker's part is raised
+again in the parent with its type and message; a lost worker, as
+ChildProcessError.
 
 Checkpoint files: magic "MSDC", version byte 3, a uint32 header length,
 a UTF-8 JSON header (config, epoch, step, params: the sorted parameter
@@ -40,7 +42,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import pickle
 import struct
 import time
 from contextlib import contextmanager
@@ -232,6 +233,9 @@ def load_checkpoint(path):
         model = ModelConfig(**header["config"].pop("model"))
         config = TrainConfig(model=model, **header["config"]).validate()
         epoch, step, names = header["epoch"], header["step"], header["params"]
+        if not all(type(count) is int and count >= 0 for count in (epoch, step)):
+            raise ValueError(f"epoch and step must be integers >= 0, "
+                             f"got {epoch!r} and {step!r}")
         if not (isinstance(names, list)
                 and all(isinstance(name, str) for name in names)):
             raise TypeError("params must be a list of names")
@@ -252,35 +256,28 @@ def load_checkpoint(path):
 def _part(model, ms, gt, hp, loss_weight, share):
     """Forward, loss and share-weighted backward of one part of a batch.
 
-    Returns (grads, (l1, l_mem, total)): the gradients as a list parallel
-    to model.parameters() and the losses as floats, so the part's graph
-    dies here. A non-finite loss is not back-propagated and its grads are
-    None; the caller raises on it."""
+    Returns (grads, losses): the gradients as a list parallel to
+    model.parameters() and a dict of the part's l1, l_mem and total as
+    floats, so the part's graph dies here. A non-finite loss is not
+    back-propagated and its grads are None; the caller raises on it."""
     out, details = pansharpen_with_details(Tensor(ms), model)
     tot, l1v, memv = total_loss(out, Tensor(gt), Tensor(hp), details,
                                 loss_weight)
     grads = None
     if np.isfinite(tot.data):
         grads = backward(tot * share, model.parameters())
-    return grads, (l1v.item(), memv.item(), tot.item())
+    return grads, {"l1": l1v.item(), "l_mem": memv.item(), "total": tot.item()}
 
 
-def _send(fd, obj):
-    """Write obj to a pipe as one pickle."""
-    view = memoryview(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _serve(model, jobs, results):
-    """A part worker's loop: for each job read from the file `jobs`, load
-    the sent parameter values into model, run `_part` and send back its
-    result, or the exception it raised, on the fd `results`. Returns when
-    the parent closes the job pipe."""
+def _serve(model, conn):
+    """A part worker's loop: for each (values, job) received on the
+    connection conn, load the parameter values into model, run `_part`
+    and send back its result, or the exception it raised. Returns when
+    the parent closes its end."""
     params = model.parameters()
     while True:
         try:
-            values, job = pickle.load(jobs)
+            values, job = conn.recv()
         except EOFError:
             return
         for p, value in zip(params, values, strict=True):
@@ -289,7 +286,7 @@ def _serve(model, jobs, results):
             reply = _part(model, *job)
         except Exception as e:
             reply = e
-        _send(results, reply)
+        conn.send(reply)
 
 
 def _batch_step(model, ms, gt, hp, loss_weight, workers):
@@ -299,9 +296,9 @@ def _batch_step(model, ms, gt, hp, loss_weight, workers):
     part 0 runs on model in this process, part i on the forked worker
     workers[i - 1], which first receives the current parameter values.
     Returns (grads, record): the part gradients summed in part order (None
-    when a part's loss is non-finite), and the batch's l1, l_mem and total
-    as the share-weighted sums of the part values. An exception raised in
-    a worker's part is raised here."""
+    when a part's loss is non-finite), and each loss as the share-weighted
+    sum of its part values. An exception raised in a worker's part is
+    raised here; a worker that has exited raises ChildProcessError."""
     n = len(ms)
     k = min(n, 1 + len(workers))
     cuts = [n * i // k for i in range(k + 1)]
@@ -309,25 +306,24 @@ def _batch_step(model, ms, gt, hp, loss_weight, workers):
     jobs = [(ms[a:b], gt[a:b], hp[a:b], loss_weight, share)
             for a, b, share in zip(cuts, cuts[1:], shares)]
     current = [p.data for p in model.parameters()]
-    for worker, job in zip(workers, jobs[1:]):
-        _send(worker.jobs, (current, job))
-    parts = [_part(model, *jobs[0])]
-    for worker in workers[:k - 1]:
-        try:
-            reply = pickle.load(worker.results)
-        except EOFError:
-            raise ChildProcessError(
-                f"part worker {worker.pid} exited mid-step") from None
+    try:
+        for worker, job in zip(workers, jobs[1:]):
+            worker.conn.send((current, job))
+        parts = [_part(model, *jobs[0])]
+        for worker in workers[:k - 1]:
+            parts.append(worker.conn.recv())
+    except (BrokenPipeError, ConnectionResetError, EOFError):
+        raise ChildProcessError(f"part worker {worker.pid} exited") from None
+    for reply in parts[1:]:
         if isinstance(reply, Exception):
             raise reply
-        parts.append(reply)
     grads = parts[0][0]
     for part_grads, _ in parts[1:]:
         grads = (None if grads is None or part_grads is None
                  else [a + b for a, b in zip(grads, part_grads)])
-    record = dict.fromkeys(("l1", "l_mem", "total"), 0.0)
-    for share, (_, values) in zip(shares, parts):
-        for key, value in zip(record, values):
+    record = dict.fromkeys(parts[0][1], 0.0)
+    for share, (_, losses) in zip(shares, parts):
+        for key, value in losses.items():
             record[key] += share * value
     return grads, record
 
@@ -335,52 +331,46 @@ def _batch_step(model, ms, gt, hp, loss_weight, workers):
 @dataclass
 class _Worker:
     pid: int
-    jobs: int          # fd the parent writes each job to
-    results: object    # binary file the parent reads each reply from
+    conn: object       # the parent's end of the worker's duplex connection
 
 
 @contextmanager
 def _forked(model, count):
     """Fork count part workers, each holding a copy of model, and yield
-    them as a list of _Worker. On exit the pipes close, so each worker
-    reads EOF and leaves (or fails to write, if it is mid-part), and every
-    worker is reaped."""
-    # imported here to keep it off the import path of `infer`
+    them as a list of _Worker. On exit the connections close, so each
+    worker reads EOF and leaves (or fails to send, if it is mid-part), and
+    every worker is reaped."""
+    # imported here to keep them off the import path of `infer`
     import signal
+    from multiprocessing.connection import Pipe
     workers = []
     try:
         for _ in range(count):
-            job_r, job_w = os.pipe()
-            result_r, result_w = os.pipe()
+            ours, theirs = Pipe()
             pid = os.fork()
             if pid == 0:
                 status = 1
                 try:
                     # the terminal's Ctrl-C reaches the parent, which stops
-                    # the run; a worker ends when its job pipe closes
+                    # the run; a worker ends when its connection closes
                     signal.signal(signal.SIGINT, signal.SIG_IGN)
-                    # hold no write end of any job pipe, so a dead parent
-                    # reads as EOF
-                    os.close(job_w)
-                    os.close(result_r)
+                    # hold no parent end of any connection, so a dead
+                    # parent reads as EOF
+                    ours.close()
                     for w in workers:
-                        os.close(w.jobs)
-                        os.close(w.results.fileno())
-                    with open(job_r, "rb") as jobs:
-                        _serve(model, jobs, result_w)
+                        w.conn.close()
+                    _serve(model, theirs)
                     status = 0
                 finally:
                     # skip the parent's exit handlers and its inherited
                     # stdout buffer
                     os._exit(status)
-            os.close(job_r)
-            os.close(result_w)
-            workers.append(_Worker(pid, job_w, open(result_r, "rb")))
+            theirs.close()
+            workers.append(_Worker(pid, ours))
         yield workers
     finally:
         for w in workers:
-            os.close(w.jobs)
-            w.results.close()
+            w.conn.close()
         for w in workers:
             os.waitpid(w.pid, 0)
 
@@ -431,7 +421,11 @@ def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
             if got != want:
                 raise ShapeError(f"sample {s.id}: {attr} shape {got} differs "
                                  f"from {want} of sample {first.id}")
-    model = PansharpenModel(config.model, np.random.default_rng((config.seed, 0)))
+    try:
+        model = PansharpenModel(config.model,
+                                np.random.default_rng((config.seed, 0)))
+    except MemoryError as e:
+        raise ValueError(f"the model cannot be allocated ({e})") from None
     adam = AdamState(model.parameters())
     n = len(samples)
     step = 0
@@ -441,7 +435,7 @@ def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
             started = time.perf_counter()
             order = np.random.default_rng((config.seed, 1, epoch)).permutation(n)
             aug_rng = np.random.default_rng((config.seed, 2, epoch))
-            sums = {"l1": 0.0, "l_mem": 0.0, "total": 0.0, "grad_norm": 0.0}
+            sums = {}
             batches = 0
             for start in range(0, n, config.batch_size):
                 chosen = [samples[i]
@@ -464,20 +458,17 @@ def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
                         f"l1={record['l1']!r} l_mem={record['l_mem']!r}")
                 adam_step(adam, grads, config.lr)
                 step += 1
-                for key in record:
-                    sums[key] += record[key]
-                sums["grad_norm"] += math.sqrt(sum(
+                grad_norm = math.sqrt(sum(
                     float(np.square(g, dtype=np.float64).sum()) for g in grads))
+                for key, value in dict(record, grad_norm=grad_norm).items():
+                    sums[key] = sums.get(key, 0.0) + value
                 batches += 1
                 if hook is not None:
                     hook(model, epoch, step, record)
             seconds = time.perf_counter() - started
             if log_fn is not None:
                 log_fn({"epoch": epoch, "step": step,
-                        "l1": sums["l1"] / batches,
-                        "l_mem": sums["l_mem"] / batches,
-                        "total": sums["total"] / batches,
-                        "grad_norm": sums["grad_norm"] / batches,
+                        **{key: total / batches for key, total in sums.items()},
                         "seconds": seconds, "samples_per_s": n / seconds,
                         "lr": config.lr})
             if (checkpoint_path and checkpoint_every

@@ -7,7 +7,8 @@ Run it against the sources of two checkouts and compare the JSON lines:
 Without --src it imports the package next to this file. The digests cover
 the files of a generated dataset, `infer` outputs of a seeded full-config
 checkpoint (its output projection drawn too, so that no layer is zero) at
-three MS sizes, every parameter after a short augmented desk
+three MS sizes, every parameter and the per-epoch JSON lines (but for
+their wall-clock `seconds` and `samples_per_s`) of a short augmented desk
 `train`, and the `eval-reduced`/`eval-full` stdout on three predictions of a
 64x64 scene and on the mra-add prediction of a 512x512 scene.
 Training splits each batch per usable CPU, so compare runs made with the
@@ -68,9 +69,15 @@ def digests(work):
     run("gen-data", "--out", data, "--count", 6, "--size", 32, "--seed", 3)
     result["gen-data"] = _digest_files(data)
 
+    logs = []
     final = train(load_split(load_manifest(data), "train"),
-                  desk_config(epochs=3, seed=9, augment=True))
+                  desk_config(epochs=3, seed=9, augment=True),
+                  log_fn=logs.append)
     result["train.params"] = _digest_params(final.params)
+    lines = "".join(json.dumps({key: value for key, value in log.items()
+                                if key not in ("seconds", "samples_per_s")})
+                    + "\n" for log in logs)
+    result["train.log"] = hashlib.sha256(lines.encode()).hexdigest()
 
     ckpt = work / "full.msdc"
     model = PansharpenModel(ModelConfig(), np.random.default_rng(5))

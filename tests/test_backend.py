@@ -99,6 +99,22 @@ def test_grad_input_matches_scalar_adjoint(monkeypatch):
                     f"{path} k={k} co={co}"
 
 
+
+@pytest.mark.parametrize("conv, a_shape, w_shape", [
+    (backend.conv2d_forward, (1, 1, 4, 4), (1, 3, 3, 3)),
+    (backend.conv2d_forward, (1, 3, 4, 4), (1, 1, 3, 3)),
+    (backend.conv2d_grad_input, (1, 4, 4, 4), (2, 3, 3, 3)),
+], ids=["x-fewer-channels", "x-more-channels", "gy-more-channels"])
+def test_channel_mismatch_raises_on_both_paths(monkeypatch, conv, a_shape,
+                                                w_shape):
+    # the gemm reads its operands through raw pointers: unchecked, the
+    # first case read past the input rows (all NaN) and the others summed
+    # over a subset of the channels
+    a = np.ones(a_shape, np.float32)
+    w = np.ones(w_shape, np.float32)
+    for path in _paths(monkeypatch):
+        with pytest.raises(ValueError):
+            conv(a, w)
 def test_blas_path_equals_numpy_path_on_float32():
     """Both paths run the same BLAS kernel per tap and add in tap order, so
     they agree bit for bit wherever numpy runs each tap as a GEMM, which is

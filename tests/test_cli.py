@@ -157,6 +157,10 @@ def test_train_takes_scale_from_data(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--lr", "nan"), ("--lr", "inf"), ("--lambda", "nan"), ("--lambda", "-1"),
+    # a model too large to build: the stem conv of 2**40 channels needs
+    # 288 TiB, more than the 128 TiB address space of a Linux process, so
+    # its allocation fails at once; 2**62 overflows numpy's size checks
+    ("--channels", str(2 ** 40)), ("--channels", str(2 ** 62)),
 ])
 def test_train_rejects_non_finite_and_negative_flags(workspace, tmp_path,
                                                      capsys, flag, value):
@@ -164,7 +168,7 @@ def test_train_rejects_non_finite_and_negative_flags(workspace, tmp_path,
     assert main(["train", "--data", str(workspace["data"]), "--out",
                  str(ckpt), "--preset", "desk", "--epochs", "1",
                  flag, value]) == 1
-    assert capsys.readouterr().out == ""
+    _one_error_line(capsys)
     assert not ckpt.exists()
 
 
@@ -390,16 +394,21 @@ def _with_header(ckpt, out, edit):
     lambda h: h.pop("params"),
     lambda h: h.update(params=dict.fromkeys(h["params"], 0)),
     lambda h: h["params"].insert(1, h["params"][0]),
+    lambda h: h.update(epoch="x"),
+    lambda h: h.update(step=1.0),
+    lambda h: h.update(epoch=-1),
+    lambda h: h.update(step=True),
 ], ids=["no-config", "no-epoch", "no-step", "unknown-key",
         "unknown-model-key", "odd-channels", "nan-lr", "no-params",
-        "params-not-list", "params-duplicate"])
+        "params-not-list", "params-duplicate", "epoch-string",
+        "step-float", "epoch-negative", "step-bool"])
 def test_infer_bad_checkpoint_header_is_format_error(workspace, tmp_path,
                                                      edit, capsys):
     bad = _with_header(workspace["ckpt"], tmp_path / "bad.msdc", edit)
     out = tmp_path / "o.msdt"
     assert main(["infer", "--ckpt", str(bad), "--ms", str(workspace["ms"]),
                  "--out", str(out)]) == 2
-    assert "bad header" in capsys.readouterr().err
+    _one_error_line(capsys, "bad header")
     assert not out.exists()
 
 

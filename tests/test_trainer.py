@@ -3,7 +3,6 @@
 import json
 import math
 import os
-import pickle
 import signal
 import struct
 import subprocess
@@ -14,7 +13,9 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
+from multiprocessing.connection import Connection
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -616,6 +617,49 @@ def test_worker_exception_reraises_with_its_type_and_message(monkeypatch):
                                hook=hook))
 
 
+@pytest.mark.parametrize("mid_step", [False, True],
+                         ids=["between-steps", "mid-step"])
+def test_lost_worker_raises_child_process_error_naming_it(monkeypatch,
+                                                          mid_step):
+    if _blas_thread_controls() is None:
+        pytest.skip("BLAS exposes no thread control, so train runs one part")
+    # two usable CPUs: one part here, one in a forked worker, which is
+    # killed after step 1 (its next job cannot be sent) or exits right
+    # after reading its first job (its reply never comes)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pids = []
+    batch_step = trainer._batch_step
+
+    def spy(model, ms, gt, hp, loss_weight, workers):
+        pids[:] = [w.pid for w in workers]
+        return batch_step(model, ms, gt, hp, loss_weight, workers)
+
+    monkeypatch.setattr(trainer, "_batch_step", spy)
+    if mid_step:
+        parent = os.getpid()
+        part = trainer._part
+
+        def exiting(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return part(*args)
+
+        monkeypatch.setattr(trainer, "_part", exiting)
+
+    def run(check):
+        def hook(*args):
+            check(*args)
+            os.kill(pids[0], signal.SIGKILL)
+            # wait for the exit, but leave the reaping to train
+            os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)
+
+        train(_scenes(4), _tiny_config(batch_size=2), hook=hook)
+
+    with pytest.raises(ChildProcessError) as raised:
+        _assert_run_restores(run)
+    assert str(raised.value) == f"part worker {pids[0]} exited"
+
+
 def test_train_runs_one_part_where_fork_is_missing(monkeypatch):
     monkeypatch.delattr(os, "fork")
     workers_seen = []
@@ -724,37 +768,42 @@ def test_train_frees_each_steps_graph():
 def test_part_worker_loop_frees_each_jobs_graph(tmp_path):
     # `train`'s workers run `_serve` in forked processes, out of sight of
     # tracemalloc, so run the loop here on four half-batch desk jobs. Jobs
-    # and replies go through files: a 160 KB reply would block on a pipe
-    # that nothing reads. Tracemalloc peak of this seeded loop: 23.0 MiB
-    # (the same over 8 jobs), 37.7 MiB when each job's graph stays alive
-    # through the next job, 78.9 MiB when every job's graph is kept.
+    # and replies go through file-backed connections: a 160 KB reply would
+    # block on a socket that nothing reads. Tracemalloc peak of this seeded
+    # loop: 23.0 MiB (the same over 8 jobs), 37.7 MiB when each job's graph
+    # stays alive through the next job, 78.9 MiB when every job's graph is
+    # kept.
     cfg = desk_config(seed=3)
     model = PansharpenModel(cfg.model, np.random.default_rng((3, 0)))
     values = [p.data for p in model.parameters()]
     scenes = _scenes(8, size=64)
     jobs_path, replies_path = tmp_path / "jobs", tmp_path / "replies"
-    with open(jobs_path, "wb") as f:
+
+    def connection(path, flags):
+        return Connection(os.open(path, flags | os.O_CREAT),
+                          readable=flags == os.O_RDONLY,
+                          writable=flags != os.O_RDONLY)
+
+    with connection(jobs_path, os.O_WRONLY) as jobs:
         for i in range(0, len(scenes), 2):
             part = scenes[i:i + 2]
             arrays = tuple(np.stack([getattr(s, attr) for s in part])
                            for attr in ("ms", "gt", "hp"))
-            pickle.dump((values, arrays + (cfg.loss_weight, 0.5)), f,
-                        pickle.HIGHEST_PROTOCOL)
-    fd = os.open(replies_path, os.O_WRONLY | os.O_CREAT)
-    try:
-        with open(jobs_path, "rb") as jobs:
-            tracemalloc.start()
-            try:
-                trainer._serve(model, jobs, fd)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-    finally:
-        os.close(fd)
-    with open(replies_path, "rb") as f:
-        replies = [pickle.load(f) for _ in range(4)]
-        assert f.read() == b""
-    for grads, losses in replies:
+            jobs.send((values, arrays + (cfg.loss_weight, 0.5)))
+    with (connection(jobs_path, os.O_RDONLY) as jobs,
+          connection(replies_path, os.O_WRONLY) as replies):
+        tracemalloc.start()
+        try:
+            trainer._serve(model, SimpleNamespace(recv=jobs.recv,
+                                                  send=replies.send))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    with connection(replies_path, os.O_RDONLY) as replies:
+        got = [replies.recv() for _ in range(4)]
+        with pytest.raises(EOFError):
+            replies.recv()
+    for grads, losses in got:
         assert len(grads) == len(values)
-        assert all(map(math.isfinite, losses))
+        assert all(map(math.isfinite, losses.values()))
     assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
