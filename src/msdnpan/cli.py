@@ -92,6 +92,13 @@ def _write(path, arr):
     save_tensor(path, arr)
 
 
+def _require_dir(path):
+    """Fail before any work when an output file's directory is missing."""
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"{path}: no such directory {path.parent}")
+
+
 def build_parser():
     parser = _Parser(prog="msdnpan",
                      description="Pan-sharpening tools: synthetic data, "
@@ -187,6 +194,7 @@ def cmd_train(args):
     }
     override(base, **{k: v for k, v in overrides.items() if v is not None})
     base.validate()
+    _require_dir(args.out)      # before the dataset is read or any epoch runs
     manifest = load_manifest(args.data)
     samples = load_split(manifest, "train", with_pan=False)
     if not samples:
@@ -202,9 +210,8 @@ def cmd_train(args):
 def cmd_infer(args):
     started = time.perf_counter()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    ppm = Path(args.export_ppm) if args.export_ppm else None
-    if ppm and not ppm.parent.is_dir():  # fail before --out is written
-        raise FileNotFoundError(f"{ppm}: no such directory {ppm.parent}")
+    if args.export_ppm:         # fail before --out is written
+        _require_dir(args.export_ppm)
     model = model_from_checkpoint(load_checkpoint(args.ckpt))
     # frozen weights record no tape, so each plane's memory is freed once used
     for p in model.parameters():
@@ -212,8 +219,8 @@ def cmd_infer(args):
     ms = _read(args.ms)
     result = pansharpen(Tensor(ms[None]), model).data[0]
     _write(args.out, result)
-    if ppm:
-        export_ppm(ppm, result[:3])
+    if args.export_ppm:
+        export_ppm(args.export_ppm, result[:3])
     usage = resource.getrusage(resource.RUSAGE_SELF)
     # ru_maxrss counts KiB on Linux and bytes on macOS
     peak = usage.ru_maxrss / (2 ** 20 if sys.platform == "darwin" else 1024)
@@ -228,7 +235,11 @@ def cmd_baseline(args):
         raise UsageError(f"--scale must be >= 1, got {args.scale}")
     ms = _read(args.ms)
     if args.method == "bicubic":
-        out = bicubic_upsample(Tensor(ms), args.scale).data
+        try:    # the output is allocated before any interpolation work
+            out = bicubic_upsample(Tensor(ms), args.scale).data
+        except (MemoryError, ValueError) as e:  # ValueError: too big to index
+            raise ValueError(f"--scale {args.scale}: the output cannot be "
+                             f"allocated ({e})") from None
     elif not args.pan:
         raise UsageError(f"--pan is required for method {args.method}")
     else:

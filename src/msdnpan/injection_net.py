@@ -92,9 +92,10 @@ class InjectionBlockWeights:
 
 def injection_block(y, block):
     """x_p from prelu(y), x_n from prelu(-y), fused and added back to y."""
-    xp = block.conv_pos(prelu(y, block.slope_pos))
-    xn = block.conv_neg(prelu(-y, block.slope_neg))
-    return block.fuse(concat_channels(xp, xn)) + y
+    # nested, so both halves are freed once concatenated
+    return block.fuse(concat_channels(
+        block.conv_pos(prelu(y, block.slope_pos)),
+        block.conv_neg(prelu(-y, block.slope_neg)))) + y
 
 
 class NinWeights:
@@ -131,9 +132,10 @@ def nin_forward(details, weights):
             feat = avg_pool2(feat)
         feat = injection_block(feat, blk)
         skips.append(feat)
-    feat = skips[-1]
-    for blk, skip in zip(weights.decoder, reversed(skips[:-1])):
-        feat = injection_block(nearest_up2(feat) + skip, blk)
+    # each skip is popped as the decoder consumes it, and so freed after use
+    feat = skips.pop()
+    for blk in weights.decoder:
+        feat = injection_block(nearest_up2(feat) + skips.pop(), blk)
     return weights.project(embedded + feat)
 
 
@@ -166,9 +168,9 @@ def pansharpen_with_details(ms, model):
     if h % div or w % div:
         raise ShapeError(f"sharpened extents {h}x{w} must be multiples of "
                          f"{div} for NIN depth {cfg.nin_depth}")
-    feat = head(ms, model.head)
-    feat_up = bicubic_upsample(feat, cfg.scale)
-    details = msdn_forward(feat_up, model.msdn)
+    # the upsampled features are freed before the NIN runs
+    details = msdn_forward(bicubic_upsample(head(ms, model.head), cfg.scale),
+                           model.msdn)
     residual = nin_forward(details, model.nin)
     return bicubic_upsample(ms, cfg.scale) + residual, details
 

@@ -1,10 +1,11 @@
 """Memory-based spatial-detail network.
 
-A bank of learned s*s detail tiles is expanded to image size, gated by a
-per-pixel query encoded from upsampled MS features, decoded into a detail
-map, and combined with a weighted-coefficient map so the channel sum yields
-a single synthetic detail plane. At inference time this replaces any use of
-a real high-resolution panchromatic input.
+A bank of learned s*s detail tiles, each repeated periodically over its
+query plane (no image-sized copy of the bank is built), gates a per-pixel
+query encoded from upsampled MS features. The product is decoded into a
+detail map and combined with a weighted-coefficient map so the channel
+sum yields a single synthetic detail plane. At inference time this
+replaces any use of a real high-resolution panchromatic input.
 
 These layers trust the shapes the model hands them; `pansharpen_with_details`
 checks the MS batch once, and one validated ModelConfig sizes every weight.
@@ -16,7 +17,7 @@ import numpy as np
 
 from .tensor_core import (
     ConvLayer, concat_channels, kaiming_normal, parameter, relu, reshape,
-    sigmoid, tile2d,
+    sigmoid, tile_mul,
 )
 
 SPATIAL_KERNEL = 7      # spatial-attention conv extent
@@ -48,14 +49,14 @@ class MsdnWeights:
                                         rng, dtype)
 
 
-def expand_memory(memory, scale, height, width):
-    """Tile every memory item periodically over a height x width plane.
+def expand_memory(memory, scale, query):
+    """Gate each query plane by its memory item, tiled periodically.
 
-    memory is the (N, scale*scale) bank of flat tiles. Returns a rank-3
-    tensor (N, height, width). Extents must be multiples of scale.
+    memory is the (N, scale*scale) bank of flat tiles and query an
+    (n, N, H, W) tensor whose extents are multiples of scale. Returns the
+    product, (n, N, H, W); the tiled (N, H, W) plane is never built.
     """
-    tiles = reshape(memory, (memory.shape[0], scale, scale))
-    return tile2d(tiles, height // scale, width // scale)
+    return tile_mul(query, reshape(memory, (memory.shape[0], scale, scale)))
 
 
 def encode_query(features, weights):
@@ -70,10 +71,8 @@ def spatial_attention(features, weights):
     return sigmoid(weights.spatial_conv(concat_channels(avg, mx)))
 
 
-def decode_memory(expanded, query, weights):
-    """Detail feature map M_D from the expanded memory and the query."""
-    n, h, w = expanded.shape
-    addressed = reshape(expanded, (1, n, h, w)) * query
+def decode_memory(addressed, weights):
+    """Detail feature map M_D from the memory-gated query."""
     feat = relu(weights.decode_conv(addressed))
     gated = feat * spatial_attention(feat, weights)
     return weights.detail_proj(gated)
@@ -102,9 +101,10 @@ def msdn_forward(features, weights):
     features: (n, C, H, W) upsampled MS features at PAN resolution.
     Returns P_s, the (n, 1, H, W) detail plane.
     """
-    _, _, h, w = features.shape
-    expanded = expand_memory(weights.memory, weights.config.scale, h, w)
-    query = encode_query(features, weights)
-    detail = decode_memory(expanded, query, weights)
+    # nested, so a tape-free pass frees the query once its product exists
+    detail = decode_memory(
+        expand_memory(weights.memory, weights.config.scale,
+                      encode_query(features, weights)),
+        weights)
     coeff = weighted_coefficients(features, weights)
     return compose_spatial_details(detail, coeff)

@@ -16,11 +16,11 @@ keeps nothing.
 
 Only what the models need is implemented: elementwise arithmetic with numpy
 broadcasting, a handful of activations, stride-1 same-padded convolution,
-separable bicubic upsampling, pooling/tiling/reshape, and sum/mean/max
-reductions. float32 and float64 are supported; gradients take the dtype of
-the data they belong to. Fixed operators that nothing trains (box
-filtering, the classic baselines, the metrics) work on plain ndarrays
-outside this module.
+separable bicubic upsampling, pooling, reshape, a product with periodically
+repeated tiles, and sum/mean/max reductions. float32 and float64 are
+supported; gradients take the dtype of the data they belong to. Fixed
+operators that nothing trains (box filtering, the classic baselines, the
+metrics) work on plain ndarrays outside this module.
 
 A trainable parameter is a plain named Tensor made by ``parameter``;
 ``parameters`` finds every one reachable from a model's attributes.
@@ -390,20 +390,33 @@ def concat_channels(a, b):
     return _from_op(out, (a, b), bw)
 
 
-def tile2d(a, reps_h, reps_w):
-    """Tile the last two axes (block repetition, so index i maps to i % h)."""
-    if a.data.ndim < 2:
-        raise ShapeError("tile2d expects rank >= 2")
-    reps = (1,) * (a.data.ndim - 2) + (int(reps_h), int(reps_w))
-    out = np.tile(a.data, reps)
-    lead = a.data.shape[:-2]
-    h, w = a.data.shape[-2:]
+def tile_mul(q, tiles):
+    """q (n, N, H, W) times tile i of tiles (N, th, tw), repeated over plane
+    i (index (y, x) reads the tile at (y % th, x % tw)).
+
+    Only one row of tiles, (N, th, W), is built; it broadcasts over q's
+    H/th bands, so no (N, H, W) plane exists in either pass.
+    """
+    if q.data.ndim != 4 or tiles.data.ndim != 3:
+        raise ShapeError(f"tile_mul expects (n, N, H, W) and (N, th, tw), "
+                         f"got {q.data.shape} and {tiles.data.shape}")
+    n, slots, h, w = q.data.shape
+    th, tw = tiles.data.shape[1:]
+    if tiles.data.shape[0] != slots or h % th or w % tw:
+        raise ShapeError(f"tile_mul: {tiles.data.shape} tiles do not tile "
+                         f"the planes of {q.data.shape}")
+    row = np.tile(tiles.data, (1, 1, w // tw)).reshape(1, slots, 1, th, w)
+    bands = (n, slots, h // th, th, w)
+    out = (q.data.reshape(bands) * row).reshape(q.data.shape)
 
     def bw(g):
-        gv = g.reshape(lead + (reps_h, h, reps_w, w))
-        return (gv.sum(axis=(len(lead), len(lead) + 2)),)
+        gq = (g.reshape(bands) * row).reshape(q.data.shape)
+        # the tiled-plane order: sum the batch, then every repeat of a tile
+        gt = (g * q.data).sum(axis=0).reshape(
+            slots, h // th, th, w // tw, tw).sum(axis=(1, 3))
+        return gq, gt
 
-    return _from_op(out, (a,), bw)
+    return _from_op(out, (q, tiles), bw)
 
 
 def avg_pool2(a):
@@ -513,9 +526,12 @@ def bicubic_upsample(x, factor):
     if factor == 1:
         return reshape(x, x.data.shape)
     h, w = x.data.shape[-2:]
+    # allocate the output first: one too large fails (MemoryError) before
+    # the interpolation matrices' Python loops run
+    out = np.empty(x.data.shape[:-2] + (h * factor, w * factor), x.data.dtype)
     ah = _bicubic_matrix(h, factor).astype(x.data.dtype)
     aw = _bicubic_matrix(w, factor).astype(x.data.dtype)
-    out = (ah @ x.data) @ aw.T
+    np.matmul(ah @ x.data, aw.T, out=out)
 
     def bw(g):
         return (ah.T @ (g @ aw),)

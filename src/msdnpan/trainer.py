@@ -211,6 +211,17 @@ def save_checkpoint(path, ckpt):
         tmp.unlink(missing_ok=True)
 
 
+def _save_finite(path, ckpt):
+    """save_checkpoint, unless a parameter holds NaN or inf: then raise
+    NumericError naming the first one (in file order) and write nothing.
+    An overflowing Adam update leaves no trace in any loss already seen."""
+    for name in sorted(ckpt.params):
+        if not np.isfinite(ckpt.params[name]).all():
+            raise NumericError(f"parameter {name} holds NaN or inf after "
+                               f"step {ckpt.step}; {path} not written")
+    save_checkpoint(path, ckpt)
+
+
 def load_checkpoint(path):
     source = str(path)
     try:
@@ -399,7 +410,8 @@ def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
     samples_per_s and the constant lr); a step's grad_norm is the L2 norm,
     over all parameters, of the summed gradient that Adam receives. hook,
     when given, is called after every optimizer step with (model, epoch,
-    step, losses); used by convergence probes.
+    step, losses); used by convergence probes. A periodic or final save
+    whose parameters hold NaN or inf raises NumericError and writes nothing.
 
     Each step runs as one part per usable CPU (see the module docstring),
     so results are bit-identical for the same seed on the same number of
@@ -474,9 +486,9 @@ def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
             if (checkpoint_path and checkpoint_every
                     and (epoch + 1) % checkpoint_every == 0
                     and epoch + 1 < config.epochs):
-                save_checkpoint(checkpoint_path,
-                                snapshot(model, config, epoch + 1, step))
+                _save_finite(checkpoint_path,
+                             snapshot(model, config, epoch + 1, step))
     final = snapshot(model, config, epoch + 1 if config.epochs else 0, step)
     if checkpoint_path:
-        save_checkpoint(checkpoint_path, final)
+        _save_finite(checkpoint_path, final)
     return final

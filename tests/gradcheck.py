@@ -133,9 +133,10 @@ def _case_reshape(rng):
     return _projected(rng, lambda: tc.reshape(x, (6, 4)), [x])
 
 
-def _case_tile(rng):
-    x = _leaf(rng, (3, 2, 2))
-    return _projected(rng, lambda: tc.tile2d(x, 3, 2), [x])
+def _case_tile_mul(rng):
+    q = _leaf(rng, (2, 3, 6, 4))
+    tiles = _leaf(rng, (3, 2, 2))
+    return _projected(rng, lambda: tc.tile_mul(q, tiles), [q, tiles])
 
 
 def _case_pool(rng, op):
@@ -229,7 +230,7 @@ def cases(seed=0):
         ("max", *_case_reduce(r(15), tc.reduce_max, 1, True)),
         ("reshape", *_case_reshape(r(16))),
         ("concat_channels", *_case_concat(r(17))),
-        ("tile2d", *_case_tile(r(18))),
+        ("tile_mul", *_case_tile_mul(r(18))),
         ("avg_pool2", *_case_pool(r(19), tc.avg_pool2)),
         ("nearest_up2", *_case_pool(r(20), tc.nearest_up2)),
         ("conv2d_3x3", *_case_conv(r(21), 3, 4, 3, (5, 5))),

@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 import types
 from dataclasses import fields
@@ -170,6 +171,35 @@ def test_train_rejects_non_finite_and_negative_flags(workspace, tmp_path,
                  flag, value]) == 1
     _one_error_line(capsys)
     assert not ckpt.exists()
+
+
+def test_train_refuses_to_save_non_finite_parameters(workspace, tmp_path,
+                                                    capsys):
+    """An lr of 1e39 overflows float32 in the only Adam step; every loss
+    before it was finite, so the save is where the fault shows."""
+    ckpt = tmp_path / "m.msdc"
+    assert main(["train", "--data", str(workspace["data"]), "--out",
+                 str(ckpt), "--preset", "desk", "--epochs", "1", "--batch",
+                 "8", "--lr", "1e39"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: parameter "), err
+    assert "NaN or inf" in err[0]
+    assert not ckpt.exists()
+
+
+def test_train_checks_the_checkpoint_directory_first(tmp_path, capsys):
+    """Exit 2 before the dataset is read or any epoch runs: no JSON line."""
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data), "--count", "4",
+                 "--size", "16"]) == 0
+    capsys.readouterr()
+    ckpt = tmp_path / "missing" / "m.msdc"
+    assert main(["train", "--data", str(data), "--out", str(ckpt),
+                 "--preset", "desk", "--epochs", "1"]) == 2
+    _one_error_line(capsys, "no such directory")
+    assert main(["train", "--data", str(tmp_path / "nodata"), "--out",
+                 str(ckpt)]) == 2
+    _one_error_line(capsys, "no such directory")
 
 
 @pytest.mark.parametrize("every", ["-1", "-3"])
@@ -543,6 +573,22 @@ def test_baseline_bicubic_needs_no_pan(workspace, tmp_path, capsys):
                  str(workspace["ms"]), "--out", str(out),
                  "--scale", "4"]) == 0
     assert _last_json(capsys)["shape"] == [4, 16, 16]
+
+
+# an 8x8 MS input at 2**20 needs a 1 PiB output, over the 128 TiB address
+# space of a Linux process, so its allocation fails at once; 2**62
+# overflows numpy's size checks
+@pytest.mark.parametrize("scale", [2 ** 20, 2 ** 62])
+def test_baseline_bicubic_rejects_an_unallocatable_scale(tmp_path, capsys,
+                                                         scale):
+    ms, out = tmp_path / "ms.msdt", tmp_path / "up.msdt"
+    save_tensor(ms, np.ones((4, 8, 8), np.float32))
+    started = time.perf_counter()
+    assert main(["baseline", "--method", "bicubic", "--ms", str(ms),
+                 "--out", str(out), "--scale", str(scale)]) == 1
+    assert time.perf_counter() - started < 5.0  # no interpolation matrix
+    _one_error_line(capsys, "--scale")
+    assert not out.exists()
 
 
 def test_baseline_errors(workspace, tmp_path):

@@ -30,12 +30,14 @@ def _memory(slots, scale, seed):
 
 def test_expand_memory_tiles_periodically():
     memory = _memory(3, 4, seed=1)
-    out = expand_memory(memory, 4, 12, 8).data
-    assert out.shape == (3, 12, 8)
+    # a query of ones leaves each memory item tiled over its plane
+    out = expand_memory(memory, 4, Tensor(np.ones((2, 3, 12, 8)))).data
+    assert out.shape == (2, 3, 12, 8)
     tiles = memory.data.reshape(3, 4, 4)
     for i in range(12):
         for j in range(8):
-            np.testing.assert_array_equal(out[:, i, j], tiles[:, i % 4, j % 4])
+            np.testing.assert_array_equal(out[:, :, i, j],
+                                          [tiles[:, i % 4, j % 4]] * 2)
 
 
 def test_query_shape_and_input_check():
@@ -62,9 +64,8 @@ def test_channel_attention_is_per_channel_gate():
 
 def test_decode_memory_shape_checks():
     w = _weights()
-    expanded = expand_memory(w.memory, 4, 8, 8)
-    good = encode_query(_features(6), w)
-    assert decode_memory(expanded, good, w).shape == (2, 8, 8, 8)
+    addressed = expand_memory(w.memory, 4, encode_query(_features(6), w))
+    assert decode_memory(addressed, w).shape == (2, 8, 8, 8)
 
 
 def test_compose_is_channel_sum_of_products():

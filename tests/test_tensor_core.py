@@ -104,14 +104,43 @@ def test_reduce_mean_value_and_axes():
     np.testing.assert_allclose(t.mean().data, a.mean(), rtol=1e-12)
 
 
-def test_tile2d_periodicity():
+def test_tile_mul_periodicity():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((2, 3, 3))
-    out = tc.tile2d(Tensor(a), 4, 5).data
-    assert out.shape == (2, 12, 15)
+    out = tc.tile_mul(Tensor(np.ones((1, 2, 12, 15))), Tensor(a)).data
+    assert out.shape == (1, 2, 12, 15)
     for i in range(12):
         for j in range(15):
-            np.testing.assert_array_equal(out[:, i, j], a[:, i % 3, j % 3])
+            np.testing.assert_array_equal(out[0, :, i, j], a[:, i % 3, j % 3])
+    for q, tiles in [((2, 12, 15), (2, 3, 3)), ((1, 3, 12, 15), (2, 3, 3)),
+                     ((1, 2, 12, 14), (2, 3, 3)), ((1, 2, 12, 15), (2, 9))]:
+        with pytest.raises(ShapeError):
+            tc.tile_mul(Tensor(np.ones(q)), Tensor(np.ones(tiles)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tile_mul_matches_the_tiled_plane(dtype):
+    """Forward and both gradients equal, bit for bit, multiplying by the
+    whole tiled plane and summing that plane's gradient back per tile."""
+    rng = np.random.default_rng(3)
+    n, slots, s, h, w = 3, 4, 4, 12, 16
+    tiles = Tensor(rng.standard_normal((slots, s, s)).astype(dtype),
+                   requires_grad=True)
+    q = Tensor(rng.standard_normal((n, slots, h, w)).astype(dtype),
+               requires_grad=True)
+    proj = Tensor(rng.standard_normal((n, slots, h, w)).astype(dtype))
+    plane = Tensor(np.tile(tiles.data, (1, h // s, w // s))[None],
+                   requires_grad=True)
+    ref = tc.mul(plane, q)
+    out = tc.tile_mul(q, tiles)
+    assert out.dtype == dtype
+    assert np.array_equal(out.data, ref.data)
+    g_plane, g_q_ref = tc.backward((ref * proj).sum(), [plane, q])
+    g_q, g_tiles = tc.backward((out * proj).sum(), [q, tiles])
+    assert np.array_equal(g_q, g_q_ref)
+    g_tiles_ref = g_plane.reshape(slots, h // s, s, w // s, s).sum(axis=(1, 3))
+    assert g_tiles.dtype == dtype
+    assert np.array_equal(g_tiles, g_tiles_ref)
 
 
 def test_concat_channels_layout_and_checks():

@@ -408,6 +408,19 @@ def test_train_input_validation():
         override(TrainConfig(), bogus_field=3)
 
 
+@pytest.mark.parametrize("epochs, every", [(1, 0), (2, 1)],
+                         ids=["final", "periodic"])
+def test_train_saves_no_non_finite_parameters(tmp_path, epochs, every):
+    """An lr of 1e39 overflows float32 in the epoch's last (and only) Adam
+    step, after every loss of that epoch was finite; the save refuses."""
+    path = tmp_path / "model.msdc"
+    with np.errstate(all="ignore"), pytest.raises(
+            NumericError, match=r"^parameter \S+ holds NaN or inf after step 1; "):
+        train(_scenes(2), _tiny_config(epochs=epochs, lr=1e39),
+              checkpoint_path=path, checkpoint_every=every)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("every", [-1, -3])
 def test_train_rejects_negative_checkpoint_every(tmp_path, monkeypatch, every):
     def no_model(*args, **kwargs):
