@@ -210,6 +210,7 @@ def cmd_train(args):
 def cmd_infer(args):
     started = time.perf_counter()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _require_dir(args.out)      # before the checkpoint is read
     if args.export_ppm:         # fail before --out is written
         _require_dir(args.export_ppm)
     model = model_from_checkpoint(load_checkpoint(args.ckpt))
@@ -233,6 +234,7 @@ def cmd_infer(args):
 def cmd_baseline(args):
     if args.method == "bicubic" and args.scale < 1:
         raise UsageError(f"--scale must be >= 1, got {args.scale}")
+    _require_dir(args.out)
     ms = _read(args.ms)
     if args.method == "bicubic":
         try:    # the output is allocated before any interpolation work

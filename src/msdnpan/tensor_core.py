@@ -1,18 +1,24 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
-A Tensor wraps a numpy array. Operations record their inputs and a
-backward closure on the output; ``backward(loss, leaves)`` replays the tape
-in reverse topological order and returns the leaves' gradients. Each
-closure returns one gradient (or None) per input, which ``backward`` sums
-out of place in a dict local to the call: no Tensor holds gradient state,
-so threads may back-propagate separate graphs that share parameters.
-Returned gradients may be views shared with the tape or with each other,
-so callers treat them as read-only. The tape is dynamic: every forward
-call builds a fresh graph, so Python's GC reclaims old graphs once the loss
-goes out of scope. A forward op computes only its output; anything its
-backward needs (a relu or prelu mask, say) the closure derives from the
-inputs when it runs, so a forward pass over frozen tensors records and
-keeps nothing.
+A Tensor wraps a numpy array and, if it takes part in differentiation,
+a graph node. Each op that has a differentiable input gives its output a
+node that holds its inputs' nodes, their dtypes and a backward closure;
+``backward(loss, leaves)`` replays the nodes in reverse topological order
+and returns the leaves' gradients. Each closure returns one gradient (or
+None) per input, which ``backward`` sums out of place in a dict local to
+the call: no Tensor or node holds gradient state, so threads may
+back-propagate separate graphs that share parameters. Returned gradients
+may be views shared with the tape or with each other, so callers treat
+them as read-only. The tape is dynamic: every forward call builds a fresh
+graph, so Python's GC reclaims old graphs once the loss goes out of scope.
+
+A node never holds a Tensor, and each closure captures exactly the arrays
+its backward reads: its inputs for mul, conv2d or log, its output for exp,
+sigmoid or relu, only shapes for add, reshape or pooling. An intermediate
+that the model code drops is therefore freed unless some backward reads
+it. A forward op computes only its output (a relu or prelu mask, say, is
+derived when backward runs), so a forward pass over frozen tensors records
+and keeps nothing.
 
 Only what the models need is implemented: elementwise arithmetic with numpy
 broadcasting, a handful of activations, stride-1 same-padded convolution,
@@ -38,20 +44,43 @@ from .errors import ShapeError
 _FLOAT_TYPES = (np.float32, np.float64)
 
 
-class Tensor:
-    """A dense array plus autodiff bookkeeping."""
+class _Node:
+    """A tape entry: the input nodes (None where an input needs no
+    gradient), their dtypes and the backward closure. A leaf has no inputs
+    and no closure."""
 
-    __slots__ = ("data", "requires_grad", "name", "_prev", "_backward")
+    __slots__ = ("parents", "dtypes", "backward")
+
+    def __init__(self, parents=(), dtypes=(), backward=None):
+        self.parents = parents
+        self.dtypes = dtypes
+        self.backward = backward
+
+
+class Tensor:
+    """A dense array plus its graph node (None when it needs no gradient)."""
+
+    __slots__ = ("data", "name", "_node")
 
     def __init__(self, data, requires_grad=False, dtype=None, name=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in _FLOAT_TYPES:
             arr = arr.astype(np.float64)
         self.data = arr
-        self.requires_grad = bool(requires_grad)
         self.name = name
-        self._prev = ()
-        self._backward = None
+        self._node = _Node() if requires_grad else None
+
+    @property
+    def requires_grad(self):
+        return self._node is not None
+
+    @requires_grad.setter
+    def requires_grad(self, flag):
+        # freezing drops the node; graphs recorded before keep their own
+        if not flag:
+            self._node = None
+        elif self._node is None:
+            self._node = _Node()
 
     @property
     def shape(self):
@@ -123,10 +152,9 @@ def _as_tensor(x, dtype):
 
 def _from_op(data, parents, bw):
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._prev = tuple(parents)
-        out._backward = bw
+    nodes = tuple(p._node for p in parents)
+    if any(n is not None for n in nodes):
+        out._node = _Node(nodes, tuple(p.data.dtype for p in parents), bw)
     return out
 
 
@@ -151,9 +179,11 @@ def backward(root, leaves):
     it as read-only."""
     if root.data.size != 1:
         raise ShapeError(f"backward expects a scalar, got shape {root.data.shape}")
+    if root._node is None:      # nothing was recorded
+        return [None] * len(leaves)
     order = []
     seen = set()
-    stack = [(root, False)]
+    stack = [(root._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -163,27 +193,28 @@ def backward(root, leaves):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._prev:
-            if id(p) not in seen:
+        for p in node.parents:
+            if p is not None and id(p) not in seen:
                 stack.append((p, False))
-    wanted = {id(t) for t in leaves}
-    grads = {id(root): np.ones_like(root.data)}
+    wanted = {id(t._node) for t in leaves}
+    grads = {id(root._node): np.ones_like(root.data)}
     for node in reversed(order):
-        if node._backward is None:
+        if node.backward is None:
             continue
         # an intermediate's gradient is dropped once its closure has run
         key = id(node)
         g = grads.get(key) if key in wanted else grads.pop(key, None)
         if g is None:
             continue
-        for parent, pg in zip(node._prev, node._backward(g)):
-            if pg is None or not parent.requires_grad:
+        for parent, dtype, pg in zip(node.parents, node.dtypes,
+                                     node.backward(g)):
+            if pg is None or parent is None:
                 continue
             # out of place: the same array may reach several parents
-            pg = np.asarray(pg, dtype=parent.data.dtype)
+            pg = np.asarray(pg, dtype=dtype)
             seen_g = grads.get(id(parent))
             grads[id(parent)] = pg if seen_g is None else seen_g + pg
-    return [grads.get(id(t)) for t in leaves]
+    return [grads.get(id(t._node)) for t in leaves]
 
 
 # ---------------------------------------------------------------------------
@@ -191,38 +222,41 @@ def backward(root, leaves):
 
 def add(a, b):
     out = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def bw(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _from_op(out, (a, b), bw)
 
 
 def sub(a, b):
     out = a.data - b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def bw(g):
-        return _unbroadcast(g, a.data.shape), -_unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), -_unbroadcast(g, sb)
 
     return _from_op(out, (a, b), bw)
 
 
 def mul(a, b):
-    out = a.data * b.data
+    x, y = a.data, b.data
+    out = x * y
 
     def bw(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
 
     return _from_op(out, (a, b), bw)
 
 
 def div(a, b):
-    out = a.data / b.data
+    x, y = a.data, b.data
+    out = x / y
 
     def bw(g):
-        return (_unbroadcast(g / b.data, a.data.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        return (_unbroadcast(g / y, x.shape),
+                _unbroadcast(-g * x / (y * y), y.shape))
 
     return _from_op(out, (a, b), bw)
 
@@ -238,10 +272,12 @@ def scale(a, factor):
 
 
 def absolute(a):
-    def bw(g):
-        return (g * np.sign(a.data),)
+    x = a.data
 
-    return _from_op(np.abs(a.data), (a,), bw)
+    def bw(g):
+        return (g * np.sign(x),)
+
+    return _from_op(np.abs(x), (a,), bw)
 
 
 def exp(a):
@@ -254,17 +290,22 @@ def exp(a):
 
 
 def log(a):
-    def bw(g):
-        return (g / a.data,)
+    x = a.data
 
-    return _from_op(np.log(a.data), (a,), bw)
+    def bw(g):
+        return (g / x,)
+
+    return _from_op(np.log(x), (a,), bw)
 
 
 def relu(a):
-    def bw(g):
-        return (g * (a.data > 0),)
+    out = np.maximum(a.data, 0)
 
-    return _from_op(np.maximum(a.data, 0), (a,), bw)
+    def bw(g):
+        # out > 0 exactly where the input is, so the input may be freed
+        return (g * (out > 0),)
+
+    return _from_op(out, (a,), bw)
 
 
 def sigmoid(a):
@@ -286,17 +327,18 @@ def prelu(a, slope):
     if slope.data.shape != (channels,):
         raise ShapeError(f"slope of shape {slope.data.shape} is not one value "
                          f"per channel of an input with {channels} channels")
-    sl = slope.data.reshape((1, -1) + (1,) * (a.data.ndim - 2))
-    reduce_axes = tuple(i for i in range(a.data.ndim) if i != 1)
+    x = a.data
+    sl = slope.data.reshape((1, -1) + (1,) * (x.ndim - 2))
+    reduce_axes = tuple(i for i in range(x.ndim) if i != 1)
     # x * slope where x <= 0, else x: branch-free, and exact because one of
     # the two terms is always zero
-    out = np.minimum(a.data, 0) * sl
-    out += np.maximum(a.data, 0)
+    out = np.minimum(x, 0) * sl
+    out += np.maximum(x, 0)
 
     def bw(g):
-        pos = a.data > 0
+        pos = x > 0
         return (g * (pos + sl * ~pos),
-                (g * np.minimum(a.data, 0)).sum(axis=reduce_axes))
+                (g * np.minimum(x, 0)).sum(axis=reduce_axes))
 
     return _from_op(out, (a, slope), bw)
 
@@ -322,9 +364,10 @@ def _expand_grad(g, shape, axes, keepdims):
 def reduce_sum(a, axis=None, keepdims=False):
     axes = _norm_axes(axis, a.data.ndim)
     out = a.data.sum(axis=axes, keepdims=keepdims)
+    shape = a.data.shape
 
     def bw(g):
-        return (_expand_grad(g, a.data.shape, axes, keepdims),)
+        return (_expand_grad(g, shape, axes, keepdims),)
 
     return _from_op(out, (a,), bw)
 
@@ -335,25 +378,27 @@ def reduce_mean(a, axis=None, keepdims=False):
     for ax in axes:
         count *= a.data.shape[ax]
     out = a.data.mean(axis=axes, keepdims=keepdims)
+    shape = a.data.shape
 
     def bw(g):
-        return (_expand_grad(g, a.data.shape, axes, keepdims) / count,)
+        return (_expand_grad(g, shape, axes, keepdims) / count,)
 
     return _from_op(out, (a,), bw)
 
 
 def reduce_max(a, axis=None, keepdims=False):
     """Max reduction; on ties the gradient is split evenly among the maxima."""
-    axes = _norm_axes(axis, a.data.ndim)
-    full = a.data.max(axis=axes, keepdims=True)
+    x = a.data
+    axes = _norm_axes(axis, x.ndim)
+    full = x.max(axis=axes, keepdims=True)
     out = full if keepdims else full.reshape(
-        tuple(s for i, s in enumerate(a.data.shape) if i not in axes)
+        tuple(s for i, s in enumerate(x.shape) if i not in axes)
     )
 
     def bw(g):
-        mask = a.data == full
+        mask = x == full
         count = mask.sum(axis=axes, keepdims=True)
-        ge = _expand_grad(g, a.data.shape, axes, keepdims)
+        ge = _expand_grad(g, x.shape, axes, keepdims)
         return (ge * mask / count,)
 
     return _from_op(out, (a,), bw)
@@ -365,9 +410,10 @@ def reduce_max(a, axis=None, keepdims=False):
 def reshape(a, shape):
     shape = tuple(shape)
     out = a.data.reshape(shape)
+    before = a.data.shape
 
     def bw(g):
-        return (g.reshape(a.data.shape),)
+        return (g.reshape(before),)
 
     return _from_op(out, (a,), bw)
 
@@ -407,12 +453,13 @@ def tile_mul(q, tiles):
                          f"the planes of {q.data.shape}")
     row = np.tile(tiles.data, (1, 1, w // tw)).reshape(1, slots, 1, th, w)
     bands = (n, slots, h // th, th, w)
-    out = (q.data.reshape(bands) * row).reshape(q.data.shape)
+    x = q.data
+    out = (x.reshape(bands) * row).reshape(x.shape)
 
     def bw(g):
-        gq = (g.reshape(bands) * row).reshape(q.data.shape)
+        gq = (g.reshape(bands) * row).reshape(x.shape)
         # the tiled-plane order: sum the batch, then every repeat of a tile
-        gt = (g * q.data).sum(axis=0).reshape(
+        gt = (g * x).sum(axis=0).reshape(
             slots, h // th, th, w // tw, tw).sum(axis=(1, 3))
         return gq, gt
 
@@ -471,18 +518,20 @@ def conv2d(x, weight, bias=None):
     k = weight.data.shape[2]
     if k != weight.data.shape[3] or k % 2 == 0:
         raise ShapeError("conv2d kernels must be square with odd extent")
-    out = backend.conv2d_forward(x.data, weight.data)
+    xd, wd = x.data, weight.data
+    out = backend.conv2d_forward(xd, wd)
     parents = [x, weight]
     if bias is not None:
         out += bias.data.reshape(1, -1, 1, 1)
         parents.append(bias)
+    # plain bools, so that the closure holds no Tensor
+    grad_x, has_bias = x.requires_grad, bias is not None
 
     def bw(g):
         g = np.ascontiguousarray(g)
-        gx = (backend.conv2d_grad_input(g, weight.data) if x.requires_grad
-              else None)
-        gw = backend.conv2d_grad_weight(x.data, g, k)
-        return (gx, gw) if bias is None else (gx, gw, g.sum(axis=(0, 2, 3)))
+        gx = backend.conv2d_grad_input(g, wd) if grad_x else None
+        gw = backend.conv2d_grad_weight(xd, g, k)
+        return (gx, gw, g.sum(axis=(0, 2, 3))) if has_bias else (gx, gw)
 
     return _from_op(out, tuple(parents), bw)
 

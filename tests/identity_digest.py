@@ -9,7 +9,9 @@ the files of a generated dataset, `infer` outputs of a seeded full-config
 checkpoint (its output projection drawn too, so that no layer is zero) at
 three MS sizes, every parameter and the per-epoch JSON lines (but for
 their wall-clock `seconds` and `samples_per_s`) of a short augmented desk
-`train`, and the `eval-reduced`/`eval-full` stdout on three predictions of a
+`train`, every parameter's gradient of one loss on two 32x32 scenes
+through that full-config model (so that each op's backward is pinned at
+paper-config shapes too), and the `eval-reduced`/`eval-full` stdout on three predictions of a
 64x64 scene and on the mra-add prediction of a 512x512 scene.
 Training splits each batch per usable CPU, so compare runs made with the
 same CPU affinity. Pytest does not collect this file.
@@ -50,8 +52,11 @@ def digests(work):
 
     from msdnpan import cli
     from msdnpan.data_pipeline import load_manifest, load_split
-    from msdnpan.injection_net import ModelConfig, PansharpenModel
-    from msdnpan.tensor_core import kaiming_normal
+    from msdnpan.injection_net import (
+        ModelConfig, PansharpenModel, pansharpen_with_details,
+    )
+    from msdnpan.losses import total_loss
+    from msdnpan.tensor_core import Tensor, backward, kaiming_normal
     from msdnpan.trainer import (
         TrainConfig, desk_config, save_checkpoint, snapshot, train,
     )
@@ -88,6 +93,14 @@ def digests(work):
                                        project.shape, project.shape[1],
                                        project.data.dtype)
     save_checkpoint(ckpt, snapshot(model, TrainConfig()))
+    pair = load_split(load_manifest(data), "train")[:2]
+    ms, gt, hp = (Tensor(np.stack([getattr(s, a) for s in pair]))
+                  for a in ("ms", "gt", "hp"))
+    out, details = pansharpen_with_details(ms, model)
+    loss = total_loss(out, gt, hp, details, TrainConfig().loss_weight)[0]
+    params = model.parameters()
+    result["grad.full"] = _digest_params(
+        {p.name: g for p, g in zip(params, backward(loss, params))})
     for m in INFER_MS:
         scenes = work / f"ms{m}"
         run("gen-data", "--out", scenes, "--count", 1, "--size", m * SCALE,

@@ -307,7 +307,8 @@ def test_infer_roundtrip_and_ppm(workspace, tmp_path, capsys):
         p.requires_grad = False
     frozen = pansharpen(ms, model)
     assert taped.requires_grad and model.parameters() == []
-    assert not frozen.requires_grad and frozen._prev == ()
+    # a frozen forward output has no graph node: nothing was recorded
+    assert not frozen.requires_grad and frozen._node is None
     assert np.array_equal(load_tensor(out).data, taped.data[0])
 
 
@@ -382,6 +383,22 @@ def test_infer_input_errors(workspace, tmp_path):
                  str(workspace["ms"]), "--out", out,
                  "--export-ppm", str(ppm)]) == 2
     assert not Path(out).exists() and not ppm.exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "baseline"])
+def test_missing_out_directory_fails_before_any_input_is_read(
+        workspace, tmp_path, capsys, monkeypatch, command):
+    def unread(*args):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(cli, "load_checkpoint", unread)
+    monkeypatch.setattr(cli, "_read", unread)
+    inputs = {"infer": ["--ckpt", workspace["ckpt"]],
+              "baseline": ["--method", "mra-add", "--pan", workspace["pan"]]}
+    argv = [command, *inputs[command], "--ms", workspace["ms"],
+            "--out", tmp_path / "missing" / "o.msdt"]
+    assert main([str(a) for a in argv]) == 2
+    _one_error_line(capsys, "no such directory")
 
 
 def test_infer_rejects_extents_the_nin_depth_cannot_pool(tmp_path, capsys):

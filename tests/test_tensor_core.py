@@ -1,11 +1,17 @@
 """Autodiff core semantics; finite-difference checks are in test_gradients."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from msdnpan.classic_fusion import box_filter
 from msdnpan.errors import ShapeError
 from msdnpan import tensor_core as tc
+from msdnpan.injection_net import (
+    ModelConfig, PansharpenModel, pansharpen_with_details,
+)
+from msdnpan.losses import total_loss
 from msdnpan.tensor_core import Tensor
 
 
@@ -343,8 +349,56 @@ def test_box_filter_rejects_even_window():
 def test_parameter_is_a_named_leaf():
     p = tc.parameter("w", np.ones((2, 3), np.float32))
     assert isinstance(p, Tensor) and p.name == "w" and p.requires_grad
-    assert p.dtype == np.float32 and p._prev == () and p._backward is None
+    # a trainable tensor gets its leaf node when it is made
+    assert p.dtype == np.float32 and p._node.parents == ()
+    assert p._node.backward is None
     assert (p * 2.0).name is None
+
+
+def test_dropped_intermediate_is_freed_when_no_backward_reads_it():
+    p = tc.parameter("p", np.arange(6.0).reshape(1, 2, 3))
+    a = p * 2.0
+    c = tc.concat_channels(a, Tensor(np.ones((1, 1, 3))))
+    dead = weakref.ref(a.data)
+    del a               # scale and concat_channels read only shapes
+    assert dead() is None
+    np.testing.assert_array_equal(tc.backward(c.sum(), [p])[0],
+                                  np.full((1, 2, 3), 2.0))
+
+
+def test_conv_output_feeding_relu_is_freed():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((1, 2, 6, 6)))
+    w = tc.parameter("w", rng.standard_normal((3, 2, 3, 3)))
+    h = tc.conv2d(x, w)
+    r = tc.relu(h)
+    gw = tc.backward(r.sum(), [w])[0]
+    dead = weakref.ref(h.data)
+    del h               # relu's backward reads its output, not its input
+    assert dead() is None
+    np.testing.assert_array_equal(tc.backward(r.sum(), [w])[0], gw)
+
+
+def test_no_backward_closure_holds_a_tensor():
+    cfg = ModelConfig(channels=8, memory_slots=8, nin_depth=1)
+    model = PansharpenModel(cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    ms, gt, hp = (Tensor(rng.random(shape, np.float32)) for shape in
+                  ((1, 4, 8, 8), (1, 4, 32, 32), (1, 1, 32, 32)))
+    out, details = pansharpen_with_details(ms, model)
+    loss = total_loss(out, gt, hp, details, 100.0)[0]
+    nodes, stack = {}, [loss._node]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(p for p in node.parents if p is not None)
+    held = [cell.cell_contents for node in nodes.values() if node.backward
+            for cell in node.backward.__closure__ or ()]
+    held += [x for value in held if isinstance(value, (tuple, list))
+             for x in value]
+    assert len(nodes) > 50
+    assert not any(isinstance(value, Tensor) for value in held)
 
 
 def test_parameters_walks_attributes_lists_and_tuples_in_order():

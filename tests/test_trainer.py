@@ -766,7 +766,7 @@ def test_train_frees_each_steps_graph():
     # forward pass, 77.4-78.4 MiB with one or two parts once it is freed,
     # 46.8 MiB with two parts once backward also drops each intermediate
     # gradient as soon as its closure has run. tracemalloc sees this process
-    # only: with part 1 in a forked worker it reads 23.5 MiB, and one part
+    # only: with part 1 in a forked worker it reads 17.0 MiB, and one part
     # run here still has to free its graph each step to stay under the bound.
     scenes = _scenes(8, size=64)
     tracemalloc.start()
@@ -778,12 +778,32 @@ def test_train_frees_each_steps_graph():
     assert peak < 96 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
+def test_part_graph_keeps_only_what_backward_reads():
+    # Tracemalloc peak of one seeded desk part on two 64x64 scenes: 22.2 MiB
+    # when every node kept its inputs' Tensors, and with them every
+    # intermediate array; 15.9 MiB once each backward closure keeps only
+    # the arrays it reads.
+    cfg = desk_config(seed=1)
+    model = PansharpenModel(cfg.model, np.random.default_rng(0))
+    scenes = _scenes(2, size=64)
+    ms, gt, hp = (np.stack([getattr(s, attr) for s in scenes])
+                  for attr in ("ms", "gt", "hp"))
+    tracemalloc.start()
+    try:
+        grads, _ = trainer._part(model, ms, gt, hp, cfg.loss_weight, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(g is not None for g in grads)
+    assert peak < 19 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
 def test_part_worker_loop_frees_each_jobs_graph(tmp_path):
     # `train`'s workers run `_serve` in forked processes, out of sight of
     # tracemalloc, so run the loop here on four half-batch desk jobs. Jobs
     # and replies go through file-backed connections: a 160 KB reply would
     # block on a socket that nothing reads. Tracemalloc peak of this seeded
-    # loop: 23.0 MiB (the same over 8 jobs), 37.7 MiB when each job's graph
+    # loop: 16.5 MiB (the same over 8 jobs), 37.7 MiB when each job's graph
     # stays alive through the next job, 78.9 MiB when every job's graph is
     # kept.
     cfg = desk_config(seed=3)
