@@ -12,13 +12,17 @@ one per item). The calling process runs part 0; parts 1.. run in worker
 processes forked once per run, each with its own copy of the model and one
 duplex connection to the parent. A part makes thousands of small numpy
 calls, which on threads would contend for the interpreter lock; processes
-do not. Each step the parent sends every worker its part's arrays and the
-current parameter values, and the worker sends back its gradients and a
-dict of its losses, whose keys `_part` alone names. Every loss term is a
-per-item mean, so each part back-propagates its loss weighted by its share
-of the batch; the part gradients, and each loss share-weighted, are summed
-in part order before one Adam step in the parent (the data-parallel
-reduction of Goyal et al., arXiv:1706.02677). OpenBLAS is held at one
+do not. Before forking, `train` lays every parameter out as a view into
+one contiguous vector (`flatten`), so per-step work runs once per vector,
+not once per parameter: each step the parent sends every worker its
+part's arrays and the parameter vector, and the worker copies it in with
+one assignment and sends back one flat gradient, in model.parameters()
+order, and a dict of its losses, whose keys `_part` alone names. Every
+loss term is a per-item mean, so each part back-propagates its loss
+weighted by its share of the batch; the part gradients, and each loss
+share-weighted, are summed in part order before one Adam step in the
+parent, which updates the vector in place (the data-parallel reduction of
+Goyal et al., arXiv:1706.02677). OpenBLAS is held at one
 thread for the whole run, so the parts, not BLAS helper threads, fill the
 cores. The part count sets the float summation order: across part counts
 float32 results differ by rounding only. Where the loaded BLAS exposes no
@@ -122,33 +126,63 @@ def desk_config(**overrides):
     return override(TrainConfig(batch_size=4, model=model), **overrides)
 
 
-class AdamState:
-    """First/second moments in lists parallel to params, and the step count."""
+def flatten(params):
+    """Lay params out as views into one new contiguous vector, in list
+    order, and return the vector: each p.data becomes a view of it holding
+    the same values, so writing the vector writes every parameter. The
+    parameters must share one dtype."""
+    dtypes = {p.data.dtype for p in params}
+    if len(dtypes) > 1:
+        raise TypeError(
+            f"parameters of several dtypes: {sorted(map(str, dtypes))}")
+    flat = np.empty(sum(p.data.size for p in params),
+                    dtypes.pop() if dtypes else np.float32)
+    start = 0
+    for p in params:
+        view = flat[start:start + p.data.size].reshape(p.data.shape)
+        view[...] = p.data
+        p.data = view
+        start += view.size
+    return flat
 
-    def __init__(self, params):
-        self.params = list(params)
-        self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
 
-
-def adam_step(state, grads, lr):
-    """One bias-corrected Adam update from grads, a list parallel to
-    state.params; the gradients are only read. A missing gradient raises
-    before anything is updated."""
-    for p, g in zip(state.params, grads, strict=True):
-        if g is None:
+def _gather(params, grads):
+    """grads, a list parallel to params, as one flat vector in params'
+    order. A None or missing entry raises ValueError naming its parameter."""
+    for i, p in enumerate(params):
+        if i >= len(grads) or grads[i] is None:
             raise ValueError(f"parameter {p.name} has no gradient")
+    return np.concatenate([g.ravel() for g in grads])
+
+
+class AdamState:
+    """First/second moments over the flat parameter vector (see `flatten`),
+    and the step count."""
+
+    def __init__(self, flat):
+        self.flat = flat
+        self.step_count = 0
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
+
+
+def adam_step(state, grad, lr):
+    """One bias-corrected Adam update of state.flat from grad, the flat
+    gradient; grad is only read. A missing gradient, or one of another
+    shape, raises ValueError before anything is updated."""
+    if grad is None or grad.shape != state.flat.shape:
+        raise ValueError(f"need a gradient of shape {state.flat.shape}, got "
+                         f"{None if grad is None else grad.shape}")
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
-    for p, g, m, v in zip(state.params, grads, state.m, state.v):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    state.flat -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @dataclass
@@ -267,32 +301,32 @@ def load_checkpoint(path):
 def _part(model, ms, gt, hp, loss_weight, share):
     """Forward, loss and share-weighted backward of one part of a batch.
 
-    Returns (grads, losses): the gradients as a list parallel to
-    model.parameters() and a dict of the part's l1, l_mem and total as
-    floats, so the part's graph dies here. A non-finite loss is not
-    back-propagated and its grads are None; the caller raises on it."""
+    Returns (grad, losses): the gradient as one flat vector in
+    model.parameters() order and a dict of the part's l1, l_mem and total
+    as floats, so the part's graph dies here. A non-finite loss is not
+    back-propagated and its grad is None; the caller raises on it. A
+    parameter the loss does not reach raises ValueError naming it."""
     out, details = pansharpen_with_details(Tensor(ms), model)
     tot, l1v, memv = total_loss(out, Tensor(gt), Tensor(hp), details,
                                 loss_weight)
-    grads = None
+    grad = None
     if np.isfinite(tot.data):
-        grads = backward(tot * share, model.parameters())
-    return grads, {"l1": l1v.item(), "l_mem": memv.item(), "total": tot.item()}
+        params = model.parameters()
+        grad = _gather(params, backward(tot * share, params))
+    return grad, {"l1": l1v.item(), "l_mem": memv.item(), "total": tot.item()}
 
 
-def _serve(model, conn):
+def _serve(model, flat, conn):
     """A part worker's loop: for each (values, job) received on the
-    connection conn, load the parameter values into model, run `_part`
-    and send back its result, or the exception it raised. Returns when
-    the parent closes its end."""
-    params = model.parameters()
+    connection conn, copy the parameter values into flat, the model's
+    parameter vector, run `_part` and send back its result, or the
+    exception it raised. Returns when the parent closes its end."""
     while True:
         try:
             values, job = conn.recv()
         except EOFError:
             return
-        for p, value in zip(params, values, strict=True):
-            p.data[...] = value
+        flat[...] = values
         try:
             reply = _part(model, *job)
         except Exception as e:
@@ -300,13 +334,14 @@ def _serve(model, conn):
         conn.send(reply)
 
 
-def _batch_step(model, ms, gt, hp, loss_weight, workers):
-    """One batch's loss gradient with respect to model.parameters().
+def _batch_step(model, flat, ms, gt, hp, loss_weight, workers):
+    """One batch's flat loss gradient with respect to flat, the parameter
+    vector of model.
 
     The batch splits into min(batch, 1 + len(workers)) contiguous parts:
     part 0 runs on model in this process, part i on the forked worker
-    workers[i - 1], which first receives the current parameter values.
-    Returns (grads, record): the part gradients summed in part order (None
+    workers[i - 1], which first receives the current parameter vector.
+    Returns (grad, record): the part gradients summed in part order (None
     when a part's loss is non-finite), and each loss as the share-weighted
     sum of its part values. An exception raised in a worker's part is
     raised here; a worker that has exited raises ChildProcessError."""
@@ -316,10 +351,9 @@ def _batch_step(model, ms, gt, hp, loss_weight, workers):
     shares = [(b - a) / n for a, b in zip(cuts, cuts[1:])]
     jobs = [(ms[a:b], gt[a:b], hp[a:b], loss_weight, share)
             for a, b, share in zip(cuts, cuts[1:], shares)]
-    current = [p.data for p in model.parameters()]
     try:
         for worker, job in zip(workers, jobs[1:]):
-            worker.conn.send((current, job))
+            worker.conn.send((flat, job))
         parts = [_part(model, *jobs[0])]
         for worker in workers[:k - 1]:
             parts.append(worker.conn.recv())
@@ -328,15 +362,17 @@ def _batch_step(model, ms, gt, hp, loss_weight, workers):
     for reply in parts[1:]:
         if isinstance(reply, Exception):
             raise reply
-    grads = parts[0][0]
-    for part_grads, _ in parts[1:]:
-        grads = (None if grads is None or part_grads is None
-                 else [a + b for a, b in zip(grads, part_grads)])
+    grad = parts[0][0]      # a fresh array, so the sum can run in place
+    for part_grad, _ in parts[1:]:
+        if grad is None or part_grad is None:
+            grad = None
+        else:
+            grad += part_grad
     record = dict.fromkeys(parts[0][1], 0.0)
     for share, (_, losses) in zip(shares, parts):
         for key, value in losses.items():
             record[key] += share * value
-    return grads, record
+    return grad, record
 
 
 @dataclass
@@ -346,11 +382,11 @@ class _Worker:
 
 
 @contextmanager
-def _forked(model, count):
-    """Fork count part workers, each holding a copy of model, and yield
-    them as a list of _Worker. On exit the connections close, so each
-    worker reads EOF and leaves (or fails to send, if it is mid-part), and
-    every worker is reaped."""
+def _forked(model, flat, count):
+    """Fork count part workers, each holding a copy of model and of flat,
+    its parameter vector, and yield them as a list of _Worker. On exit the
+    connections close, so each worker reads EOF and leaves (or fails to
+    send, if it is mid-part), and every worker is reaped."""
     # imported here to keep them off the import path of `infer`
     import signal
     from multiprocessing.connection import Pipe
@@ -370,7 +406,7 @@ def _forked(model, count):
                     ours.close()
                     for w in workers:
                         w.conn.close()
-                    _serve(model, theirs)
+                    _serve(model, flat, theirs)
                     status = 0
                 finally:
                     # skip the parent's exit handlers and its inherited
@@ -387,7 +423,7 @@ def _forked(model, count):
 
 
 @contextmanager
-def _workers(model, batch_size):
+def _workers(model, flat, batch_size):
     """Yield the forked workers that run parts 1.. of each step, one fewer
     than the part count, with BLAS held at one thread throughout. When
     BLAS cannot be held or the platform cannot fork, every step is one
@@ -397,7 +433,7 @@ def _workers(model, batch_size):
         return
     with _one_blas_thread() as pinned:
         k = min(batch_size, len(os.sched_getaffinity(0))) if pinned else 1
-        with _forked(model, k - 1) as workers:
+        with _forked(model, flat, k - 1) as workers:
             yield workers
 
 
@@ -438,11 +474,11 @@ def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
                                 np.random.default_rng((config.seed, 0)))
     except MemoryError as e:
         raise ValueError(f"the model cannot be allocated ({e})") from None
-    adam = AdamState(model.parameters())
+    adam = AdamState(flatten(model.parameters()))
     n = len(samples)
     step = 0
     epoch = 0
-    with _workers(model, config.batch_size) as workers:
+    with _workers(model, adam.flat, config.batch_size) as workers:
         for epoch in range(config.epochs):
             started = time.perf_counter()
             order = np.random.default_rng((config.seed, 1, epoch)).permutation(n)
@@ -462,16 +498,16 @@ def train(samples, config, log_fn=None, hook=None, checkpoint_path=None,
                         if axis is not None:
                             for batch in (ms, gt, hp):
                                 batch[i] = np.flip(batch[i], axis)
-                grads, record = _batch_step(model, ms, gt, hp,
-                                            config.loss_weight, workers)
+                grad, record = _batch_step(model, adam.flat, ms, gt, hp,
+                                           config.loss_weight, workers)
                 if not math.isfinite(record["total"]):
                     raise NumericError(
                         f"non-finite loss at epoch {epoch} step {step}: "
                         f"l1={record['l1']!r} l_mem={record['l_mem']!r}")
-                adam_step(adam, grads, config.lr)
+                adam_step(adam, grad, config.lr)
                 step += 1
-                grad_norm = math.sqrt(sum(
-                    float(np.square(g, dtype=np.float64).sum()) for g in grads))
+                grad_norm = math.sqrt(
+                    float(np.square(grad, dtype=np.float64).sum()))
                 for key, value in dict(record, grad_norm=grad_norm).items():
                     sums[key] = sums.get(key, 0.0) + value
                 batches += 1

@@ -15,6 +15,10 @@ paper-config shapes too), and the `eval-reduced`/`eval-full` stdout on three pre
 64x64 scene and on the mra-add prediction of a 512x512 scene.
 Training splits each batch per usable CPU, so compare runs made with the
 same CPU affinity. Pytest does not collect this file.
+
+With --dump DIR it also writes the arrays behind two of the digests,
+DIR/grad.full.npz and DIR/train.params.npz, one entry per parameter name,
+so that two checkouts whose digests differ can be compared numerically.
 """
 
 import argparse
@@ -46,7 +50,7 @@ def _digest_params(params):
     return h.hexdigest()
 
 
-def digests(work):
+def digests(work, dump=None):
     # imported here so that --src decides which package is loaded
     import numpy as np
 
@@ -79,6 +83,8 @@ def digests(work):
                   desk_config(epochs=3, seed=9, augment=True),
                   log_fn=logs.append)
     result["train.params"] = _digest_params(final.params)
+    if dump is not None:
+        np.savez(dump / "train.params.npz", **final.params)
     lines = "".join(json.dumps({key: value for key, value in log.items()
                                 if key not in ("seconds", "samples_per_s")})
                     + "\n" for log in logs)
@@ -99,8 +105,10 @@ def digests(work):
     out, details = pansharpen_with_details(ms, model)
     loss = total_loss(out, gt, hp, details, TrainConfig().loss_weight)[0]
     params = model.parameters()
-    result["grad.full"] = _digest_params(
-        {p.name: g for p, g in zip(params, backward(loss, params))})
+    grads = {p.name: g for p, g in zip(params, backward(loss, params))}
+    result["grad.full"] = _digest_params(grads)
+    if dump is not None:
+        np.savez(dump / "grad.full.npz", **grads)
     for m in INFER_MS:
         scenes = work / f"ms{m}"
         run("gen-data", "--out", scenes, "--count", 1, "--size", m * SCALE,
@@ -137,10 +145,15 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).parents[1] / "src"),
                         help="directory that holds the msdnpan package")
+    parser.add_argument("--dump", type=Path, metavar="DIR",
+                        help="also write the grad.full and train.params "
+                             "arrays to .npz files in DIR")
     args = parser.parse_args()
     sys.path.insert(0, str(Path(args.src).resolve()))
+    if args.dump is not None:
+        args.dump.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix="msdnpan-digest-") as work:
-        print(json.dumps(digests(Path(work)), sort_keys=True))
+        print(json.dumps(digests(Path(work), args.dump), sort_keys=True))
 
 
 if __name__ == "__main__":

@@ -215,3 +215,98 @@ def test_forward_frees_its_buffers_before_the_crop_copy(monkeypatch):
             tracemalloc.stop()
         assert out.nbytes == crop
         assert peak < bounds[path], f"{path}: traced peak {peak / 2**20:.1f} MiB"
+
+
+# (n, ci, co, k, h, w): each item's per-tap product is co * ci * rows *
+# (w + 2p) multiply-adds; 16 * 16 * 59 * 66 = 996,864 fits the 1,000,000
+# bound in one block, 60 rows need two, and 61 or 125 rows split unevenly
+GRAD_WEIGHT_CASES = [
+    (2, 16, 16, 3, 59, 64), (2, 16, 16, 3, 60, 64), (1, 16, 16, 3, 61, 64),
+    (1, 16, 16, 3, 125, 64), (2, 16, 16, 1, 62, 64), (1, 8, 8, 7, 225, 64),
+    (2, 3, 4, 3, 5, 9),
+]
+# bound on |dw - oracle| over max |oracle|, fixed from each dtype's unit
+# roundoff and sums of up to 2 * 225 * 64 products of unit normals
+GRAD_WEIGHT_RTOL = {np.float32: 1e-5, np.float64: 1e-13}
+
+
+def _grad_weight_direct(x, gy, k):
+    """dw[o, c, u, v] = sum over items and pixels of gy * shifted x, as one
+    float64 contraction per tap."""
+    _, _, h, wd = x.shape
+    xp = _padded(x, k)
+    gy = gy.astype(np.float64)
+    dw = np.empty((gy.shape[1], x.shape[1], k, k))
+    for u in range(k):
+        for v in range(k):
+            dw[:, :, u, v] = np.einsum("nohw,nchw->oc", gy,
+                                       xp[:, :, u:u + h, v:v + wd])
+    return dw
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                         ids=["float32", "float64"])
+@pytest.mark.parametrize("n, ci, co, k, h, w", GRAD_WEIGHT_CASES)
+def test_grad_weight_matches_direct_sum_in_small_gemms(monkeypatch, dtype, n,
+                                                       ci, co, k, h, w):
+    rng = np.random.default_rng(7)
+    x, _, gy = _random_case(rng, n=n, ci=ci, co=co, k=k, h=h, w=w,
+                            dtype=dtype)
+    want = _grad_weight_direct(x, gy, k)
+    products = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        products.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return matmul(a, b, *args, **kwargs)
+
+    for path in _paths(monkeypatch):
+        products.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np, "matmul", spy)
+            dw = backend.conv2d_grad_weight(x, gy, k)
+        assert dw.dtype == dtype and dw.shape == (co, ci, k, k)
+        err = np.abs(dw - want).max() / np.abs(want).max()
+        assert err <= GRAD_WEIGHT_RTOL[dtype], f"{path}: {err:.2e}"
+        # as few blocks of whole rows as the bound allows
+        rows = backend._SMALL_GEMM_MACS // (co * ci * (w + 2 * (k // 2)))
+        assert len(products) == k * k * -(-h // rows), path
+        assert max(products) <= backend._SMALL_GEMM_MACS, path
+
+
+def test_grad_weight_keeps_large_channel_products_whole(monkeypatch):
+    # with 64 x 64 channel pairs the packed gemm beats row blocks, so each
+    # tap stays one product per item
+    rng = np.random.default_rng(8)
+    x, _, gy = _random_case(rng, n=1, ci=64, co=64, k=3, h=20, w=24,
+                            dtype=np.float32)
+    products = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        products.append(a.shape[-1])
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    dw = backend.conv2d_grad_weight(x, gy, 3)
+    monkeypatch.undo()
+    assert products == [20 * 26] * 9
+    want = _grad_weight_direct(x, gy, 3)
+    assert np.abs(dw - want).max() <= 1e-5 * np.abs(want).max()
+
+
+def test_batched_1x1_forward_copies_nothing_but_its_output(monkeypatch):
+    # n > 1: one (co, ci) @ (ci, h * w) product per item on x in place; the
+    # flat layout would first copy x into a padded buffer and crop a grid
+    rng = np.random.default_rng(9)
+    x, w, _ = _random_case(rng, n=4, ci=16, co=16, k=1, h=64, w=64,
+                           dtype=np.float32)
+    for path in _paths(monkeypatch):
+        backend.conv2d_forward(x, w)    # warm-up
+        tracemalloc.start()
+        try:
+            out = backend.conv2d_forward(x, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 2 ** 16, f"{path}: {peak / 2**20:.2f} MiB"

@@ -93,9 +93,9 @@ def _augmented_items(monkeypatch, samples, epochs):
     seen = []
     batch_step = trainer._batch_step
 
-    def spy(model, ms, gt, hp, *rest):
+    def spy(model, flat, ms, gt, hp, *rest):
         seen.extend(zip(ms.copy(), gt.copy(), hp.copy()))
-        return batch_step(model, ms, gt, hp, *rest)
+        return batch_step(model, flat, ms, gt, hp, *rest)
 
     monkeypatch.setattr(trainer, "_batch_step", spy)
     trainer.train(samples, trainer.desk_config(

@@ -48,8 +48,8 @@ def test_train_calls_the_wrapped_trainer_names(monkeypatch, tmp_path):
     workers = trainer._workers
 
     @contextmanager
-    def counting_workers(model, batch_size):
-        with workers(model, batch_size) as forked:
+    def counting_workers(model, flat, batch_size):
+        with workers(model, flat, batch_size) as forked:
             parts.append(1 + len(forked))
             yield forked
 

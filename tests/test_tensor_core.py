@@ -166,6 +166,23 @@ def test_avg_pool2_inverts_nearest_up2():
     np.testing.assert_allclose(roundtrip.data, a, rtol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 3, 4, 6), (1, 2, 5, 3),
+                                   (2, 16, 32, 32), (2, 16, 64, 64)])
+def test_nearest_up2_backward_sums_each_block_like_a_reshape(shape, dtype):
+    # bit for bit the block sums of g.reshape(n, c, h, 2, w, 2).sum((3, 5)),
+    # so replacing that reduction changed no gradient
+    n, c, h, w = shape
+    rng = np.random.default_rng(h * w)
+    a = tc.parameter("a", rng.standard_normal(shape).astype(dtype))
+    g = rng.standard_normal((n, c, 2 * h, 2 * w)).astype(dtype)
+    (grad,) = tc.backward(tc.reduce_sum(tc.mul(tc.nearest_up2(a), Tensor(g))),
+                          [a])
+    assert grad.dtype == dtype
+    np.testing.assert_array_equal(
+        grad, g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
+
+
 def test_avg_pool2_requires_even_extent():
     with pytest.raises(ShapeError):
         tc.avg_pool2(Tensor(np.zeros((1, 1, 3, 4))))

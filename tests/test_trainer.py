@@ -34,7 +34,7 @@ from msdnpan.injection_net import (
 from msdnpan.losses import total_loss
 from msdnpan.tensor_core import Tensor, backward, parameter
 from msdnpan.trainer import (
-    AdamState, TrainConfig, _batch_step, adam_step, desk_config,
+    AdamState, TrainConfig, _batch_step, adam_step, desk_config, flatten,
     load_checkpoint, model_from_checkpoint, override, save_checkpoint, train,
 )
 
@@ -70,34 +70,62 @@ def test_adam_hand_step():
     p = parameter("w", np.array([1.0]))
     g = np.ones(1)
     g.flags.writeable = False            # gradients are only read
-    state = AdamState([p])
-    adam_step(state, [g], 0.1)
+    state = AdamState(flatten([p]))
+    adam_step(state, g, 0.1)
     # bias correction makes both moment ratios exactly 1 on the first step
     assert abs(p.data[0] - (1.0 - 0.1 / (1.0 + 1e-8))) < 1e-15
     assert state.step_count == 1
 
-    adam_step(state, [g], 0.1)           # constant gradient: same step size
+    adam_step(state, g, 0.1)             # constant gradient: same step size
     assert abs(p.data[0] - (1.0 - 2.0 * (0.1 / (1.0 + 1e-8)))) < 1e-12
 
 
 def test_adam_rejects_a_none_or_missing_gradient():
+    # a parameter the loss does not reach gets no gradient from backward;
+    # the part that gathers the flat gradient names it
+    cfg = _tiny_config()
+    model = PansharpenModel(cfg.model, np.random.default_rng(0))
+    model.nin.unused = parameter("unused", np.zeros(2, np.float32))
+    batch = [np.stack([getattr(s, a) for s in _scenes(1)])
+             for a in ("ms", "gt", "hp")]
+    with pytest.raises(ValueError, match="^parameter unused has no gradient$"):
+        trainer._part(model, *batch, cfg.loss_weight, 1.0)
     p = parameter("w", np.zeros(2))
     with pytest.raises(ValueError, match="parameter w has no gradient"):
-        adam_step(AdamState([p]), [None], 0.1)
-    with pytest.raises(ValueError):     # one gradient per parameter
-        adam_step(AdamState([p]), [], 0.1)
+        trainer._gather([p], [None])
+    with pytest.raises(ValueError, match="parameter w has no gradient"):
+        trainer._gather([p], [])        # one gradient per parameter
+    with pytest.raises(ValueError):
+        adam_step(AdamState(flatten([p])), None, 0.1)
 
 
 @pytest.mark.parametrize("grads", [[np.ones(2), None], [np.ones(2)]],
                          ids=["none-entry", "one-short"])
 def test_adam_rejects_bad_grads_before_any_update(grads):
     a, b = parameter("a", np.zeros(2)), parameter("b", np.zeros(2))
-    state = AdamState([a, b])
-    with pytest.raises(ValueError):
-        adam_step(state, grads, 0.1)
+    state = AdamState(flatten([a, b]))
+    with pytest.raises(ValueError, match="^parameter b has no gradient$"):
+        adam_step(state, trainer._gather([a, b], grads), 0.1)
+    with pytest.raises(ValueError):     # a flat gradient of the wrong length
+        adam_step(state, np.concatenate([g for g in grads if g is not None]),
+                  0.1)
     assert state.step_count == 0
-    for arr in (a.data, b.data, *state.m, *state.v):
+    for arr in (a.data, b.data, state.m, state.v):
         assert not arr.any()
+
+
+def test_flatten_lays_parameters_out_in_order():
+    a = parameter("a", np.arange(6, dtype=np.float32).reshape(2, 3))
+    b = parameter("b", np.full(2, 7, np.float32))
+    flat = flatten([a, b])
+    assert flat.dtype == np.float32 and flat.flags.c_contiguous
+    np.testing.assert_array_equal(flat, [0, 1, 2, 3, 4, 5, 7, 7])
+    assert a.data.shape == (2, 3) and b.data.shape == (2,)
+    flat[...] = -1
+    assert (a.data == -1).all() and (b.data == -1).all()
+    with pytest.raises(TypeError):
+        flatten([parameter("c", np.zeros(1, np.float32)),
+                 parameter("d", np.zeros(1))])
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +317,51 @@ def test_updates_write_into_parameter_buffers():
                              for k, v in final.params.items()}
     model = model_from_checkpoint(final)
     params = model.parameters()
+    for p in params:
+        assert p.data.dtype == np.float32 and p.data is not stored[p.name]
+        np.testing.assert_array_equal(p.data, stored[p.name])
+
+    state = AdamState(flatten(params))
     buffers = [p.data for p in params]
     for p, b in zip(params, buffers):
-        assert b.dtype == np.float32 and b is not stored[p.name]
         np.testing.assert_array_equal(b, stored[p.name])
-
-    state = AdamState(params)
-    adam_step(state, [np.ones_like(b) for b in buffers], 0.1)
+    adam_step(state, np.ones_like(state.flat), 0.1)
     for p, b in zip(params, buffers):
         assert p.data is b and p.data.dtype == np.float32
         assert not np.array_equal(b, stored[p.name])
+
+
+def test_train_steps_one_parameter_vector(monkeypatch):
+    # every parameter is a view into Adam's vector, in model.parameters()
+    # order, so each update lands in p.data
+    updates = []
+    adam = trainer.adam_step
+
+    def spy(state, grad, lr):
+        before = state.flat.copy()
+        adam(state, grad, lr)
+        updates.append((state.flat, before))
+
+    def hook(model, epoch, step, record):
+        flat, before = updates[-1]
+        assert not np.array_equal(flat, before)
+        start = 0
+        for p in model.parameters():
+            assert p.data.base is flat
+            assert (p.data.ctypes.data
+                    == flat.ctypes.data + start * flat.itemsize)
+            np.testing.assert_array_equal(p.data.ravel(),
+                                          flat[start:start + p.data.size])
+            start += p.data.size
+        assert start == flat.size
+
+    monkeypatch.setattr(trainer, "adam_step", spy)
+    final = train(_scenes(4), _tiny_config(batch_size=2), hook=hook)
+    assert len(updates) == 4 and len({id(flat) for flat, _ in updates}) == 1
+    flat = updates[-1][0]
+    np.testing.assert_array_equal(
+        np.concatenate([final.params[p.name].ravel() for p in
+                        model_from_checkpoint(final).parameters()]), flat)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +386,9 @@ def test_augmented_batches_flip_each_item_along_its_drawn_axis(monkeypatch):
     seen = []
     batch_step = trainer._batch_step
 
-    def spy(model, ms, gt, hp, *rest):
+    def spy(model, flat, ms, gt, hp, *rest):
         seen.append((ms.copy(), gt.copy(), hp.copy()))
-        return batch_step(model, ms, gt, hp, *rest)
+        return batch_step(model, flat, ms, gt, hp, *rest)
 
     monkeypatch.setattr(trainer, "_batch_step", spy)
     cfg = _tiny_config(epochs=1, batch_size=2, augment=True)
@@ -376,15 +439,15 @@ def test_grad_norm_is_the_norm_of_the_gradient_adam_receives(monkeypatch):
     received = []
     step = trainer.adam_step
 
-    def spy(state, grads, lr):
-        received.append([g.copy() for g in grads])
-        return step(state, grads, lr)
+    def spy(state, grad, lr):
+        received.append(grad.copy())
+        return step(state, grad, lr)
 
     monkeypatch.setattr(trainer, "adam_step", spy)
     logs = []
     train(_scenes(2), _tiny_config(epochs=1, batch_size=2), log_fn=logs.append)
-    (grads,) = received                  # one step
-    want = math.sqrt(math.fsum(float(x) ** 2 for g in grads for x in g.flat))
+    (grad,) = received                   # one step
+    want = math.sqrt(math.fsum(float(x) ** 2 for x in grad))
     # float64 sums of float32 squares in another order: rounding only
     assert want > 0 and math.isclose(logs[0]["grad_norm"], want, rel_tol=1e-12)
 
@@ -489,14 +552,25 @@ def _desk_batch(n_items):
                    for a in ("ms", "gt", "hp")]
 
 
+def _per_parameter(params, flat):
+    """The flat vector flat cut into one named slice per parameter."""
+    cuts = np.cumsum([0] + [p.data.size for p in params])
+    return {p.name: flat[a:b] for p, a, b in zip(params, cuts, cuts[1:])}
+
+
 def _split_step(n_items, n_parts):
     """Gradients and record of one step of a seeded desk model on n_items
     scenes run as (up to) n_parts parts, parts 1.. in forked workers."""
     model, (ms, gt, hp) = _desk_batch(n_items)
-    with trainer._forked(model, n_parts - 1) as workers:
-        grads, record = _batch_step(model, ms, gt, hp,
-                                    desk_config().loss_weight, workers)
-    return {p.name: g for p, g in zip(model.parameters(), grads)}, record
+    flat = flatten(model.parameters())
+    seeded = flat.copy()
+    flat[...] = 0       # the workers' copies, so that each must load the values
+    with trainer._forked(model, flat, n_parts - 1) as workers:
+        flat[...] = seeded
+        grad, record = _batch_step(model, flat, ms, gt, hp,
+                                   desk_config().loss_weight, workers)
+    assert grad.shape == flat.shape
+    return _per_parameter(model.parameters(), grad), record
 
 
 @pytest.mark.parametrize("n_items, n_parts", [(4, 2), (3, 2), (1, 2), (4, 4)])
@@ -643,9 +717,9 @@ def test_lost_worker_raises_child_process_error_naming_it(monkeypatch,
     pids = []
     batch_step = trainer._batch_step
 
-    def spy(model, ms, gt, hp, loss_weight, workers):
+    def spy(model, flat, ms, gt, hp, loss_weight, workers):
         pids[:] = [w.pid for w in workers]
-        return batch_step(model, ms, gt, hp, loss_weight, workers)
+        return batch_step(model, flat, ms, gt, hp, loss_weight, workers)
 
     monkeypatch.setattr(trainer, "_batch_step", spy)
     if mid_step:
@@ -678,9 +752,9 @@ def test_train_runs_one_part_where_fork_is_missing(monkeypatch):
     workers_seen = []
     batch_step = trainer._batch_step
 
-    def spy(model, ms, gt, hp, loss_weight, workers):
+    def spy(model, flat, ms, gt, hp, loss_weight, workers):
         workers_seen.append(len(workers))
-        return batch_step(model, ms, gt, hp, loss_weight, workers)
+        return batch_step(model, flat, ms, gt, hp, loss_weight, workers)
 
     monkeypatch.setattr(trainer, "_batch_step", spy)
     children = []
@@ -790,25 +864,25 @@ def test_part_graph_keeps_only_what_backward_reads():
                   for attr in ("ms", "gt", "hp"))
     tracemalloc.start()
     try:
-        grads, _ = trainer._part(model, ms, gt, hp, cfg.loss_weight, 1.0)
+        grad, _ = trainer._part(model, ms, gt, hp, cfg.loss_weight, 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert all(g is not None for g in grads)
+    assert grad.shape == (sum(p.data.size for p in model.parameters()),)
     assert peak < 19 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_part_worker_loop_frees_each_jobs_graph(tmp_path):
     # `train`'s workers run `_serve` in forked processes, out of sight of
     # tracemalloc, so run the loop here on four half-batch desk jobs. Jobs
-    # and replies go through file-backed connections: a 160 KB reply would
+    # and replies go through file-backed connections: a 158 KB reply would
     # block on a socket that nothing reads. Tracemalloc peak of this seeded
     # loop: 16.5 MiB (the same over 8 jobs), 37.7 MiB when each job's graph
     # stays alive through the next job, 78.9 MiB when every job's graph is
     # kept.
     cfg = desk_config(seed=3)
     model = PansharpenModel(cfg.model, np.random.default_rng((3, 0)))
-    values = [p.data for p in model.parameters()]
+    flat = flatten(model.parameters())
     scenes = _scenes(8, size=64)
     jobs_path, replies_path = tmp_path / "jobs", tmp_path / "replies"
 
@@ -822,13 +896,13 @@ def test_part_worker_loop_frees_each_jobs_graph(tmp_path):
             part = scenes[i:i + 2]
             arrays = tuple(np.stack([getattr(s, attr) for s in part])
                            for attr in ("ms", "gt", "hp"))
-            jobs.send((values, arrays + (cfg.loss_weight, 0.5)))
+            jobs.send((flat, arrays + (cfg.loss_weight, 0.5)))
     with (connection(jobs_path, os.O_RDONLY) as jobs,
           connection(replies_path, os.O_WRONLY) as replies):
         tracemalloc.start()
         try:
-            trainer._serve(model, SimpleNamespace(recv=jobs.recv,
-                                                  send=replies.send))
+            trainer._serve(model, flat, SimpleNamespace(recv=jobs.recv,
+                                                        send=replies.send))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -836,7 +910,7 @@ def test_part_worker_loop_frees_each_jobs_graph(tmp_path):
         got = [replies.recv() for _ in range(4)]
         with pytest.raises(EOFError):
             replies.recv()
-    for grads, losses in got:
-        assert len(grads) == len(values)
+    for grad, losses in got:
+        assert grad.shape == flat.shape
         assert all(map(math.isfinite, losses.values()))
     assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
