@@ -15,16 +15,35 @@ results land on a grid of width w + 2p; the 2p extra columns of each row
 mix neighbouring rows and are cropped (forward) or multiplied by zeros
 (weight gradient).
 
-Accumulation. The forward pass lays the items' flat planes side by side,
-one row per input channel, so each tap is one GEMM over the whole batch:
-its N dimension spans every item's output grid, and the columns between
-two items' grids are junk that the crop drops. Level-3 BLAS computes
-C = alpha A B + beta C (Dongarra et al., "A set of level 3 basic linear
-algebra subprograms", ACM TOMS 1990), so BLAS sums the taps itself: one
-row-major gemm per tap, with A the tap's (co, ci) weights, B its window
-read in place through ldb = the row length, C the output grid, and beta 0
-for the first tap and 1 for every tap after it. The sum runs on BLAS's
-own threads, with no scratch buffer and no numpy pass per tap.
+Bands. The forward pass lays the items' flat planes side by side, one
+row per input channel. One gemm per tap over all of it would span every
+item's output grid in its N dimension, the columns between two items'
+grids being junk that the crop drops; call that the one pass. The
+forward pass runs it in bands of output rows, each of whose padded input
+stays within about BAND_BYTES (a core's L2). A band copies in only the
+padded rows its windows read, runs the taps over its own columns of the
+one pass, and crops its rows straight into the (n, co, h, w) result, so
+no whole-plane padded copy or output grid is ever built. A band may
+start or end inside an item or between two. A batch that fits one band,
+as every desk training shape does, runs as the one pass itself.
+
+Every output value is the one pass's, bit for bit, wherever the band
+edges fall. OpenBLAS computes the last N mod (its unroll) columns of a
+gemm with edge code that rounds otherwise, so a band's gemm starts at a
+multiple of _GEMM_COLS columns of the one pass and spans a multiple of
+_GEMM_COLS, but for the last band, which ends where the one pass ends
+and so meets the same edge code on the same columns. Its small-matrix
+kernel (up to _SMALL_GEMM_MACS multiply-adds) rounds otherwise than its
+packed one, so a plane whose one pass would run packed splits only into
+bands big enough to run packed as well; one that would not stays whole.
+
+Accumulation. Level-3 BLAS computes C = alpha A B + beta C (Dongarra et
+al., "A set of level 3 basic linear algebra subprograms", ACM TOMS 1990),
+so BLAS sums the taps itself: one row-major gemm per tap, with A the
+tap's (co, ci) weights, B its window read in place through ldb = the
+band's row length, C the band's output grid, and beta 0 for the first
+tap and 1 for every tap after it. The sum runs on BLAS's own threads,
+with no scratch buffer and no numpy pass per tap.
 
 The gemm is the cblas ?gemm of the OpenBLAS that numpy loaded, bound
 through ctypes when first needed. Only symbols whose name fixes 64-bit
@@ -32,17 +51,22 @@ integer arguments are bound (`scipy_cblas_?gemm64_`, `cblas_?gemm64_`).
 Raw pointers bypass numpy's bounds checks, so before any call every
 operand is checked to be a C-contiguous array of the gemm's own dtype,
 the input and output to have one row per input and output channel of the
-taps, and the last tap's window to end inside the row. It starts (k - 1) *
-(w + 2p) + k - 1 into the last item's plane and spans h * (w + 2p)
-columns, so it ends exactly at that plane's end, (h + 2p) * (w + 2p) +
-k - 1: the k - 1 spare zeros are what keep it in bounds.
+taps, and the last tap's window to end inside the row. For a band of N
+columns it starts (k - 1) * (w + 2p) + k - 1 into the band's row and
+spans N columns; the row is N + (k - 1) * (w + 2p + 1) long, so the
+window ends exactly at its end. In the one pass those last k - 1 values
+are the last plane's spare zeros.
 
 Where numpy's BLAS has no such symbol (numpy on Accelerate, say), and for
 dtypes other than float32 and float64, the same taps run as numpy
-matmuls on the same layout, each added into the output through one
-scratch buffer; there it is the only path. A 1x1 convolution of more
-than one item has one tap and nothing to pad, so it runs as one batched
-numpy matmul on the input in place; a single item keeps the tap path.
+matmuls on the same bands, each added into the output through one
+scratch buffer; there it is the only path. (numpy runs a tap with one
+output channel as a gemv, whose rounding depends on the columns it
+spans, so there the band edges may move the last bit.) A 1x1
+convolution has one tap and nothing to pad, so it reads its input in
+place: for more than one item as one batched numpy matmul, and for a
+single item as the tap path over the whole plane, writing the result in
+place.
 
 The weight gradient runs as numpy matmuls, one (co, rows * (w + 2p)) @
 (rows * (w + 2p), ci) product per tap, item and block of rows. OpenBLAS
@@ -50,7 +74,10 @@ packs both operands of a gemm with more than _SMALL_GEMM_MACS
 multiply-adds, which at small co * ci costs about as much as the
 arithmetic, so there the rows are split into the fewest near-even blocks
 that keep every product at or under that bound, on its unpacked
-small-matrix kernel.
+small-matrix kernel. All taps' products land in one scratch array and
+are summed over blocks and items in one reduction, in the same order
+per tap as one sum each. A 1x1 gradient has no junk columns, so it reads
+gy in place.
 """
 
 import ctypes
@@ -72,6 +99,12 @@ _SMALL_GEMM_MACS = 1_000_000
 # the blocks ran in 0.5-0.7x the time of one packed gemm, at 64 x 64 in
 # 1.1-1.35x
 _SMALL_GEMM_PAIRS = 32 * 32
+# bytes of flat padded input per forward band: about one core's L2
+BAND_BYTES = 1 << 20
+# OpenBLAS computes the last N mod its unroll columns of a gemm with edge
+# code that rounds otherwise; a forward band's gemm starts and, but for
+# the last band's, ends on a multiple of this many columns of the one pass
+_GEMM_COLS = 64
 
 
 @functools.cache
@@ -151,7 +184,8 @@ def _one_blas_thread():
 
 
 def _flat_padded(x, k):
-    """x (n, c, h, w) zero-padded by k // 2 into the flat layout above.
+    """x (n, c, h, w) zero-padded by k // 2, one flat row per item and
+    channel.
 
     Returns the (n, c, (h + 2p) * (w + 2p) + k - 1) buffer and the padded
     row width w + 2p."""
@@ -214,27 +248,74 @@ def conv2d_forward(x, w):
     """Same-padded stride-1 cross-correlation of x (n,ci,h,w) with w (co,ci,k,k)."""
     n, ci, h, wd = x.shape
     co, _, k, _ = w.shape
+    w = w.astype(x.dtype, copy=False)
     if k == 1 and n > 1:
         # one (co, ci) @ (ci, h * w) product per item, on the items in place
-        w = w.astype(x.dtype, copy=False)[:, :, 0, 0]
-        return np.matmul(w, x.reshape(n, ci, h * wd)).reshape(n, co, h, wd)
-    taps = np.ascontiguousarray(w.astype(x.dtype, copy=False).transpose(2, 3, 0, 1))
-    # the items' flat planes side by side in one row per channel
-    xp, wp = _flat_padded(x.transpose(1, 0, 2, 3), k)
-    length = xp.shape[-1]
-    xp = xp.reshape(ci, n * length)
-    # output columns from the first item's first pixel to the last item's
-    # last; the last tap's window over them ends at the row's end
-    cols = max(0, n * length - (k - 1) * (wp + 1))
-    out = np.empty((co, n * length), dtype=x.dtype)
-    gemm = _gemm(x.dtype) if cols else None     # no gemm for an empty batch
-    if gemm is None:
-        _taps_numpy(taps, xp, wp, out[:, :cols])
-    else:
-        _taps_gemm(gemm, taps, xp, wp, out, cols)
-    del xp      # so the crop copy does not coexist with it
-    grid = out.reshape(co, n, length)[:, :, :h * wp].reshape(co, n, h, wp)
-    return np.ascontiguousarray(grid[:, :, :, :wd].transpose(1, 0, 2, 3))
+        return np.matmul(w[:, :, 0, 0], x.reshape(n, ci, h * wd)).reshape(n, co, h, wd)
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
+    gemm = _gemm(x.dtype) if n * h * wd else None   # no gemm for an empty batch
+    if k == 1:
+        # one item, nothing to pad and no junk columns: x and out in place
+        out = np.empty((n, co, h, wd), dtype=x.dtype)
+        xp, grid = np.ascontiguousarray(x).reshape(ci, h * wd), out.reshape(co, h * wd)
+        if gemm is None:
+            _taps_numpy(taps, xp, wd, grid)
+        else:
+            _taps_gemm(gemm, taps, xp, wd, grid, h * wd)
+        return out
+    if not n * co * h * wd:
+        return np.empty((n, co, h, wd), dtype=x.dtype)
+    p = k // 2
+    wp = wd + 2 * p
+    plane = (h + 2 * p) * wp + k - 1    # an item's flat padded plane
+    # one pass: one gemm over the items' planes side by side, whose columns
+    # run from the first item's first pixel to the last item's last
+    total = n * plane - (k - 1) * (wp + 1)
+    rows = n * h                        # output rows, item after item
+    bands = 1
+    if co * ci * total > _SMALL_GEMM_MACS:
+        # rows per band: ci rows of about rows * wp + (k - 1) * (wp + 1) +
+        # _GEMM_COLS values of padded input within BAND_BYTES, at least one
+        fit = (BAND_BYTES // (ci * x.itemsize) - _GEMM_COLS
+               - (k - 1) * (wp + 1)) // wp
+        # OpenBLAS's small-matrix kernel rounds otherwise than its packed
+        # one, so every band keeps enough rows to stay packed as well
+        least = _SMALL_GEMM_MACS // (co * ci * wp) + 2
+        bands = max(1, min(-(-rows // max(1, fit)), rows // least))
+    cuts = [rows * j // bands for j in range(bands + 1)]
+    out = None
+    for g0, g1 in zip(cuts, cuts[1:]):
+        first = g0 // h * plane + g0 % h * wp
+        last = (g1 - 1) // h * plane + (g1 - 1) % h * wp
+        # from a multiple of _GEMM_COLS, over a multiple of them but for
+        # the last band, which ends where the one pass does: each output
+        # meets the main kernel or the same edge code as in that pass
+        start = first - first % _GEMM_COLS
+        cols = (total - start if g1 == rows else
+                -(-(last + wd - start) // _GEMM_COLS) * _GEMM_COLS)
+        xp = np.zeros((ci, cols + (k - 1) * (wp + 1)), dtype=x.dtype)
+        # each item's rows in the band, and the input rows they read
+        items = [(b, max(g0 - b * h, 0), min(g1 - b * h, h))
+                 for b in range(g0 // h, (g1 - 1) // h + 1)]
+        for b, i0, i1 in items:
+            a, z = max(i0 - p, 0), min(i1 + p, h)
+            off = b * plane + (a + p) * wp - start
+            rows_in = xp[:, off:off + (z - a) * wp].reshape(ci, z - a, wp)
+            rows_in[:, :, p:p + wd] = x[b, :, a:z]
+        grid = np.empty((co, cols + wp), dtype=x.dtype)
+        if gemm is None:
+            _taps_numpy(taps, xp, wp, grid[:, :cols])
+        else:
+            _taps_gemm(gemm, taps, xp, wp, grid, cols)
+        del xp
+        if out is None:     # only now, so one band peaks as a crop copy would
+            out = np.empty((n, co, h, wd), dtype=x.dtype)
+        for b, i0, i1 in items:
+            off = b * plane + i0 * wp - start
+            out[b, :, i0:i1] = grid[:, off:off + (i1 - i0) * wp].reshape(
+                co, i1 - i0, wp)[:, :, :wd]
+        del grid
+    return out
 
 
 def conv2d_grad_weight(x, gy, k):
@@ -243,10 +324,14 @@ def conv2d_grad_weight(x, gy, k):
     n, ci, h, wd = x.shape
     co = gy.shape[1]
     xp, wp = _flat_padded(x, k)
-    # gy on the padded-width grid; its zero columns cancel the junk products
-    g = np.zeros((n, co, h, wp), dtype=x.dtype)
-    g[:, :, :, :wd] = gy
-    g = g.reshape(n, co, h * wp)
+    if k == 1:
+        # no junk columns to cancel: gy as it is
+        g = np.ascontiguousarray(gy, dtype=x.dtype).reshape(n, co, h * wd)
+    else:
+        # gy on the padded-width grid; its zero columns cancel the junk products
+        g = np.zeros((n, co, h, wp), dtype=x.dtype)
+        g[:, :, :, :wd] = gy
+        g = g.reshape(n, co, h * wp)
     # row blocks for the small-matrix kernel (see the module docstring);
     # with more channel pairs the packed kernel wins, and the rows stay whole
     rows = max(1, h)
@@ -254,19 +339,16 @@ def conv2d_grad_weight(x, gy, k):
         rows = max(1, _SMALL_GEMM_MACS // max(1, co * ci * wp))
     blocks = max(1, -(-h // rows))
     cuts = [h * b // blocks * wp for b in range(blocks + 1)]
-    dw = np.empty((co, ci, k, k), dtype=x.dtype)
-    scratch = np.empty((blocks, n, co, ci), dtype=x.dtype)
-    pieces = [(g[:, :, a:z], a, z, part)
-              for part, a, z in zip(scratch, cuts, cuts[1:])]
-    products = scratch.reshape(blocks * n, co, ci)
+    # every tap's block products, summed over blocks and items in one pass
+    products = np.empty((k * k, blocks, n, co, ci), dtype=x.dtype)
     xt = xp.transpose(0, 2, 1)
     for u in range(k):
         for v in range(k):
             off = u * wp + v
-            for gb, a, z, part in pieces:
-                np.matmul(gb, xt[:, off + a:off + z], out=part)
-            dw[:, :, u, v] = products.sum(axis=0)
-    return dw
+            for part, a, z in zip(products[u * k + v], cuts, cuts[1:]):
+                np.matmul(g[:, :, a:z], xt[:, off + a:off + z], out=part)
+    dw = products.reshape(k * k, blocks * n, co, ci).sum(axis=1)
+    return np.ascontiguousarray(dw.reshape(k, k, co, ci).transpose(2, 3, 0, 1))
 
 
 def conv2d_grad_input(gy, w):

@@ -74,7 +74,9 @@ def spatial_attention(features, weights):
 def decode_memory(addressed, weights):
     """Detail feature map M_D from the memory-gated query."""
     feat = relu(weights.decode_conv(addressed))
+    del addressed   # so a tape-free pass frees the query here
     gated = feat * spatial_attention(feat, weights)
+    del feat
     return weights.detail_proj(gated)
 
 

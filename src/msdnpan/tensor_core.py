@@ -331,9 +331,13 @@ def prelu(a, slope):
     sl = slope.data.reshape((1, -1) + (1,) * (x.ndim - 2))
     reduce_axes = tuple(i for i in range(x.ndim) if i != 1)
     # x * slope where x <= 0, else x: branch-free, and exact because one of
-    # the two terms is always zero
-    out = np.minimum(x, 0) * sl
-    out += np.maximum(x, 0)
+    # the two terms is always zero. The second term is added in channel
+    # blocks of about backend.BAND_BYTES, so only a block of it is live
+    out = np.minimum(x, 0).astype(np.result_type(x, sl), copy=False)
+    out *= sl
+    step = max(1, backend.BAND_BYTES * channels // max(1, x.nbytes))
+    for c in range(0, channels, step):
+        out[:, c:c + step] += np.maximum(x[:, c:c + step], 0)
 
     def bw(g):
         pos = x > 0

@@ -187,13 +187,14 @@ def test_outputs_keep_dtype_and_are_contiguous(monkeypatch):
 
 
 def test_forward_frees_its_buffers_before_the_crop_copy(monkeypatch):
-    """Live during the tap loop: the padded input and the accumulator, each
-    (h + 2p) rows or h rows of width w + 2p, and on the numpy path one
-    scratch buffer as large as the accumulator. The cropped output must
-    replace the padded input and scratch, not add to them. The numpy
-    bound allows x.nbytes of headroom, less than the crop. The BLAS path
-    has no scratch, so its peak is the accumulator and the crop; its
-    headroom, x.nbytes / 4, is less than the padded input it must free."""
+    """Bounds for one pass over the whole plane: live during the tap loop
+    are the padded input and the accumulator, each (h + 2p) rows or h rows
+    of width w + 2p, and on the numpy path one scratch buffer as large as
+    the accumulator. The cropped output must replace the padded input and
+    scratch, not add to them. The numpy bound allows x.nbytes of headroom,
+    less than the crop. The BLAS path has no scratch, so its peak is the
+    accumulator and the crop; its headroom, x.nbytes / 4, is less than the
+    padded input it must free. Bands of rows stay below both."""
     n, ci, co, k, h, w = 1, 32, 64, 3, 128, 128
     rng = np.random.default_rng(5)
     x = rng.standard_normal((n, ci, h, w)).astype(np.float32)
@@ -215,6 +216,27 @@ def test_forward_frees_its_buffers_before_the_crop_copy(monkeypatch):
             tracemalloc.stop()
         assert out.nbytes == crop
         assert peak < bounds[path], f"{path}: traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_forward_builds_no_whole_plane_copy(monkeypatch):
+    """A plane in bands holds its output and one band's padded input,
+    output grid and, on the numpy path, scratch: each about BAND_BYTES here,
+    where ci = co. A whole-plane padded copy (8.1 MiB) would not fit."""
+    rng = np.random.default_rng(11)
+    x, wt, _ = _random_case(rng, n=1, ci=32, co=32, k=3, h=256, w=256,
+                            dtype=np.float32)
+    bound = x.nbytes + 4 * backend.BAND_BYTES
+    assert bound < 2 * x.nbytes
+    for path in _paths(monkeypatch):
+        backend.conv2d_forward(x, wt)   # warm-up
+        tracemalloc.start()
+        try:
+            out = backend.conv2d_forward(x, wt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == x.nbytes
+        assert peak < bound, f"{path}: traced peak {peak / 2**20:.1f} MiB"
 
 
 # (n, ci, co, k, h, w): each item's per-tap product is co * ci * rows *
@@ -310,3 +332,67 @@ def test_batched_1x1_forward_copies_nothing_but_its_output(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < out.nbytes + 2 ** 16, f"{path}: {peak / 2**20:.2f} MiB"
+
+
+# (n, ci, co, k, h, w) with 90 output rows in all: one pass of each is a
+# gemm above OpenBLAS's small-matrix bound, so it may split into bands
+BAND_CASES = ([(n, 32, 32, k, 90 // n, 64) for k in KS for n in (1, 3)]
+              + [(3, 1, 512, 3, 30, 126)])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                         ids=["float32", "float64"])
+@pytest.mark.parametrize("n, ci, co, k, h, w", BAND_CASES)
+def test_banded_forward_equals_one_band(monkeypatch, dtype, n, ci, co, k, h,
+                                        w):
+    """Budgets for bands of 2, 3 and 4: for n = 3 the edges of 3 bands fall
+    between items and those of 2 and 4 inside them, and 90 / 4 rows do not
+    divide h. Every output value must be the one-pass value, bit for bit,
+    on both accumulation paths; so must grad_input's, which runs the same
+    kernel (but for numpy's gemv, below). A 1x1 conv reads its input in
+    place and never bands."""
+    rng = np.random.default_rng(10)
+    x, wt, gy = _random_case(rng, n=n, ci=ci, co=co, k=k, h=h, w=w,
+                             dtype=dtype)
+    rows, wp = n * h, w + 2 * (k // 2)
+
+    def budget(channels, bands):
+        m = -(-rows // bands)
+        return ((m * wp + (k - 1) * (wp + 1) + backend._GEMM_COLS)
+                * channels * x.itemsize)
+
+    for path in _paths(monkeypatch):
+        calls = []
+        with monkeypatch.context() as m:
+            for name in ("_taps_gemm", "_taps_numpy"):
+                taps = getattr(backend, name)
+                m.setattr(backend, name, lambda *a, taps=taps:
+                          calls.append(a) or taps(*a))
+            m.setattr(backend, "BAND_BYTES", 1 << 40)
+            one = backend.conv2d_forward(x, wt)
+            one_gx = backend.conv2d_grad_input(gy, wt)
+            for bands in (2, 3, 4):
+                case = f"{path} bands={bands}"
+                calls.clear()
+                m.setattr(backend, "BAND_BYTES", budget(ci, bands))
+                assert np.array_equal(backend.conv2d_forward(x, wt), one), case
+                assert len(calls) == (bands if k > 1 else int(n == 1)), case
+                m.setattr(backend, "BAND_BYTES", budget(co, bands))
+                gx = backend.conv2d_grad_input(gy, wt)
+                if path == "numpy" and ci == 1:
+                    # one output row: numpy runs each tap as a gemv, whose
+                    # rounding depends on the columns it spans
+                    np.testing.assert_allclose(gx, one_gx, **TOL[dtype])
+                else:
+                    assert np.array_equal(gx, one_gx), case
+        np.testing.assert_allclose(one, _forward_direct(x, wt), **TOL[dtype])
+
+
+def _forward_direct(x, w):
+    """The forward pass as one float64 contraction per tap."""
+    _, _, h, wd = x.shape
+    k = w.shape[2]
+    xp = _padded(x, k)
+    return sum(np.tensordot(xp[:, :, u:u + h, v:v + wd],
+                            w[:, :, u, v].astype(np.float64), axes=(1, 1))
+               for u in range(k) for v in range(k)).transpose(0, 3, 1, 2)

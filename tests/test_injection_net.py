@@ -239,10 +239,13 @@ def test_full_model_matches_the_tiled_plane_forward():
 
 
 def test_tape_free_full_model_traced_peak():
-    """No (N, H, W) memory plane, and each whole-image plane freed after
-    its last use. Basis: a 32x32 MS input peaks at 12.3 MiB of traced
-    allocations; with the tiled plane and the planes held to the end of
-    their functions it peaked at 20.4 MiB."""
+    """No (N, H, W) memory plane, each whole-image plane freed after its
+    last use, convolutions in bands of rows and prelu's positive part added
+    in channel blocks. Basis: a 32x32 MS input peaks at 10.6 MiB of traced
+    allocations (a NIN prelu; `tile_mul` reaches 10.2); with whole-plane
+    convolutions, the gated query held through `decode_memory` and
+    prelu's two full temporaries it peaked at 12.3 MiB, and with the tiled
+    plane and the planes held to the end of their functions at 20.4 MiB."""
     model = _frozen_full_model()
     ms = Tensor(np.random.default_rng(0).random((1, BANDS, 32, 32), np.float32))
     pansharpen(ms, model)  # warm-up: first-call caches
@@ -252,4 +255,4 @@ def test_tape_free_full_model_traced_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 14 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+    assert peak <= 11.5 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"

@@ -554,3 +554,25 @@ def test_prelu_is_the_mask_product(dtype, slope_value):
     pos = x > 0
     assert out.dtype == dtype
     assert np.array_equal(out, x * (pos + sl * ~pos))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("per_block", [5, 2, 1], ids=["one", "two", "each"])
+def test_prelu_adds_its_positive_part_in_channel_blocks(monkeypatch, dtype,
+                                                        per_block):
+    """The positive part is added in blocks of channels; each value must be
+    the two-term sum's, NaN and infinities included (x = -inf with slope 0
+    gives NaN there too)."""
+    x = np.random.default_rng(17).standard_normal((2, 5, 6, 8)) * 4.0
+    x.flat[::5], x.flat[2::9] = 0.0, -0.0
+    x.flat[1::13], x.flat[4::17], x.flat[6::19] = np.inf, -np.inf, np.nan
+    x = x.astype(dtype)
+    slope = np.array([-0.7, 0.0, 1.5, 0.25, 3.0], dtype)
+    # blocks of per_block channels: the last of 2 holds one
+    monkeypatch.setattr(tc.backend, "BAND_BYTES", x.nbytes * per_block // 5)
+    sl = slope.reshape((1, 5, 1, 1))
+    with np.errstate(invalid="ignore"):     # -inf * 0
+        out = tc.prelu(Tensor(x), Tensor(slope)).data
+        want = np.minimum(x, 0) * sl + np.maximum(x, 0)
+    assert out.dtype == dtype
+    assert np.array_equal(out, want, equal_nan=True)
