@@ -9,24 +9,30 @@ each band by the prediction mean; D_lambda, D_s and QNR take the usual
 exponents p = q = alpha = beta = 1.
 
 All statistics are computed in float64 from correctly rounded sums.
-``_fsum`` gets them by error-free extraction (Rump, Ogita and Oishi,
-"Accurate floating-point summation, part I", SIAM J. Sci. Comput. 2008):
-adding and subtracting a power of two sigma above n times the largest
-magnitude splits each element exactly into a high part on a grid that
-numpy sums without rounding and a low remainder. The sigmas of all passes
-are fixed from the global maximum, so the passes run block by block over
-cache-sized pieces, each block's partial sums add up exactly across
-blocks, and a product x * y is formed one block at a time. What a few
-passes leave is zero or goes to math.fsum with the exact partial sums.
-The result is bit-equal to ``math.fsum`` of the elements. Input that is
-not finite, or so large that sigma would overflow, goes to ``math.fsum``
-itself, so NaN, infinities and intermediate overflow behave exactly as
-they do there.
+``_sums`` gets every sum a metric needs in one pass over cache-sized
+blocks, by error-free extraction (Rump, Ogita and Oishi, "Accurate
+floating-point summation, part I", SIAM J. Sci. Comput. 2008): adding and
+subtracting a power of two sigma above n times a block's largest
+magnitude splits each of its n elements exactly into a high part on a
+grid that numpy sums without rounding and a low remainder. Each block
+takes its sigmas from its own maximum, each operand's taken once per
+block however many terms read it, so every block's pass sums are exact;
+math.fsum adds these exact pieces, and what a few passes leave, into the
+correctly rounded total. Products x * y, differences, spectral angles
+and SCC's Laplacian are formed one block at a time inside the pass (the
+Laplacian from each row block and its two halo rows, in the same
+operation order), never as whole-image arrays, so on a 512x512 scene the
+reduced-resolution report peaks at 20.5 MiB of traced allocations, 16 of
+them the float64 copies of its two inputs (39.9 with whole-image
+Laplacians). The result is bit-equal to math.fsum of the elements. A term
+whose input is not finite, or so large that sigma or a running sum could
+overflow, goes to math.fsum itself, so NaN, infinities and intermediate
+overflow behave exactly as they do there.
 
-Each statistic is summed once: D_lambda and D_s take every band's mean
-and mean square once per scale (shared between them in
-``full_resolution_report``), so only the cross products are summed per
-pair of images, and every Q value comes from one formula.
+Each statistic is summed once: ``full_resolution_report`` takes every
+band's and PAN's mean and mean square, and the mean product of every pair
+of them, in one pass per scale, which D_lambda and D_s then share, and
+every Q value comes from one formula.
 
 Besides stability this gives a useful exactness property: replicating an
 image k*k-fold scales every sum by exactly k*k, so means, variances, and
@@ -52,77 +58,115 @@ def _arr(x, rank=None, name="input"):
     return a
 
 
-# Each extraction pass removes about 53 - log2(n) bits from every element;
-# what is left after the cap goes to math.fsum as it is.
+# Each extraction pass removes about 53 - log2(n) bits from every element
+# of a block of n; what is left after the cap goes to math.fsum as it is.
 _EXTRACT_PASSES = 4
 
-# Elements per block: the two float64 scratch buffers of _fsum (256 KiB
-# each) stay in a core's L2 cache while every pass runs over them.
+# Elements per block: an operand's block and the two float64 scratch
+# buffers of _sums (256 KiB each) stay in a core's L2 cache while every
+# pass runs over them.
 _BLOCK = 1 << 15
+
+# Terms whose blocks' bounds add up beyond this go to math.fsum whole.
+_REACH = 2.0 ** 1023
 
 
 def _absmax(p):
     return max(p.max(initial=0.0), -p.min(initial=0.0))
 
 
-def _fsum(x, y=None):
-    """Correctly rounded sum of the elements of x, or of the products
-    x * y: bit-equal to ``math.fsum((x * y).ravel().tolist())``, including
-    its results and errors on non-finite input, without building the
-    products or a list for finite input."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if y is not None:
-        y = np.asarray(y, dtype=np.float64).ravel()
-    n = x.size
-    nbits = (n + 2).bit_length()
-    # bounds every |x * y| as rounding is monotonic; a loose bound only
-    # leaves more to the later passes
-    m = _absmax(x) if y is None else _absmax(x) * _absmax(y)
-    if not math.isfinite(m) or math.frexp(m)[1] + nbits > 1023:
-        return math.fsum((x if y is None else x * y).tolist())
-    if m == 0.0:
-        return 0.0
-    # sigma_1 = 2**k with (n + 2) * max|p| < sigma_1: each q is a multiple
-    # of 2**-53 * sigma and their magnitudes add up to less than sigma, so
-    # every block's q.sum(), their total and p - q are exact. What is left
-    # is at most 2**-53 * sigma_i, below sigma_(i+1) / (n + 2). (A sigma
-    # that underflows to 0 meets a remainder already 0.)
-    top = math.frexp(m)[1] + nbits
-    sigmas = [math.ldexp(1.0, top - i * (53 - nbits))
-              for i in range(_EXTRACT_PASSES)]
-    totals = [0.0] * _EXTRACT_PASSES
-    rest = []
-    q = np.empty(min(n, _BLOCK))
-    p = np.empty_like(q)
-    for start in range(0, n, _BLOCK):
-        pb = x[start:start + _BLOCK]
-        qb = q[:pb.size]
-        if y is not None:
-            pb = np.multiply(pb, y[start:start + _BLOCK], out=p[:pb.size])
-        for i, sigma in enumerate(sigmas):
-            np.add(pb, sigma, out=qb)
-            qb -= sigma
-            # the first pass leaves the caller's array alone
-            pb = np.subtract(pb, qb, out=p[:pb.size])
-            totals[i] += float(qb.sum())
-            if not pb.any():
-                break
-        else:
-            rest += pb[pb != 0.0].tolist()
-    return math.fsum(totals + rest)
+def _sums(blocks, terms):
+    """Correctly rounded sums of several terms in one pass over blocks.
+
+    ``blocks()`` yields one tuple per block that holds a block of every
+    operand, as equally long 1-D float64 arrays. A term ``(i,)`` sums the
+    elements of operand i and ``(i, j)`` the products of operands i and j.
+    Each result is bit-equal to ``math.fsum`` of the term's elements in
+    block order, including its result or error on non-finite input, and
+    finite input builds neither the products nor a list. If terms raise
+    there, the first of them in ``terms`` raises here.
+    """
+    pieces = [[] for _ in terms]
+    reach = [0.0] * len(terms)
+    fallen = set()
+    q = p = np.empty(0)
+    for ops in blocks():
+        n = ops[0].size
+        if n > q.size:
+            q, p = np.empty(n), np.empty(n)
+        qb, pb = q[:n], p[:n]
+        nbits = (n + 2).bit_length()
+        bound = {}              # each operand's max |.| in this block
+        for t, term in enumerate(terms):
+            if t in fallen:
+                continue
+            m = 1.0
+            for i in term:
+                if i not in bound:
+                    bound[i] = _absmax(ops[i])
+                # bounds every |x * y| as rounding is monotonic; a loose
+                # bound only leaves more to the later passes
+                m *= bound[i]
+            if m == 0.0:
+                continue
+            # sigma_1 = 2**top with (n + 2) * m < sigma_1: each q is a
+            # multiple of 2**-53 * sigma and their magnitudes add up to
+            # less than sigma, so the block's q.sum() and p - q are exact.
+            # What is left is at most 2**-53 * sigma_i, below
+            # sigma_(i+1) / (n + 2). (A sigma that underflows to 0 meets a
+            # remainder already 0.) The blocks' 2**top add up to at most
+            # _REACH, so no running sum of the elements overflows in any
+            # order, and math.fsum of the exact pieces is the sum.
+            top = math.frexp(m)[1] + nbits if math.isfinite(m) else 1024
+            if top <= 1023:
+                reach[t] += math.ldexp(1.0, top)
+            if top > 1023 or reach[t] > _REACH:
+                fallen.add(t)
+                continue
+            x = ops[term[0]]
+            if len(term) == 2:
+                x = np.multiply(x, ops[term[1]], out=pb)
+            for k in range(_EXTRACT_PASSES):
+                sigma = math.ldexp(1.0, top - k * (53 - nbits))
+                np.add(x, sigma, out=qb)
+                qb -= sigma
+                # the first pass leaves the caller's operand alone
+                x = np.subtract(x, qb, out=pb)
+                pieces[t].append(float(qb.sum()))
+                if not x.any():
+                    break
+            else:
+                pieces[t] += x[x != 0.0].tolist()
+    if fallen:
+        # a second pass lists these terms' elements for math.fsum itself
+        for t in fallen:
+            pieces[t] = []
+        for ops in blocks():
+            for t in fallen:
+                x = ops[terms[t][0]]
+                if len(terms[t]) == 2:
+                    x = x * ops[terms[t][1]]
+                pieces[t] += x.tolist()
+    return [math.fsum(v) for v in pieces]
 
 
-def _fmean(x, y=None):
-    return _fsum(x, y) / x.size
+def _blocked(*arrays):
+    """A ``_sums`` block source over equally sized arrays: slices of
+    _BLOCK elements of each, in C order."""
+    flat = [np.asarray(a, dtype=np.float64).ravel() for a in arrays]
+    return lambda: (tuple(a[s:s + _BLOCK] for a in flat)
+                    for s in range(0, flat[0].size, _BLOCK))
 
 
-def _moments(x, y):
-    """(mx, my, vx, vy, cov): means, variances clamped at 0, covariance."""
-    mx, my = _fmean(x), _fmean(y)
-    vx = max(_fmean(x, x) - mx * mx, 0.0)
-    vy = max(_fmean(y, y) - my * my, 0.0)
-    cov = _fmean(x, y) - mx * my
-    return mx, my, vx, vy, cov
+def _moments(blocks, n):
+    """(mx, my, vx, vy, cov) of the two operands of a ``_sums`` block
+    source with n elements each: means, variances clamped at 0,
+    covariance."""
+    mx, my, mxx, myy, mxy = (
+        s / n for s in _sums(blocks, [(0,), (1,), (0, 0), (1, 1), (0, 1)]))
+    vx = max(mxx - mx * mx, 0.0)
+    vy = max(myy - my * my, 0.0)
+    return mx, my, vx, vy, mxy - mx * my
 
 
 def rmse(x, y):
@@ -130,8 +174,10 @@ def rmse(x, y):
     x, y = _arr(x), _arr(y)
     if x.shape != y.shape:
         raise ShapeError(f"rmse shapes differ: {x.shape} vs {y.shape}")
-    d = x - y
-    return math.sqrt(_fmean(d, d))
+    xf, yf = x.ravel(), y.ravel()
+    (total,) = _sums(lambda: ((xf[s:s + _BLOCK] - yf[s:s + _BLOCK],)
+                              for s in range(0, xf.size, _BLOCK)), [(0, 0)])
+    return math.sqrt(total / x.size)
 
 
 def sam(x, y):
@@ -151,21 +197,24 @@ def sam(x, y):
     if x.shape[0] < 2:
         raise ShapeError("sam needs at least 2 bands")
     k, h, w = x.shape
-    angles = np.empty((h, w))
     rows = max(1, _BLOCK // (k * w))     # band stacks of about one block
-    for r in range(0, h, rows):
-        xb, yb = x[:, r:r + rows], y[:, r:r + rows]
-        nx = np.sqrt(np.einsum("khw,khw->hw", xb, xb))
-        ny = np.sqrt(np.einsum("khw,khw->hw", yb, yb))
-        ok = (nx > 0) & (ny > 0)
-        ux = xb / np.where(ok, nx, 1.0)
-        uy = yb / np.where(ok, ny, 1.0)
-        d = ux - uy
-        s = ux + uy
-        nd = np.sqrt(np.einsum("khw,khw->hw", d, d))
-        ns = np.sqrt(np.einsum("khw,khw->hw", s, s))
-        angles[r:r + rows] = np.where(ok, 2.0 * np.arctan2(nd, ns), 0.0)
-    return _fmean(angles)
+
+    def angles():
+        for r in range(0, h, rows):
+            xb, yb = x[:, r:r + rows], y[:, r:r + rows]
+            nx = np.sqrt(np.einsum("khw,khw->hw", xb, xb))
+            ny = np.sqrt(np.einsum("khw,khw->hw", yb, yb))
+            ok = (nx > 0) & (ny > 0)
+            ux = xb / np.where(ok, nx, 1.0)
+            uy = yb / np.where(ok, ny, 1.0)
+            d = ux - uy
+            s = ux + uy
+            nd = np.sqrt(np.einsum("khw,khw->hw", d, d))
+            ns = np.sqrt(np.einsum("khw,khw->hw", s, s))
+            yield (np.where(ok, 2.0 * np.arctan2(nd, ns), 0.0).ravel(),)
+
+    (total,) = _sums(angles, [(0,)])
+    return total / (h * w)
 
 
 def ergas(x, y, ratio=0.25):
@@ -180,13 +229,24 @@ def ergas(x, y, ratio=0.25):
     x, y = _arr(x, 3, "X"), _arr(y, 3, "Y")
     if x.shape != y.shape:
         raise ShapeError(f"ergas shapes differ: {x.shape} vs {y.shape}")
+    bands = x.shape[0]
+    xf, yf = x.reshape(bands, -1), y.reshape(bands, -1)
+    n = xf.shape[1]
+
+    def blocks():       # each band of X, then each band of X - Y
+        for s in range(0, n, _BLOCK):
+            xb = xf[:, s:s + _BLOCK]
+            yield (*xb, *(xb - yf[:, s:s + _BLOCK]))
+
+    sums = _sums(blocks, [t for k in range(bands)
+                          for t in ((k,), (bands + k, bands + k))])
     total = []
-    for k in range(x.shape[0]):
-        mean_k = _fmean(x[k])
+    for k in range(bands):
+        mean_k = sums[2 * k] / n
         if mean_k == 0.0:
             raise DegenerateInputError(f"band {k} has zero mean")
-        total.append((rmse(x[k], y[k]) / mean_k) ** 2)
-    return 100.0 * ratio * math.sqrt(math.fsum(total) / x.shape[0])
+        total.append((math.sqrt(sums[2 * k + 1] / n) / mean_k) ** 2)
+    return 100.0 * ratio * math.sqrt(math.fsum(total) / bands)
 
 
 def _laplacian(img):
@@ -213,31 +273,49 @@ def scc(x, y):
         raise ShapeError(f"scc shapes differ: {x.shape} vs {y.shape}")
     if x.shape[1] < 3 or x.shape[2] < 3:
         raise ShapeError("scc needs at least 3x3 images")
-    _, _, vx, vy, cov = _moments(_laplacian(x), _laplacian(y))
+    k, h, w = x.shape
+    rows = max(1, _BLOCK // (w - 2))
+
+    def laplacians():   # row blocks, in the C order of the whole stacks
+        for b in range(k):
+            for r in range(0, h - 2, rows):
+                yield (_laplacian(x[b, r:r + rows + 2]).ravel(),
+                       _laplacian(y[b, r:r + rows + 2]).ravel())
+
+    _, _, vx, vy, cov = _moments(laplacians, k * (h - 2) * (w - 2))
     if vx == 0.0 or vy == 0.0:
         raise DegenerateInputError("zero variance after Laplacian filtering")
     return cov / math.sqrt(vx * vy)
 
 
-def _stats(img):
-    """(img, mean, mean square): what a Q index needs of one image alone."""
-    return img, _fmean(img), _fmean(img, img)
+class _Planes:
+    """Equally sized planes, with every sum the Q index of a listed pair
+    of them reads, from one ``_sums`` pass: each plane's mean and mean
+    square and each pair's mean product. ``shape`` is that of the band
+    stack the planes start with, where d_lambda and d_s check it."""
 
+    def __init__(self, planes, pairs, shape=None):
+        self.planes, self.shape = planes, shape
+        m = len(planes)
+        sums = _sums(_blocked(*planes),
+                     [t for i in range(m) for t in ((i,), (i, i))] + pairs)
+        means = [v / planes[0].size for v in sums]
+        self.mean, self.square = means[0:2 * m:2], means[1:2 * m:2]
+        self.product = dict(zip(pairs, means[2 * m:]))
 
-def _q(a, b):
-    """Q index of two ``_stats`` triples; only their mean product is
-    summed here."""
-    x, mx, mxx = a
-    y, my, myy = b
-    vx = max(mxx - mx * mx, 0.0)
-    vy = max(myy - my * my, 0.0)
-    sx, sy = math.sqrt(vx), math.sqrt(vy)
-    if sx * sy == 0.0:
-        return 1.0 if np.array_equal(x, y) else 0.0
-    cov = _fmean(x, y) - mx * my
-    lum_den = mx * mx + my * my
-    lum = 1.0 if lum_den == 0.0 else 2.0 * mx * my / lum_den
-    return (cov / (sx * sy)) * lum * (2.0 * sx * sy / (vx + vy))
+    def q(self, i, j):
+        """Q index of planes i and j."""
+        mx, my = self.mean[i], self.mean[j]
+        vx = max(self.square[i] - mx * mx, 0.0)
+        vy = max(self.square[j] - my * my, 0.0)
+        sx, sy = math.sqrt(vx), math.sqrt(vy)
+        if sx * sy == 0.0:
+            same = np.array_equal(self.planes[i], self.planes[j])
+            return 1.0 if same else 0.0
+        cov = self.product[i, j] - mx * my
+        lum_den = mx * mx + my * my
+        lum = 1.0 if lum_den == 0.0 else 2.0 * mx * my / lum_den
+        return (cov / (sx * sy)) * lum * (2.0 * sx * sy / (vx + vy))
 
 
 def q_index(x, y):
@@ -247,26 +325,7 @@ def q_index(x, y):
     x, y = _arr(x, 2, "x"), _arr(y, 2, "y")
     if x.shape != y.shape:
         raise ShapeError(f"q_index shapes differ: {x.shape} vs {y.shape}")
-    return _q(_stats(x), _stats(y))
-
-
-class _Bands:
-    """A rank-3 band stack whose bands' ``_stats`` are each summed once,
-    however many Q values use them."""
-
-    def __init__(self, a, name):
-        self.a = _arr(a, 3, name)
-        self.shape = self.a.shape
-        self._stats = [None] * self.shape[0]
-
-    def __getitem__(self, k):
-        if self._stats[k] is None:
-            self._stats[k] = _stats(self.a[k])
-        return self._stats[k]
-
-
-def _bands(a, name):
-    return a if isinstance(a, _Bands) else _Bands(a, name)
+    return _Planes([x, y], [(0, 1)]).q(0, 1)
 
 
 def q4(x, y):
@@ -298,27 +357,23 @@ def scale_ratio(small, big, what):
     return s
 
 
-def d_lambda(ms, fused):
-    """Spectral distortion: mean absolute change of the inter-band Q values
-    between scales (exponent p = 1)."""
-    ms, fused = _bands(ms, "ms"), _bands(fused, "fused")
+def _bands(a, name):
+    """A band stack, as given by ``full_resolution_report`` or as an
+    array."""
+    return a if isinstance(a, _Planes) else _arr(a, 3, name)
+
+
+def _check_d_lambda(ms, fused):
     k = ms.shape[0]
     if k < 2:
         raise ShapeError("d_lambda needs at least 2 bands")
     if fused.shape[0] != k:
         raise ShapeError(f"band counts differ: {k} vs {fused.shape[0]}")
     scale_ratio(ms.shape[1:], fused.shape[1:], "d_lambda")
-    # Q is symmetric, so each unordered pair stands for both orders
-    terms = [abs(_q(ms[i], ms[j]) - _q(fused[i], fused[j]))
-             for i, j in itertools.combinations(range(k), 2)]
-    return math.fsum(terms) / len(terms)
 
 
-def d_s(ms, fused, pan):
-    """Spatial distortion: mean absolute change of each band's Q against PAN
-    between scales (exponent q = 1)."""
-    ms, fused = _bands(ms, "ms"), _bands(fused, "fused")
-    pan = _arr(pan, 3, "pan")
+def _check_d_s(ms, fused, pan):
+    """The scale ratio of D_s's inputs, or a ShapeError."""
     if pan.shape[0] != 1:
         raise ShapeError(f"pan must have a single band, got {pan.shape[0]}")
     if fused.shape[0] != ms.shape[0]:
@@ -327,11 +382,34 @@ def d_s(ms, fused, pan):
     if pan.shape[1:] != fused.shape[1:]:
         raise ShapeError(
             f"pan {pan.shape[1:]} does not match fused {fused.shape[1:]}")
-    s = scale_ratio(ms.shape[1:], fused.shape[1:], "d_s")
-    p = _stats(pan[0])
-    p_low = _stats(wald_downsample(pan[0], s))
-    terms = [abs(_q(fused[i], p) - _q(ms[i], p_low))
-             for i in range(ms.shape[0])]
+    return scale_ratio(ms.shape[1:], fused.shape[1:], "d_s")
+
+
+def d_lambda(ms, fused):
+    """Spectral distortion: mean absolute change of the inter-band Q values
+    between scales (exponent p = 1)."""
+    ms, fused = _bands(ms, "ms"), _bands(fused, "fused")
+    _check_d_lambda(ms, fused)
+    # Q is symmetric, so each unordered pair stands for both orders
+    pairs = list(itertools.combinations(range(ms.shape[0]), 2))
+    if not isinstance(ms, _Planes):     # not summed by the report
+        ms, fused = _Planes([*ms], pairs), _Planes([*fused], pairs)
+    terms = [abs(ms.q(i, j) - fused.q(i, j)) for i, j in pairs]
+    return math.fsum(terms) / len(terms)
+
+
+def d_s(ms, fused, pan):
+    """Spatial distortion: mean absolute change of each band's Q against PAN
+    between scales (exponent q = 1)."""
+    ms, fused = _bands(ms, "ms"), _bands(fused, "fused")
+    pan = _arr(pan, 3, "pan")
+    s = _check_d_s(ms, fused, pan)
+    k = ms.shape[0]
+    pairs = [(i, k) for i in range(k)]      # plane k is PAN at each scale
+    if not isinstance(ms, _Planes):         # not summed by the report
+        ms = _Planes([*ms, wald_downsample(pan[0], s)], pairs)
+        fused = _Planes([*fused, pan[0]], pairs)
+    terms = [abs(fused.q(i, k) - ms.q(i, k)) for i in range(k)]
     return math.fsum(terms) / len(terms)
 
 
@@ -351,7 +429,7 @@ def pearson(x, y):
     x, y = _arr(x), _arr(y)
     if x.shape != y.shape:
         raise ShapeError(f"pearson shapes differ: {x.shape} vs {y.shape}")
-    _, _, vx, vy, cov = _moments(x, y)
+    _, _, vx, vy, cov = _moments(_blocked(x, y), x.size)
     if vx == 0.0 or vy == 0.0:
         raise DegenerateInputError("pearson undefined for constant input")
     return cov / math.sqrt(vx * vy)
@@ -369,9 +447,16 @@ def reduced_resolution_report(pred, gt, ratio=0.25):
 
 
 def full_resolution_report(pred, ms, pan):
-    """QNR with its spectral and spatial distortion components. D_lambda
-    and D_s share each band's mean and mean square."""
-    ms, pred = _Bands(ms, "ms"), _Bands(pred, "fused")
+    """QNR with its spectral and spatial distortion components. One pass
+    per scale sums what D_lambda and D_s read there: each band's and PAN's
+    mean and mean square, and the mean product of every pair of them."""
+    ms, pred = _arr(ms, 3, "ms"), _arr(pred, 3, "fused")
+    _check_d_lambda(ms, pred)
+    pan = _arr(pan, 3, "pan")
+    s = _check_d_s(ms, pred, pan)
+    pairs = list(itertools.combinations(range(ms.shape[0] + 1), 2))
+    ms = _Planes([*ms, wald_downsample(pan[0], s)], pairs, ms.shape)
+    pred = _Planes([*pred, pan[0]], pairs, pred.shape)
     dl = d_lambda(ms, pred)
     ds = d_s(ms, pred, pan)
     return {"qnr": qnr(dl, ds), "d_lambda": dl, "d_s": ds}

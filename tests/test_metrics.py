@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from msdnpan import metrics
 from msdnpan.data_pipeline import synth_scene, wald_downsample
 from msdnpan.errors import DegenerateInputError, ShapeError
 from msdnpan.metrics import (
-    _BLOCK, _fsum, d_lambda, d_s, ergas, full_resolution_report, pearson, q4,
-    q_index, qnr, reduced_resolution_report, rmse, sam, scc,
+    _BLOCK, _blocked, _sums, d_lambda, d_s, ergas, full_resolution_report,
+    pearson, q4, q_index, qnr, reduced_resolution_report, rmse, sam, scc,
 )
 
 
@@ -241,6 +242,33 @@ def test_row_blocks_equal_whole_array_forms():
     y[:, 7, 9] = 0.0                        # a zero spectrum counts angle 0
     assert sam(x, y) == _whole_sam(x, y)
     assert scc(x, y) == _whole_scc(x, y)
+    # SCC's Laplacian row blocks: heights 3 and 4 (one and two Laplacian
+    # rows); height 67, whose 510 Laplacian columns make blocks of 64 rows
+    # and a last block of one; and _BLOCK Laplacian columns, one row a block
+    for shape in ((2, 3, 9), (2, 4, 9), (2, 67, 512), (1, 5, _BLOCK + 2)):
+        x = rng.uniform(0, 1, shape)
+        y = x + rng.normal(0, 0.05, shape)
+        assert scc(x, y) == _whole_scc(x, y), shape
+        with pytest.raises(DegenerateInputError):
+            scc(np.full(shape, 0.5), y)
+
+
+def test_reduced_report_traced_peak():
+    """No whole-image Laplacian, difference or angle plane: each statistic
+    is summed from blocks made inside one pass. Basis: a 512x512 scene's
+    float32 prediction and GT become two 8 MiB float64 stacks, and the
+    report peaked at 39.9 MiB of traced allocations with two whole-image
+    Laplacians and their `4.0 * at(1, 1)` temporary."""
+    scene = synth_scene(51, 512)
+    pred = np.repeat(np.repeat(scene.ms, 4, axis=1), 4, axis=2)
+    reduced_resolution_report(pred, scene.gt)   # warm-up: first-call caches
+    tracemalloc.start()
+    try:
+        reduced_resolution_report(pred, scene.gt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
 
 
 def _pairwise_d_lambda(ms, fused):
@@ -275,19 +303,37 @@ def test_shared_sums_equal_pairwise_q_index():
 
 
 def test_report_sum_counts(monkeypatch):
-    calls = []
-    fsum = metrics._fsum
-    monkeypatch.setattr(metrics, "_fsum",
-                        lambda *a: calls.append(1) or fsum(*a))
+    # each statistic is one term of one _sums call, and each call streams
+    # its blocks once: one pass per metric of the reduced report, and one
+    # per scale of the full one
+    calls, streams = [], []
+    sums = metrics._sums
+
+    def counting(blocks, terms):
+        def streamed():
+            streams.append(1)
+            return blocks()
+        calls.append(terms)
+        return sums(streamed, terms)
+
+    monkeypatch.setattr(metrics, "_sums", counting)
     scene = synth_scene(41, 64)
     fused = np.repeat(np.repeat(scene.ms, 4, axis=1), 4, axis=2) + 0.01
-    # each band's mean and mean square once per scale, the PAN and PAN-low
-    # ones once, and one mean product per Q value
+    # per scale: the mean and mean square of the 4 bands and PAN, and the
+    # mean product of each of their 10 pairs
     full_resolution_report(fused, scene.ms, scene.pan)
-    assert len(calls) <= 40
+    assert [len(t) for t in calls] == [20, 20]
+    assert len(streams) == 2
+    assert all(len(set(t)) == len(t) for t in calls)
     calls.clear()
+    streams.clear()
+    # SAM's angles; ERGAS's band means and squared differences; the means,
+    # mean squares and mean product of SCC's Laplacians and of Q4's
+    # band-mean images
     reduced_resolution_report(fused, scene.gt)
-    assert len(calls) == 19
+    assert [len(t) for t in calls] == [1, 8, 5, 5]
+    assert len(streams) == 4
+    assert all(len(set(t)) == len(t) for t in calls)
 
 
 def _fsum_outcome(f, a):
@@ -335,10 +381,9 @@ def test_fsum_equals_math_fsum():
     cases.append(np.concatenate(
         [ones, -ones, np.column_stack([quarter, -quarter, tiny]).ravel()]))
     for a in cases:
-        _assert_same(_fsum_outcome(_fsum, a),
-                     _fsum_outcome(lambda v: math.fsum(v.ravel().tolist()), a),
-                     a[:4])
-    # products, summed by _fsum(x, y) without forming x * y
+        _assert_same(_fsum_outcome(lambda v: _sums(_blocked(v), [(0,)])[0], a),
+                     _fsum_outcome(_math_fsum, a), a[:4])
+    # products, summed by a term (0, 1) without forming x * y
     n = 3 * _BLOCK + 7
     pairs = [
         (rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n),
@@ -350,9 +395,64 @@ def test_fsum_equals_math_fsum():
     with np.errstate(all="ignore"):
         for x, y in pairs:
             _assert_same(
-                _fsum_outcome(lambda v: _fsum(*v), (x, y)),
-                _fsum_outcome(lambda v: math.fsum(v.ravel().tolist()), x * y),
-                x[:4])
+                _fsum_outcome(lambda v: _sums(_blocked(*v), [(0, 1)])[0],
+                              (x, y)),
+                _fsum_outcome(_math_fsum, x * y), x[:4])
+    # several terms in one pass: a term that goes to math.fsum leaves the
+    # others alone, across block edges
+    for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+        ops = _mixed_operands(rng, n)
+        terms = [(0,), (1,), (0, 1), (1, 1), (2,), (0, 2), (3,), (1, 3),
+                 (4,), (4, 4), (5,), (3, 5), (6,), (6, 0), (7,), (7, 5),
+                 (8,), (0, 0)]
+        with np.errstate(all="ignore"):
+            got = _sums(_blocked(*ops), terms)
+            for term, g in zip(terms, got):
+                want = ops[term[0]] if len(term) == 1 else \
+                    ops[term[0]] * ops[term[1]]
+                _assert_same(g, _fsum_outcome(_math_fsum, want), (n, term))
+    # a term whose math.fsum raises raises here, the first one in order
+    finite = rng.standard_normal(3)
+    clash = np.array([math.inf, 1.0, -math.inf])            # ValueError
+    overflow = np.array([1e308, 1e308, -1e308])             # OverflowError
+    for terms, error in (([(0,), (1,)], ValueError),
+                         ([(2,), (0,)], OverflowError),
+                         ([(0,), (2,), (1,)], OverflowError),
+                         ([(1,), (2,)], ValueError)):
+        assert _fsum_outcome(lambda v: _sums(_blocked(*v), terms),
+                             (finite, clash, overflow)) is error
+    # each block's sigma fits, but the running sum overflows inside the
+    # fifth block, where math.fsum of the blocks' exact pieces would not
+    v = 0.99 * 2.0 ** 1007
+    ridge = np.full(5 * _BLOCK, v)
+    ridge[4 * _BLOCK + 2000:] = -v
+    assert _fsum_outcome(lambda a: _sums(_blocked(a), [(0,)]), ridge) \
+        is _fsum_outcome(_math_fsum, ridge) is OverflowError
+
+
+def _math_fsum(a):
+    return math.fsum(np.asarray(a).ravel().tolist())
+
+
+def _mixed_operands(rng, n):
+    """Operands of length n whose terms take every path of _sums."""
+    f = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+    g = rng.standard_normal(n)
+    nan = g.copy()
+    nan[-1] = math.nan                      # in the last block only
+    inf = g.copy()
+    inf[n // 2] = math.inf
+    ninf = g.copy()
+    ninf[0] = -math.inf                     # in the first block only
+    zero = np.zeros(n)
+    negzero = np.full(n, -0.0)
+    # sigma would overflow; the pairs cancel, so math.fsum does not
+    big = np.full(n, 1e308)
+    big[1::2] = -1e308
+    # each block's sigma fits, but more than two blocks' bounds add up
+    # beyond 2**1023
+    wide = np.full(n, 0.75 * 2.0 ** 1006)
+    return [f, g, nan, inf, ninf, zero, negzero, big, wide]
 
 
 def _assert_same(got, want, label):

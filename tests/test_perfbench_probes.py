@@ -1,5 +1,6 @@
 """Every function the benchmark's per-layer tracer wraps still exists, and
-training still calls the ones it times through the names it wraps.
+training and the eval reports still call the ones they time through the
+names it wraps.
 
 The tracer lists a missing probe target as absent and reports 0 for its
 layer, so a rename would otherwise pass silently.
@@ -10,7 +11,9 @@ from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
-from msdnpan import trainer
+import numpy as np
+
+from msdnpan import metrics, trainer
 from msdnpan.data_pipeline import synth_scene
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -59,3 +62,27 @@ def test_train_calls_the_wrapped_trainer_names(monkeypatch, tmp_path):
     (n_parts,) = parts
     assert Counter(log.read_text().split()) == {
         "backward": n_parts, "total_loss": n_parts, "adam_step": 1}
+
+
+def test_reports_call_the_wrapped_metric_names(monkeypatch):
+    # the tracer replaces metrics.sam, ergas, scc and q4 (eval-reduced) and
+    # metrics.d_lambda and d_s (eval-full); a report that reached their
+    # work another way would leave their metrics.*_s rows reading 0
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("sam", "ergas", "scc", "q4", "d_lambda", "d_s"):
+        monkeypatch.setattr(metrics, name,
+                            counting(name, getattr(metrics, name)))
+    scene = synth_scene(42, 32)
+    fused = np.repeat(np.repeat(scene.ms, 4, axis=1), 4, axis=2) + 0.01
+    metrics.reduced_resolution_report(fused, scene.gt)
+    assert Counter(calls) == {"sam": 1, "ergas": 1, "scc": 1, "q4": 1}
+    calls.clear()
+    metrics.full_resolution_report(fused, scene.ms, scene.pan)
+    assert Counter(calls) == {"d_lambda": 1, "d_s": 1}
