@@ -15,15 +15,16 @@ results land on a grid of width w + 2p; the 2p extra columns of each row
 mix neighbouring rows and are cropped (forward) or multiplied by zeros
 (weight gradient).
 
-Bands. The forward pass lays the items' flat planes side by side, one
-row per input channel. One gemm per tap over all of it would span every
-item's output grid in its N dimension, the columns between two items'
-grids being junk that the crop drops; call that the one pass. The
-forward pass runs it in bands of output rows, each of whose padded input
-stays within about BAND_BYTES (a core's L2). A band copies in only the
-padded rows its windows read, runs the taps over its own columns of the
-one pass, and crops its rows straight into the (n, co, h, w) result, so
-no whole-plane padded copy or output grid is ever built. A band may
+Bands. The forward pass of a k >= 3 convolution lays the items' flat
+planes side by side, one row per input channel. One gemm per tap over
+all of it would span every item's output grid in its N dimension, the
+columns between two items' grids being junk that the crop drops; call
+that the one pass. The forward pass runs it in bands of output rows,
+each of whose padded input stays within about BAND_BYTES (a core's L2).
+A band copies in only the padded rows its windows read, runs the taps
+over its own columns of the one pass, and crops its rows straight into
+the (n, co, h, w) result, so no whole-plane padded copy or output grid
+is ever built. A band may
 start or end inside an item or between two. A batch that fits one band,
 as every desk training shape does, runs as the one pass itself.
 
@@ -62,11 +63,12 @@ dtypes other than float32 and float64, the same taps run as numpy
 matmuls on the same bands, each added into the output through one
 scratch buffer; there it is the only path. (numpy runs a tap with one
 output channel as a gemv, whose rounding depends on the columns it
-spans, so there the band edges may move the last bit.) A 1x1
-convolution has one tap and nothing to pad, so it reads its input in
-place: for more than one item as one batched numpy matmul, and for a
-single item as the tap path over the whole plane, writing the result in
-place.
+spans, so there the band edges may move the last bit.)
+
+A 1x1 convolution has one tap, nothing to pad and no junk columns, so
+it takes none of the above: for any number of items it is one batched
+numpy matmul, a (co, ci) @ (ci, h * w) product per item on the input in
+place, and each item's output is the same bits whatever batch it runs in.
 
 The weight gradient runs as numpy matmuls, one (co, rows * (w + 2p)) @
 (rows * (w + 2p), ci) product per tap, item and block of rows. OpenBLAS
@@ -232,7 +234,7 @@ def _taps_numpy(taps, xp, wp, out):
     # with one input channel each tap is an outer product, which numpy's
     # matmul computes about 10x slower than the same broadcast multiply
     product = np.multiply if ci == 1 else np.matmul
-    scratch = np.empty_like(out) if k > 1 else None
+    scratch = np.empty_like(out)
     for u in range(k):
         for v in range(k):
             off = u * wp + v
@@ -249,22 +251,13 @@ def conv2d_forward(x, w):
     n, ci, h, wd = x.shape
     co, _, k, _ = w.shape
     w = w.astype(x.dtype, copy=False)
-    if k == 1 and n > 1:
+    if k == 1:
         # one (co, ci) @ (ci, h * w) product per item, on the items in place
         return np.matmul(w[:, :, 0, 0], x.reshape(n, ci, h * wd)).reshape(n, co, h, wd)
-    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
-    gemm = _gemm(x.dtype) if n * h * wd else None   # no gemm for an empty batch
-    if k == 1:
-        # one item, nothing to pad and no junk columns: x and out in place
-        out = np.empty((n, co, h, wd), dtype=x.dtype)
-        xp, grid = np.ascontiguousarray(x).reshape(ci, h * wd), out.reshape(co, h * wd)
-        if gemm is None:
-            _taps_numpy(taps, xp, wd, grid)
-        else:
-            _taps_gemm(gemm, taps, xp, wd, grid, h * wd)
-        return out
     if not n * co * h * wd:
         return np.empty((n, co, h, wd), dtype=x.dtype)
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
+    gemm = _gemm(x.dtype)
     p = k // 2
     wp = wd + 2 * p
     plane = (h + 2 * p) * wp + k - 1    # an item's flat padded plane

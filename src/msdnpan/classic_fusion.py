@@ -27,7 +27,8 @@ def box_filter(x, window):
     """Mean filter over a window x window neighbourhood of the last two axes,
     replicate-padded so the output has the input's extent. The window sum is
     accumulated first and divided once, so flat regions stay exactly flat for
-    values with short mantissas."""
+    values with short mantissas. A window whose edge-padded copy cannot be
+    allocated raises MemoryError."""
     k = int(window)
     if k < 1 or k % 2 == 0:
         raise ShapeError(f"box_filter window must be odd and positive, got {window}")
@@ -37,6 +38,12 @@ def box_filter(x, window):
         return x
     p = k // 2
     h, w = x.shape[-2:]
+    # the padded copy grows with the window squared; numpy rejects one past
+    # its index range with a ValueError or TypeError, so that is checked here
+    padded = (*x.shape[:-2], h + 2 * p, w + 2 * p)
+    if math.prod(padded) * x.itemsize > np.iinfo(np.intp).max:
+        raise MemoryError(f"box_filter window {k}: a padded copy of shape "
+                          f"{padded} is too large to index")
     xe = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(p, p), (p, p)], mode="edge")
     s = np.zeros_like(x)
     for u in range(k):

@@ -173,8 +173,13 @@ def build_parser():
 
 
 def cmd_gen_data(args):
-    manifest = generate_dataset(args.out, args.count, args.size, args.seed,
-                                scale=args.scale, hp_window=args.hp_window)
+    try:    # nothing is written before the first scene is built
+        manifest = generate_dataset(args.out, args.count, args.size,
+                                    args.seed, scale=args.scale,
+                                    hp_window=args.hp_window)
+    except MemoryError as e:
+        raise ValueError(f"--size {args.size}, --hp-window {args.hp_window}: "
+                         f"a scene cannot be allocated ({e})") from None
     _emit({"root": manifest.root, "count": len(manifest.ids),
            "train": len(manifest.train_ids()),
            "test": len(manifest.test_ids())})
@@ -248,7 +253,11 @@ def cmd_baseline(args):
         pan = _read(args.pan)
         up = bicubic_upsample(Tensor(ms), scale_ratio(
             ms.shape[1:], pan.shape[1:], "MS/PAN")).data
-        out = inject(up, pan, args.method, args.g, args.window)
+        try:    # mra-add and sfim low-pass an edge-padded copy of PAN
+            out = inject(up, pan, args.method, args.g, args.window)
+        except MemoryError as e:
+            raise ValueError(f"--window {args.window}: the low-pass filter "
+                             f"cannot be allocated ({e})") from None
     _write(args.out, out)
     _emit({"out": args.out, "shape": list(out.shape)})
     return 0

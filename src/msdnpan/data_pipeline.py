@@ -254,7 +254,7 @@ def _scene_seed(seed, index):
 
 def generate_dataset(root, count, size, seed, scale=4, hp_window=5):
     """Write `count` scenes plus manifest.json under `root`. The arguments
-    are checked before anything is created."""
+    are checked, and the first scene built, before anything is created."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if scale < 1:
@@ -266,14 +266,13 @@ def generate_dataset(root, count, size, seed, scale=4, hp_window=5):
         raise ValueError(
             f"hp_window must be odd and positive, got {hp_window}")
     rootp = Path(root)
-    rootp.mkdir(parents=True, exist_ok=True)
     ids, split = [], {}
     for i in range(count):
         sid = f"scene_{i:04d}"
         sample = synth_scene(_scene_seed(seed, i), size, scale=scale,
                              hp_window=hp_window, sample_id=sid)
         d = rootp / sid
-        d.mkdir(exist_ok=True)
+        d.mkdir(parents=True, exist_ok=True)
         save_tensor(d / "ms.msdt", sample.ms)
         save_tensor(d / "gt.msdt", sample.gt)
         save_tensor(d / "pan.msdt", sample.pan)

@@ -1,6 +1,6 @@
 """Quality assessment for sharpened products.
 
-Reduced-resolution (reference-based): RMSE, SAM, ERGAS, SCC, Q4.
+Reduced-resolution (reference-based): SAM, ERGAS, SCC, Q4.
 Full-resolution (no-reference): D_lambda, D_s, QNR.
 
 Conventions: ``q4`` is the universal Q index of the band-mean image, not
@@ -167,17 +167,6 @@ def _moments(blocks, n):
     vx = max(mxx - mx * mx, 0.0)
     vy = max(myy - my * my, 0.0)
     return mx, my, vx, vy, mxy - mx * my
-
-
-def rmse(x, y):
-    """Root of the mean squared difference."""
-    x, y = _arr(x), _arr(y)
-    if x.shape != y.shape:
-        raise ShapeError(f"rmse shapes differ: {x.shape} vs {y.shape}")
-    xf, yf = x.ravel(), y.ravel()
-    (total,) = _sums(lambda: ((xf[s:s + _BLOCK] - yf[s:s + _BLOCK],)
-                              for s in range(0, xf.size, _BLOCK)), [(0, 0)])
-    return math.sqrt(total / x.size)
 
 
 def sam(x, y):

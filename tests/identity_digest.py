@@ -16,9 +16,10 @@ paper-config shapes too), and the `eval-reduced`/`eval-full` stdout on three pre
 Training splits each batch per usable CPU, so compare runs made with the
 same CPU affinity. Pytest does not collect this file.
 
-With --dump DIR it also writes the arrays behind two of the digests,
+With --dump DIR it also writes the arrays behind three groups of digests:
 DIR/grad.full.npz and DIR/train.params.npz, one entry per parameter name,
-so that two checkouts whose digests differ can be compared numerically.
+and DIR/infer.npz, one entry per `infer.ms*` output, so that two checkouts
+whose digests differ can be compared numerically.
 """
 
 import argparse
@@ -55,7 +56,7 @@ def digests(work, dump=None):
     import numpy as np
 
     from msdnpan import cli
-    from msdnpan.data_pipeline import load_manifest, load_split
+    from msdnpan.data_pipeline import load_manifest, load_split, load_tensor
     from msdnpan.injection_net import (
         ModelConfig, PansharpenModel, pansharpen_with_details,
     )
@@ -109,6 +110,7 @@ def digests(work, dump=None):
     result["grad.full"] = _digest_params(grads)
     if dump is not None:
         np.savez(dump / "grad.full.npz", **grads)
+    inferred = {}
     for m in INFER_MS:
         scenes = work / f"ms{m}"
         run("gen-data", "--out", scenes, "--count", 1, "--size", m * SCALE,
@@ -117,6 +119,9 @@ def digests(work, dump=None):
         run("infer", "--ckpt", ckpt, "--ms", scenes / "scene_0000" / "ms.msdt",
             "--out", out)
         result[f"infer.ms{m}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+        inferred[f"infer.ms{m}"] = load_tensor(out).data
+    if dump is not None:
+        np.savez(dump / "infer.npz", **inferred)
 
     def evaluate(scene, methods, infer=None):
         ms, gt, pan = (scene / f"{part}.msdt" for part in ("ms", "gt", "pan"))
@@ -146,8 +151,8 @@ def main():
     parser.add_argument("--src", default=str(Path(__file__).parents[1] / "src"),
                         help="directory that holds the msdnpan package")
     parser.add_argument("--dump", type=Path, metavar="DIR",
-                        help="also write the grad.full and train.params "
-                             "arrays to .npz files in DIR")
+                        help="also write the grad.full, train.params and "
+                             "infer arrays to .npz files in DIR")
     args = parser.parse_args()
     sys.path.insert(0, str(Path(args.src).resolve()))
     if args.dump is not None:

@@ -334,6 +334,24 @@ def test_batched_1x1_forward_copies_nothing_but_its_output(monkeypatch):
         assert peak < out.nbytes + 2 ** 16, f"{path}: {peak / 2**20:.2f} MiB"
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                         ids=["float32", "float64"])
+@pytest.mark.parametrize("ci, co, h", [(32, 8, 1), (8, 32, 1), (32, 32, 16),
+                                       (1, 16, 8), (16, 1, 8)])
+def test_1x1_forward_of_an_item_does_not_depend_on_its_batch(monkeypatch,
+                                                            dtype, ci, co, h):
+    # (32, 8, 1) and (8, 32, 1) are the pooled squeeze and excite of the
+    # channel attention; an item run alone must get the bits it gets in a
+    # batch, on either accumulation path
+    rng = np.random.default_rng(12)
+    x, w, _ = _random_case(rng, n=3, ci=ci, co=co, k=1, h=h, w=h, dtype=dtype)
+    for path in _paths(monkeypatch):
+        batch = backend.conv2d_forward(x, w)
+        for b in range(3):
+            alone = backend.conv2d_forward(x[b:b + 1], w)
+            assert np.array_equal(alone, batch[b:b + 1]), f"{path} item {b}"
+
+
 # (n, ci, co, k, h, w) with 90 output rows in all: one pass of each is a
 # gemm above OpenBLAS's small-matrix bound, so it may split into bands
 BAND_CASES = ([(n, 32, 32, k, 90 // n, 64) for k in KS for n in (1, 3)]
@@ -349,8 +367,8 @@ def test_banded_forward_equals_one_band(monkeypatch, dtype, n, ci, co, k, h,
     between items and those of 2 and 4 inside them, and 90 / 4 rows do not
     divide h. Every output value must be the one-pass value, bit for bit,
     on both accumulation paths; so must grad_input's, which runs the same
-    kernel (but for numpy's gemv, below). A 1x1 conv reads its input in
-    place and never bands."""
+    kernel (but for numpy's gemv, below). A 1x1 conv is one batched
+    matmul on its input in place: it never bands or runs the taps."""
     rng = np.random.default_rng(10)
     x, wt, gy = _random_case(rng, n=n, ci=ci, co=co, k=k, h=h, w=w,
                              dtype=dtype)
@@ -376,7 +394,7 @@ def test_banded_forward_equals_one_band(monkeypatch, dtype, n, ci, co, k, h,
                 calls.clear()
                 m.setattr(backend, "BAND_BYTES", budget(ci, bands))
                 assert np.array_equal(backend.conv2d_forward(x, wt), one), case
-                assert len(calls) == (bands if k > 1 else int(n == 1)), case
+                assert len(calls) == (bands if k > 1 else 0), case
                 m.setattr(backend, "BAND_BYTES", budget(co, bands))
                 gx = backend.conv2d_grad_input(gy, wt)
                 if path == "numpy" and ci == 1:

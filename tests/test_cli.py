@@ -608,6 +608,23 @@ def test_baseline_bicubic_rejects_an_unallocatable_scale(tmp_path, capsys,
     assert not out.exists()
 
 
+# on a 16x16 PAN a window of 2**24 + 1 needs a 1 PiB edge-padded copy,
+# over the address space as above; 2**62 + 1 overflows numpy's size checks
+# and 10**24 + 1 its integer pad widths
+@pytest.mark.parametrize("window", [2 ** 24 + 1, 2 ** 62 + 1, 10 ** 24 + 1])
+def test_unallocatable_windows_exit_1_and_write_nothing(workspace, tmp_path,
+                                                        capsys, window):
+    assert main(["baseline", "--method", "mra-add", "--ms",
+                 str(workspace["ms"]), "--pan", str(workspace["pan"]),
+                 "--out", str(tmp_path / "o.msdt"),
+                 "--window", str(window)]) == 1
+    _one_error_line(capsys, "--window")
+    assert main(["gen-data", "--out", str(tmp_path / "d"), "--count", "2",
+                 "--size", "16", "--hp-window", str(window)]) == 1
+    _one_error_line(capsys, "--hp-window")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_baseline_errors(workspace, tmp_path):
     out = str(tmp_path / "o.msdt")
     assert main(["baseline", "--method", "mra-add", "--ms",

@@ -12,7 +12,7 @@ from msdnpan.data_pipeline import synth_scene, wald_downsample
 from msdnpan.errors import DegenerateInputError, ShapeError
 from msdnpan.metrics import (
     _BLOCK, _blocked, _sums, d_lambda, d_s, ergas, full_resolution_report,
-    pearson, q4, q_index, qnr, reduced_resolution_report, rmse, sam, scc,
+    pearson, q4, q_index, qnr, reduced_resolution_report, sam, scc,
 )
 
 
@@ -118,12 +118,6 @@ def _o_d_s(ms, fused, pan, q=1):
 
 # ---------------------------------------------------------------------------
 # worked values
-
-def test_rmse_worked_value():
-    x = np.zeros((2, 2))
-    y = np.array([[5.0, 0.0], [5.0, 0.0]])
-    assert abs(rmse(x, y) - math.sqrt(12.5)) < 1e-12
-
 
 def test_sam_orthogonal_and_identical():
     x = np.zeros((2, 1, 1))
@@ -482,7 +476,6 @@ def test_metrics_match_oracles():
     for _ in range(5):
         x = rng.uniform(0.1, 1.0, (4, 6, 6))
         y = rng.uniform(0.1, 1.0, (4, 6, 6))
-        assert abs(rmse(x, y) - _o_rmse(x, y)) < 1e-9
         assert abs(sam(x, y) - _o_sam(x, y)) < 1e-9
         assert abs(ergas(x, y) - _o_ergas(x, y, 0.25)) < 1e-9
         assert abs(scc(x, y) - _o_scc(x, y)) < 1e-9
@@ -496,8 +489,6 @@ def test_metrics_match_oracles():
 
 
 def test_shape_validation():
-    with pytest.raises(ShapeError):
-        rmse(np.ones((2, 2)), np.ones((3, 2)))
     with pytest.raises(ShapeError):
         q4(np.ones((3, 4, 4)), np.ones((3, 4, 4)))
     with pytest.raises(ShapeError):
