@@ -99,7 +99,10 @@ def _require_dir(path):
         raise FileNotFoundError(f"{path}: no such directory {path.parent}")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared by every
+    `main` call; parsing does not change it."""
     parser = _Parser(prog="msdnpan",
                      description="Pan-sharpening tools: synthetic data, "
                                  "training, inference, baselines, metrics.")

@@ -10,7 +10,13 @@ float32 arrays; the trainer stacks and flips them per batch.
 
 Tensor files (.msdt): magic "MSDT", version byte 1, ndim byte (1-4), then
 ndim little-endian uint32 extents, then row-major little-endian float32
-values. PPM/PGM export writes binary P6/P5 with per-image min-max scaling.
+values. Only this module knows that layout: `write_blob` and `read_blob`
+move one such blob through a binary file object, for .msdt files and for
+the blobs of a checkpoint alike. The writer hands the file the array's own
+buffer, and the reader checks the header and the payload length against
+what is left of the file before it allocates the array it reads into, so
+neither holds a second copy of the values. PPM/PGM export writes binary
+P6/P5 with per-image min-max scaling.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -119,19 +126,33 @@ def synth_scene(seed, size, scale=4, hp_window=5, kappa=TEXTURE_KAPPA,
     theta = rng.uniform(0.0, np.pi)
     freq = rng.uniform(6.0, 14.0)
     phase = rng.uniform(0.0, 2.0 * np.pi)
-    stripes = np.sin(2.0 * np.pi * freq * (xx * np.cos(theta) + yy * np.sin(theta))
-                     + phase)
+    # 0.6 sin(2 pi freq (x cos theta + y sin theta) + phase) + 0.4 noise,
+    # built in place
+    texture = xx * np.cos(theta) + yy * np.sin(theta)
+    texture *= 2.0 * np.pi * freq
+    texture += phase
+    np.sin(texture, out=texture)
+    texture *= 0.6
     noise = rng.standard_normal((size, size))
     noise /= max(np.abs(noise).max(), 1e-12)
-    texture = 0.6 * stripes + 0.4 * noise
+    noise *= 0.4
+    texture += noise
+    del noise
 
-    w = np.asarray(PAN_WEIGHTS, dtype=np.float64).reshape(-1, 1, 1)
-    pan = (gt * w).sum(axis=0)
+    # the weighted band sum, band by band in the order sum(axis=0) adds
+    pan = gt[0] * PAN_WEIGHTS[0]
+    for b in range(1, bands):
+        pan += gt[b] * PAN_WEIGHTS[b]
     if kappa:
-        pan = np.clip(pan + kappa * texture, 0.0, 1.0)
+        texture *= kappa
+        pan += texture
+        np.clip(pan, 0.0, 1.0, out=pan)
+    del texture
 
     gt32 = gt.astype(np.float32)
+    del gt
     pan32 = pan.astype(np.float32)[None]
+    del pan
     ms = wald_downsample(gt32, scale)
     hp = hp_details(pan32, hp_window)
     sid = sample_id if sample_id is not None else f"scene_{seed}"
@@ -141,66 +162,76 @@ def synth_scene(seed, size, scale=4, hp_window=5, kappa=TEXTURE_KAPPA,
 # ---------------------------------------------------------------------------
 # tensor file format
 
-def encode_tensor(arr):
-    """Serialize an array as .msdt bytes (values stored as float32)."""
-    a = np.ascontiguousarray(arr)
+def _blob_array(arr):
+    """arr as the C-contiguous little-endian float32 array an .msdt blob
+    stores (arr itself when it is one already); FormatError when no header
+    can describe it."""
+    a = np.ascontiguousarray(arr, dtype="<f4")
     if a.ndim < 1 or a.ndim > 4:
         raise FormatError(f"tensor rank {a.ndim} outside the supported 1..4")
     if any(s >= 2 ** 32 for s in a.shape):
         raise FormatError("tensor extent overflows the 32-bit header field")
-    out = bytearray()
-    out += MAGIC
-    out += bytes((VERSION, a.ndim))
-    for s in a.shape:
-        out += struct.pack("<I", s)
-    out += a.astype("<f4", copy=False).tobytes()
-    return bytes(out)
+    return a
 
 
-def tensor_extent(buf, offset=0, source="<bytes>"):
-    """Shape and end offset of the .msdt blob that starts at buf[offset].
+def write_blob(f, arr):
+    """Write arr to the binary file object f as one .msdt blob: the header,
+    then the buffer of its float32 values, with no copy when arr already
+    is contiguous little-endian float32."""
+    a = _blob_array(arr)
+    f.write(MAGIC + bytes((VERSION, a.ndim))
+            + struct.pack(f"<{a.ndim}I", *a.shape))
+    f.write(a.reshape(-1).view(np.uint8))
 
-    Reads the rank byte and the extents only; decode_tensor checks the
-    magic, the version and the payload length.
+
+def read_blob(f, left, source, whole=False):
+    """Read the .msdt blob at the position of the binary file object f,
+    of which `left` bytes remain, into one fresh float32 array.
+
+    The header is checked, then the payload length against `left` (with
+    `whole`, the blob must be all of it), and only then is the array
+    allocated and the payload read straight into it, so a header that
+    claims more than the file holds raises FormatError, never MemoryError.
     """
-    if len(buf) < offset + 6:
-        raise FormatError(f"{source}: truncated tensor header")
-    ndim = buf[offset + 5]
+    head = f.read(6)
+    if len(head) < 6 or head[:4] != MAGIC:
+        raise FormatError(f"{source}: not a tensor file (bad magic)")
+    if head[4] != VERSION:
+        raise FormatError(f"{source}: unsupported version {head[4]}")
+    ndim = head[5]
     if not 1 <= ndim <= 4:
         raise FormatError(f"{source}: invalid tensor rank {ndim}")
-    header_end = offset + 6 + 4 * ndim
-    if len(buf) < header_end:
+    extents = f.read(4 * ndim)
+    if len(extents) < 4 * ndim:
         raise FormatError(f"{source}: truncated tensor extents")
-    shape = struct.unpack_from(f"<{ndim}I", buf, offset + 6)
-    return shape, header_end + 4 * math.prod(shape)
-
-
-def decode_tensor(buf, source="<bytes>"):
-    """Parse .msdt bytes back into a float32 array."""
-    if len(buf) < 6 or buf[:4] != MAGIC:
-        raise FormatError(f"{source}: not a tensor file (bad magic)")
-    if buf[4] != VERSION:
-        raise FormatError(f"{source}: unsupported version {buf[4]}")
-    shape, expected = tensor_extent(buf, 0, source)
-    if len(buf) != expected:
-        raise FormatError(
-            f"{source}: expected {expected} bytes for shape {shape}, "
-            f"got {len(buf)}")
-    data = np.frombuffer(buf, dtype="<f4", offset=6 + 4 * len(shape),
-                         count=math.prod(shape))
-    return data.reshape(shape).copy()
+    shape = struct.unpack(f"<{ndim}I", extents)
+    expected = 6 + 4 * ndim + 4 * math.prod(shape)
+    if expected > left or (whole and expected != left):
+        raise FormatError(f"{source}: expected {expected} bytes for shape "
+                          f"{shape}, got {left}")
+    out = np.empty(shape, dtype="<f4")
+    if f.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
+        raise FormatError(f"{source}: file shrank while it was read")
+    return out
 
 
 def save_tensor(path, t):
-    Path(path).write_bytes(encode_tensor(t))
+    """Write t to path as an .msdt file; its rank and extents are checked
+    before the file is opened."""
+    a = _blob_array(t)
+    with open(path, "wb") as f:
+        write_blob(f, a)
 
 
 def load_tensor(path):
+    """Read an .msdt file into a Tensor holding a fresh float32 array."""
     try:
-        buf = Path(path).read_bytes()
+        f = open(path, "rb")
     except FileNotFoundError:
         raise FormatError(f"{path}: no such file") from None
-    return Tensor(decode_tensor(buf, source=str(path)))
+    with f:
+        return Tensor(read_blob(f, os.fstat(f.fileno()).st_size, str(path),
+                                whole=True))
 
 
 def check_image(arr, source):

@@ -21,13 +21,17 @@ math.fsum adds these exact pieces, and what a few passes leave, into the
 correctly rounded total. Products x * y, differences, spectral angles
 and SCC's Laplacian are formed one block at a time inside the pass (the
 Laplacian from each row block and its two halo rows, in the same
-operation order), never as whole-image arrays, so on a 512x512 scene the
-reduced-resolution report peaks at 20.5 MiB of traced allocations, 16 of
-them the float64 copies of its two inputs (39.9 with whole-image
-Laplacians). The result is bit-equal to math.fsum of the elements. A term
-whose input is not finite, or so large that sigma or a running sum could
-overflow, goes to math.fsum itself, so NaN, infinities and intermediate
-overflow behave exactly as they do there.
+operation order), never as whole-image arrays. Inputs are not copied
+either: float32 stays float32 and each pass converts a block to float64
+only as it reads it, which is exact, and PAN becomes float64 once, as a
+single plane. So on a 512x512 scene the reduced-resolution report peaks
+at 4.5 MiB of traced allocations (20.5 with whole float64 copies of its
+two inputs, 39.9 with whole-image Laplacians besides) and the
+full-resolution report at 3.7 MiB (11.1 with copies). The result is
+bit-equal to math.fsum of the elements. A term whose input is not finite,
+or so large that sigma or a running sum could overflow, goes to math.fsum
+itself, so NaN, infinities and intermediate overflow behave exactly as
+they do there.
 
 Each statistic is summed once: ``full_resolution_report`` takes every
 band's and PAN's mean and mean square, and the mean product of every pair
@@ -52,10 +56,20 @@ from .errors import DegenerateInputError, ShapeError
 
 
 def _arr(x, rank=None, name="input"):
-    a = np.asarray(x, dtype=np.float64)
+    """x as an array with its rank checked. float32 stays float32 and any
+    other type becomes float64; a pass converts each block it reads to
+    float64 (exactly), so no metric copies a whole float32 input."""
+    a = np.asarray(x)
+    if a.dtype != np.float32:
+        a = a.astype(np.float64, copy=False)
     if rank is not None and a.ndim != rank:
         raise ShapeError(f"{name} must be rank {rank}, got rank {a.ndim}")
     return a
+
+
+def _f64(block):
+    """A block as float64: a view of float64 input, else an exact copy."""
+    return np.asarray(block, dtype=np.float64)
 
 
 # Each extraction pass removes about 53 - log2(n) bits from every element
@@ -137,6 +151,8 @@ def _sums(blocks, terms):
                     break
             else:
                 pieces[t] += x[x != 0.0].tolist()
+        # the source may build the next block's operands: free these first
+        ops = x = None
     if fallen:
         # a second pass lists these terms' elements for math.fsum itself
         for t in fallen:
@@ -153,8 +169,8 @@ def _sums(blocks, terms):
 def _blocked(*arrays):
     """A ``_sums`` block source over equally sized arrays: slices of
     _BLOCK elements of each, in C order."""
-    flat = [np.asarray(a, dtype=np.float64).ravel() for a in arrays]
-    return lambda: (tuple(a[s:s + _BLOCK] for a in flat)
+    flat = [a.ravel() for a in arrays]
+    return lambda: (tuple(_f64(a[s:s + _BLOCK]) for a in flat)
                     for s in range(0, flat[0].size, _BLOCK))
 
 
@@ -190,7 +206,7 @@ def sam(x, y):
 
     def angles():
         for r in range(0, h, rows):
-            xb, yb = x[:, r:r + rows], y[:, r:r + rows]
+            xb, yb = _f64(x[:, r:r + rows]), _f64(y[:, r:r + rows])
             nx = np.sqrt(np.einsum("khw,khw->hw", xb, xb))
             ny = np.sqrt(np.einsum("khw,khw->hw", yb, yb))
             ok = (nx > 0) & (ny > 0)
@@ -224,8 +240,8 @@ def ergas(x, y, ratio=0.25):
 
     def blocks():       # each band of X, then each band of X - Y
         for s in range(0, n, _BLOCK):
-            xb = xf[:, s:s + _BLOCK]
-            yield (*xb, *(xb - yf[:, s:s + _BLOCK]))
+            xb = _f64(xf[:, s:s + _BLOCK])
+            yield (*xb, *(xb - _f64(yf[:, s:s + _BLOCK])))
 
     sums = _sums(blocks, [t for k in range(bands)
                           for t in ((k,), (bands + k, bands + k))])
@@ -268,8 +284,8 @@ def scc(x, y):
     def laplacians():   # row blocks, in the C order of the whole stacks
         for b in range(k):
             for r in range(0, h - 2, rows):
-                yield (_laplacian(x[b, r:r + rows + 2]).ravel(),
-                       _laplacian(y[b, r:r + rows + 2]).ravel())
+                yield (_laplacian(_f64(x[b, r:r + rows + 2])).ravel(),
+                       _laplacian(_f64(y[b, r:r + rows + 2])).ravel())
 
     _, _, vx, vy, cov = _moments(laplacians, k * (h - 2) * (w - 2))
     if vx == 0.0 or vy == 0.0:
@@ -396,8 +412,9 @@ def d_s(ms, fused, pan):
     k = ms.shape[0]
     pairs = [(i, k) for i in range(k)]      # plane k is PAN at each scale
     if not isinstance(ms, _Planes):         # not summed by the report
-        ms = _Planes([*ms, wald_downsample(pan[0], s)], pairs)
-        fused = _Planes([*fused, pan[0]], pairs)
+        plane = _f64(pan[0])
+        ms = _Planes([*ms, wald_downsample(plane, s)], pairs)
+        fused = _Planes([*fused, plane], pairs)
     terms = [abs(fused.q(i, k) - ms.q(i, k)) for i in range(k)]
     return math.fsum(terms) / len(terms)
 
@@ -444,8 +461,9 @@ def full_resolution_report(pred, ms, pan):
     pan = _arr(pan, 3, "pan")
     s = _check_d_s(ms, pred, pan)
     pairs = list(itertools.combinations(range(ms.shape[0] + 1), 2))
-    ms = _Planes([*ms, wald_downsample(pan[0], s)], pairs, ms.shape)
-    pred = _Planes([*pred, pan[0]], pairs, pred.shape)
+    plane = _f64(pan[0])        # downsampled in float64, as the sums read it
+    ms = _Planes([*ms, wald_downsample(plane, s)], pairs, ms.shape)
+    pred = _Planes([*pred, plane], pairs, pred.shape)
     dl = d_lambda(ms, pred)
     ds = d_s(ms, pred, pan)
     return {"qnr": qnr(dl, ds), "d_lambda": dl, "d_s": ds}

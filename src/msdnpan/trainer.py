@@ -37,8 +37,9 @@ ChildProcessError.
 Checkpoint files: magic "MSDC", version byte 3, a uint32 header length,
 a UTF-8 JSON header (config, epoch, step, params: the sorted parameter
 names), then one .msdt tensor blob per listed name, in list order. The
-blobs are self-describing, so no payload length is stored. Optimizer state
-is not stored.
+blobs are self-describing, so no payload length is stored; they are
+streamed through `data_pipeline.write_blob` and `read_blob`, never
+gathered into one buffer. Optimizer state is not stored.
 """
 
 from __future__ import annotations
@@ -55,9 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from .backend import _one_blas_thread
-from .data_pipeline import (
-    decode_tensor, encode_tensor, read_json, tensor_extent,
-)
+from .data_pipeline import read_blob, read_json, write_blob
 from .errors import FormatError, NumericError, ShapeError
 from .injection_net import ModelConfig, PansharpenModel, pansharpen_with_details
 from .losses import total_loss
@@ -227,19 +226,16 @@ def save_checkpoint(path, ckpt):
         "params": names,
     }
     hjson = json.dumps(header, sort_keys=True).encode("utf-8")
-    out = bytearray()
-    out += CKPT_MAGIC
-    out.append(CKPT_VERSION)
-    out += struct.pack("<I", len(hjson))
-    out += hjson
-    for name in names:
-        out += encode_tensor(ckpt.params[name])
     # Write beside the target and rename over it, so a failed write leaves
     # the previous checkpoint intact.
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(out)
+        with open(tmp, "wb") as f:
+            f.write(CKPT_MAGIC + bytes((CKPT_VERSION,))
+                    + struct.pack("<I", len(hjson)) + hjson)
+            for name in names:
+                write_blob(f, ckpt.params[name])
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -259,42 +255,45 @@ def _save_finite(path, ckpt):
 def load_checkpoint(path):
     source = str(path)
     try:
-        buf = Path(path).read_bytes()
+        f = open(path, "rb")
     except FileNotFoundError:
         raise FormatError(f"{source}: no such file") from None
-    if len(buf) < 9 or buf[:4] != CKPT_MAGIC:
-        raise FormatError(f"{source}: not a checkpoint file (bad magic)")
-    version = buf[4]
-    if version != CKPT_VERSION:
-        raise FormatError(
-            f"{source}: unsupported checkpoint version {version} "
-            f"(expected {CKPT_VERSION})")
-    (hlen,) = struct.unpack_from("<I", buf, 5)
-    pos = 9 + hlen
-    if len(buf) < pos:
-        raise FormatError(f"{source}: truncated header")
-    header = read_json(buf[9:pos], f"{source}: bad header")
-    try:
-        model = ModelConfig(**header["config"].pop("model"))
-        config = TrainConfig(model=model, **header["config"]).validate()
-        epoch, step, names = header["epoch"], header["step"], header["params"]
-        if not all(type(count) is int and count >= 0 for count in (epoch, step)):
-            raise ValueError(f"epoch and step must be integers >= 0, "
-                             f"got {epoch!r} and {step!r}")
-        if not (isinstance(names, list)
-                and all(isinstance(name, str) for name in names)):
-            raise TypeError("params must be a list of names")
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"{source}: bad header ({e!r})") from None
-    params = {}
-    for name in names:
-        if name in params:
-            raise FormatError(f"{source}: bad header ({name!r} listed twice)")
-        _, end = tensor_extent(buf, pos, source)
-        params[name] = decode_tensor(buf[pos:end], source=source)
-        pos = end
-    if pos != len(buf):
-        raise FormatError(f"{source}: {len(buf) - pos} trailing bytes")
+    with f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(9)
+        if len(head) < 9 or head[:4] != CKPT_MAGIC:
+            raise FormatError(f"{source}: not a checkpoint file (bad magic)")
+        version = head[4]
+        if version != CKPT_VERSION:
+            raise FormatError(
+                f"{source}: unsupported checkpoint version {version} "
+                f"(expected {CKPT_VERSION})")
+        (hlen,) = struct.unpack_from("<I", head, 5)
+        if size < 9 + hlen:
+            raise FormatError(f"{source}: truncated header")
+        header = read_json(f.read(hlen), f"{source}: bad header")
+        try:
+            model = ModelConfig(**header["config"].pop("model"))
+            config = TrainConfig(model=model, **header["config"]).validate()
+            epoch, step = header["epoch"], header["step"]
+            names = header["params"]
+            if not all(type(count) is int and count >= 0
+                       for count in (epoch, step)):
+                raise ValueError(f"epoch and step must be integers >= 0, "
+                                 f"got {epoch!r} and {step!r}")
+            if not (isinstance(names, list)
+                    and all(isinstance(name, str) for name in names)):
+                raise TypeError("params must be a list of names")
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise FormatError(f"{source}: bad header ({e!r})") from None
+        params = {}
+        for name in names:
+            if name in params:
+                raise FormatError(
+                    f"{source}: bad header ({name!r} listed twice)")
+            params[name] = read_blob(f, size - f.tell(), source)
+        if f.tell() != size:
+            raise FormatError(f"{source}: {size - f.tell()} trailing bytes")
     return Checkpoint(config=config, params=params, epoch=epoch, step=step)
 
 

@@ -853,6 +853,24 @@ def test_entry_prints_one_error_line(workspace, tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("shape", [(4, 30000, 30000), (65535, 65535, 65535, 4)],
+                         ids=["rank3", "rank4"])
+def test_header_claiming_more_than_the_file_is_one_error_line(
+        workspace, tmp_path, shape):
+    """A header whose extents claim 14 GB or 4.5 PB over a payload of eight
+    bytes: the payload length is checked against the file before anything
+    is allocated, so the real process exits 2 with one `error:` line."""
+    bad = tmp_path / "huge.msdt"
+    bad.write_bytes(b"MSDT" + bytes([1, len(shape)])
+                    + struct.pack(f"<{len(shape)}I", *shape) + bytes(8))
+    proc = _run_cli(["eval-reduced", "--pred", bad, "--gt", workspace["gt"]])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(f"error: {bad}: expected "), lines
+
+
 # ---------------------------------------------------------------------------
 # dispatch
 

@@ -1,15 +1,17 @@
 """Scene synthesis, tensor files, PPM export, and dataset layout."""
 
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from msdnpan.classic_fusion import hp_details
 from msdnpan.data_pipeline import (
-    PAN_WEIGHTS, decode_tensor, encode_tensor, export_ppm, generate_dataset,
-    load_manifest, load_sample, load_split, load_tensor, save_tensor,
-    split_of, synth_scene, wald_downsample,
+    PAN_WEIGHTS, export_ppm, generate_dataset, load_manifest, load_sample,
+    load_split, load_tensor, save_tensor, split_of, synth_scene,
+    wald_downsample,
 )
 from msdnpan import trainer
 from msdnpan.errors import FormatError, ShapeError
@@ -77,6 +79,14 @@ def test_scene_pan_is_weighted_sum_when_kappa_zero():
     w = np.asarray(PAN_WEIGHTS, dtype=np.float64).reshape(-1, 1, 1)
     expect = (s.gt.astype(np.float64) * w).sum(axis=0)
     assert np.allclose(s.pan[0], expect, atol=1e-6)
+
+
+def test_scene_synthesis_traced_peak():
+    """The texture and PAN are built in place and the float64 GT is freed
+    once its float32 copy exists. Basis: 16.5 MiB so, 24.5 MiB with the
+    whole-image temporaries kept; the float32 result itself is 6.3 MiB."""
+    peak = _traced_peak(lambda: synth_scene(53, 512))
+    assert peak <= 22 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_scene_validation():
@@ -163,32 +173,89 @@ def test_tensor_round_trip_all_ranks(tmp_path):
         assert np.array_equal(back.data, arr)
 
 
-def test_encode_accepts_tensor_and_casts():
-    buf = encode_tensor(np.array([1.0, 2.0]))
+def test_encode_accepts_tensor_and_casts(tmp_path):
+    path = tmp_path / "t.msdt"
+    save_tensor(path, np.array([1.0, 2.0]))
+    buf = path.read_bytes()
     assert buf[:4] == b"MSDT" and buf[4] == 1 and buf[5] == 1
-    assert np.array_equal(decode_tensor(buf), np.array([1, 2], np.float32))
+    back = load_tensor(path).data
+    assert back.dtype == np.float32
+    assert np.array_equal(back, np.array([1, 2], np.float32))
 
 
-def test_decode_error_battery():
-    good = encode_tensor(np.ones((2, 3), np.float32))
+def test_decode_error_battery(tmp_path):
+    good_path = tmp_path / "good.msdt"
+    save_tensor(good_path, np.ones((2, 3), np.float32))
+    good = good_path.read_bytes()
+    bad = tmp_path / "bad.msdt"
+    for damaged in (b"JUNK" + good[4:],
+                    good[:4] + bytes([9]) + good[5:],       # bad version
+                    good[:5] + bytes([0]) + good[6:],       # rank 0
+                    good[:5] + bytes([5]) + good[6:],       # rank 5
+                    good[:8],                               # truncated header
+                    good[:-4],                              # short payload
+                    good + b"\x00"):                        # trailing bytes
+        bad.write_bytes(damaged)
+        with pytest.raises(FormatError):
+            load_tensor(bad)
     with pytest.raises(FormatError):
-        decode_tensor(b"JUNK" + good[4:])
-    with pytest.raises(FormatError):
-        decode_tensor(good[:4] + bytes([9]) + good[5:])    # bad version
-    with pytest.raises(FormatError):
-        decode_tensor(good[:5] + bytes([0]) + good[6:])    # rank 0
-    with pytest.raises(FormatError):
-        decode_tensor(good[:5] + bytes([5]) + good[6:])    # rank 5
-    with pytest.raises(FormatError):
-        decode_tensor(good[:8])                            # truncated header
-    with pytest.raises(FormatError):
-        decode_tensor(good[:-4])                           # short payload
-    with pytest.raises(FormatError):
-        decode_tensor(good + b"\x00")                      # trailing bytes
-    with pytest.raises(FormatError):
-        encode_tensor(np.ones((2,) * 5, np.float32))
+        save_tensor(bad, np.ones((2,) * 5, np.float32))
+    assert bad.read_bytes() == good + b"\x00"     # checked before opening
     with pytest.raises(FormatError):
         load_tensor("/nonexistent/file.msdt")
+
+
+def _layout(shape, values):
+    """.msdt bytes built by hand: magic, version, rank, uint32 extents,
+    then the values as row-major little-endian float32."""
+    return (b"MSDT" + bytes([1, len(shape)])
+            + b"".join(struct.pack("<I", s) for s in shape)
+            + b"".join(struct.pack("<f", v) for v in values))
+
+
+@pytest.mark.parametrize("arr", [
+    np.arange(5, dtype=np.float64) / 3,                     # rounded to f4
+    np.arange(6, dtype=">f4").reshape(2, 3),                # big-endian
+    np.arange(24, dtype=np.float32).reshape(2, 3, 4)[:, ::-1, ::2],
+    np.arange(120, dtype=np.float32).reshape(2, 3, 4, 5).transpose(3, 1, 0, 2),
+    np.zeros((0,), np.float32),
+    np.zeros((3, 0, 2), np.float64),
+], ids=["f8-rank1", "big-endian-rank2", "strided-rank3", "transposed-rank4",
+        "empty-rank1", "empty-rank3"])
+def test_written_bytes_match_the_layout(tmp_path, arr):
+    path = tmp_path / "t.msdt"
+    save_tensor(path, arr)
+    expected = _layout(arr.shape, [float(np.float32(v)) for v in arr.ravel()])
+    assert path.read_bytes() == expected
+    back = load_tensor(path).data
+    assert back.dtype == np.float32 and back.shape == arr.shape
+    assert np.array_equal(back, arr.astype(np.float32))
+
+
+def _traced_peak(fn):
+    """Peak bytes of the allocations one call of fn makes, its result
+    included, after a warm-up call has filled first-call caches."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tensor_files_are_written_and_read_without_copies(tmp_path):
+    """save_tensor writes a float32 array's own buffer, and load_tensor
+    reads the payload straight into the array it returns. Basis: through
+    whole-file bytes each added 8 MiB to a 4 MiB tensor (the bytes, then
+    a copy of them)."""
+    arr = np.random.default_rng(0).random((4, 512, 512), dtype=np.float32)
+    path = tmp_path / "big.msdt"
+    saved = _traced_peak(lambda: save_tensor(path, arr))
+    assert saved <= 2 ** 19, f"save_tensor: {saved / 2 ** 20:.2f} MiB"
+    loaded = _traced_peak(lambda: load_tensor(path))
+    assert loaded <= 4.5 * 2 ** 20, f"load_tensor: {loaded / 2 ** 20:.2f} MiB"
+    assert np.array_equal(load_tensor(path).data, arr)
 
 
 # ---------------------------------------------------------------------------

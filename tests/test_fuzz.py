@@ -4,6 +4,7 @@ Each decoder either returns a value or raises FormatError or ShapeError
 (exit 2 in the CLI); no other exception may escape.
 """
 
+import io
 import json
 import struct
 
@@ -11,8 +12,7 @@ import numpy as np
 import pytest
 
 from msdnpan.data_pipeline import (
-    decode_tensor, encode_tensor, generate_dataset, load_manifest,
-    tensor_extent,
+    generate_dataset, load_manifest, load_tensor, read_blob, save_tensor,
 )
 from msdnpan.errors import FormatError, ShapeError
 from msdnpan.injection_net import ModelConfig, PansharpenModel
@@ -40,13 +40,20 @@ def _load_or_reject(load, buf):
         pass
 
 
-def test_decode_tensor_truncation_and_bit_flips():
-    buf = encode_tensor(np.arange(24, dtype=np.float32).reshape(2, 3, 4))
+def test_decode_tensor_truncation_and_bit_flips(tmp_path):
+    path = tmp_path / "t.msdt"
+    save_tensor(path, np.arange(24, dtype=np.float32).reshape(2, 3, 4))
+    buf = path.read_bytes()
+
+    def load(data):
+        path.write_bytes(data)
+        return load_tensor(path)
+
     for end in range(len(buf)):
         with pytest.raises(FormatError):
-            decode_tensor(buf[:end])
+            load(buf[:end])
     for damaged in _flips(buf, range(len(buf))):
-        _load_or_reject(decode_tensor, damaged)
+        _load_or_reject(load, damaged)
 
 
 def _checkpoint_bytes(tmp_path):
@@ -65,10 +72,12 @@ def _structure_offsets(buf):
     (hlen,) = struct.unpack_from("<I", buf, 5)
     pos = 9 + hlen
     rest = list(range(9, pos))
+    f = io.BytesIO(buf)
+    f.seek(pos)
     for _ in json.loads(buf[9:pos])["params"]:
-        shape, end = tensor_extent(buf, pos)
-        rest += range(pos, pos + 6 + 4 * len(shape))
-        pos = end
+        ndim = read_blob(f, len(buf) - pos, "<bytes>").ndim
+        rest += range(pos, pos + 6 + 4 * ndim)
+        pos = f.tell()
     assert pos == len(buf)
     return list(range(9)), rest
 

@@ -247,22 +247,37 @@ def test_row_blocks_equal_whole_array_forms():
             scc(np.full(shape, 0.5), y)
 
 
-def test_reduced_report_traced_peak():
-    """No whole-image Laplacian, difference or angle plane: each statistic
-    is summed from blocks made inside one pass. Basis: a 512x512 scene's
-    float32 prediction and GT become two 8 MiB float64 stacks, and the
-    report peaked at 39.9 MiB of traced allocations with two whole-image
-    Laplacians and their `4.0 * at(1, 1)` temporary."""
-    scene = synth_scene(51, 512)
-    pred = np.repeat(np.repeat(scene.ms, 4, axis=1), 4, axis=2)
-    reduced_resolution_report(pred, scene.gt)   # warm-up: first-call caches
+def _traced_peak(fn, *args):
+    fn(*args)                       # warm-up: first-call caches
     tracemalloc.start()
     try:
-        reduced_resolution_report(pred, scene.gt)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 28 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_reduced_report_traced_peak():
+    """No whole-image copy, Laplacian, difference or angle plane: each
+    statistic is summed from float64 blocks made inside one pass from the
+    float32 inputs. Basis: on a 512x512 scene the report peaked at 39.9 MiB
+    of traced allocations with two whole-image Laplacians and their
+    `4.0 * at(1, 1)` temporary, and at 20.5 MiB with the float64 copies of
+    the prediction and GT (8 MiB each)."""
+    scene = synth_scene(51, 512)
+    pred = np.repeat(np.repeat(scene.ms, 4, axis=1), 4, axis=2)
+    peak = _traced_peak(reduced_resolution_report, pred, scene.gt)
+    assert peak <= 8 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_full_report_traced_peak():
+    """PAN becomes float64 once, as one 2 MiB plane; the bands are read in
+    float64 blocks. Basis: 11.1 MiB with float64 copies of the prediction,
+    MS and PAN on a 512x512 scene."""
+    scene = synth_scene(52, 512)
+    pred = np.repeat(np.repeat(scene.ms, 4, axis=1), 4, axis=2)
+    peak = _traced_peak(full_resolution_report, pred, scene.ms, scene.pan)
+    assert peak <= 5 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
 
 
 def _pairwise_d_lambda(ms, fused):

@@ -1,5 +1,6 @@
 """Optimizer, config checks, checkpoint format, and end-to-end training runs."""
 
+import io
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from msdnpan import trainer
 from msdnpan.backend import _blas_thread_controls
 from msdnpan.cli import main
 from msdnpan.data_pipeline import (
-    SceneSample, encode_tensor, save_tensor, synth_scene, tensor_extent,
+    SceneSample, read_blob, save_tensor, synth_scene, write_blob,
 )
 from msdnpan.errors import FormatError, NumericError, ShapeError
 from msdnpan.injection_net import (
@@ -142,9 +143,11 @@ def _entry_names(raw):
     checks that one tensor blob per name fills the rest of the file."""
     header, pos = _header(raw)
     names = header["params"]
+    f = io.BytesIO(raw)
+    f.seek(pos)
     for _ in names:
-        _, pos = tensor_extent(raw, pos)
-    assert pos == len(raw)
+        read_blob(f, len(raw) - f.tell(), "<bytes>")
+    assert f.tell() == len(raw)
     return names
 
 
@@ -172,13 +175,15 @@ def test_failed_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
     path = tmp_path / "model.msdc"
     save_checkpoint(path, final)
     before = path.read_bytes()
-    write_bytes = Path.write_bytes
+    names = sorted(final.params)
 
-    def torn_write(self, data):
-        write_bytes(self, bytes(data[:len(data) // 2]))
-        raise OSError("no space left on device")
+    def torn_write(f, arr):         # the disk fills in the middle blob
+        if arr is final.params[names[len(names) // 2]]:
+            f.write(b"MSDT\x01")
+            raise OSError("no space left on device")
+        write_blob(f, arr)
 
-    monkeypatch.setattr(Path, "write_bytes", torn_write)
+    monkeypatch.setattr(trainer, "write_blob", torn_write)
     final.step += 1
     with pytest.raises(OSError):
         save_checkpoint(path, final)
@@ -225,6 +230,15 @@ def test_checkpoint_error_battery(tmp_path):
     with pytest.raises(FormatError):
         load_checkpoint(bad)
 
+    # a blob whose extents claim 14 GB or 4.5 PB over a few bytes is
+    # rejected before anything is allocated
+    blobs = _header(raw)[1]
+    for shape in ((4, 30000, 30000), (65535, 65535, 65535, 4)):
+        bad.write_bytes(raw[:blobs] + b"MSDT" + bytes([1, len(shape)])
+                        + struct.pack(f"<{len(shape)}I", *shape) + bytes(8))
+        with pytest.raises(FormatError, match="expected"):
+            load_checkpoint(bad)
+
 
 def _with_extra_entry(tmp_path, name_of, value_of):
     """Train a tiny model, save it, and write a copy whose header lists one
@@ -239,9 +253,10 @@ def _with_extra_entry(tmp_path, name_of, value_of):
     header["params"].append(name_of(name))
     hjson = json.dumps(header).encode()
     bad = tmp_path / "bad.msdc"
-    extra = encode_tensor(value_of(final.params[name]))
+    extra = io.BytesIO()
+    write_blob(extra, value_of(final.params[name]))
     bad.write_bytes(raw[:5] + struct.pack("<I", len(hjson)) + hjson
-                    + raw[blobs:] + extra)
+                    + raw[blobs:] + extra.getvalue())
     return bad
 
 
