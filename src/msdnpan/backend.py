@@ -69,6 +69,19 @@ A 1x1 convolution has one tap, nothing to pad and no junk columns, so
 it takes none of the above: for any number of items it is one batched
 numpy matmul, a (co, ci) @ (ci, h * w) product per item on the input in
 place, and each item's output is the same bits whatever batch it runs in.
+Asked to overwrite its input (co == ci), a plane whose product exceeds
+about BAND_BYTES runs that product in blocks of columns and writes each
+block over the input columns it has just read, so no whole-plane output
+exists beside the input. Each block starts on a multiple of _GEMM_COLS
+and, where the whole product would run packed, keeps enough columns to
+run packed too: the values are the one product's, bit for bit. A plane
+that fits one block runs out of place, since each further gemm call
+costs tens of microseconds of BLAS set-up.
+
+Epilogue. The bias, and max(., 0) for a layer with a fused relu, are
+applied to each band's rows as they are cropped into the output, and to
+a 1x1 product in place. Both are elementwise, so the values are those of
+adding and clamping the whole output afterwards.
 
 The weight gradient runs as numpy matmuls, one (co, rows * (w + 2p)) @
 (rows * (w + 2p), ci) product per tap, item and block of rows. OpenBLAS
@@ -246,16 +259,56 @@ def _taps_numpy(taps, xp, wp, out):
                 out += scratch
 
 
-def conv2d_forward(x, w):
-    """Same-padded stride-1 cross-correlation of x (n,ci,h,w) with w (co,ci,k,k)."""
+def _epilogue(dst, src, bias, relu):
+    """dst = src + bias, then max(dst, 0) if relu, in dst's dtype; bias is
+    None or shaped to broadcast over src's channel axis."""
+    if dst is not src:
+        dst[...] = src
+    if bias is not None:
+        dst += bias
+    if relu:
+        np.maximum(dst, 0, out=dst)
+
+
+def _overwrite_cols(n, c, cols, itemsize):
+    """Columns per block of a 1x1 convolution of c -> c channels written
+    over its input: about BAND_BYTES of product, on multiples of
+    _GEMM_COLS, and packed wherever the whole product runs packed."""
+    step = max(1, BAND_BYTES // (n * c * itemsize) // _GEMM_COLS)
+    if c * c * cols > _SMALL_GEMM_MACS:
+        step = max(step, -(-(_SMALL_GEMM_MACS // (c * c) + 1) // _GEMM_COLS))
+    return step * _GEMM_COLS
+
+
+def conv2d_forward(x, w, bias=None, relu=False, overwrite=False):
+    """Same-padded stride-1 cross-correlation of x (n,ci,h,w) with w
+    (co,ci,k,k), plus bias (co,) if given, then max(., 0) if relu: both
+    are applied as each band is written. With overwrite, a 1x1 convolution
+    with co == ci may write its output over the C-contiguous x, whose
+    values the caller gives up."""
     n, ci, h, wd = x.shape
     co, _, k, _ = w.shape
     w = w.astype(x.dtype, copy=False)
     if k == 1:
+        w2 = w[:, :, 0, 0]
+        b2 = None if bias is None else bias.reshape(-1, 1)
+        cols = h * wd
+        step = cols
+        if overwrite and co == ci and x.size and x.flags.c_contiguous:
+            step = _overwrite_cols(n, ci, cols, x.itemsize)
+        if step < cols:     # in blocks, each written over the columns it read
+            flat = x.reshape(n, ci, cols)
+            for c0 in range(0, cols, step):
+                part = flat[:, :, c0:c0 + step]
+                _epilogue(part, np.matmul(w2, part), b2, relu)
+            return x
         # one (co, ci) @ (ci, h * w) product per item, on the items in place
-        return np.matmul(w[:, :, 0, 0], x.reshape(n, ci, h * wd)).reshape(n, co, h, wd)
+        out = np.matmul(w2, x.reshape(n, ci, cols))
+        _epilogue(out, out, b2, relu)
+        return out.reshape(n, co, h, wd)
     if not n * co * h * wd:
         return np.empty((n, co, h, wd), dtype=x.dtype)
+    b3 = None if bias is None else bias.reshape(-1, 1, 1)
     taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
     gemm = _gemm(x.dtype)
     p = k // 2
@@ -305,8 +358,8 @@ def conv2d_forward(x, w):
             out = np.empty((n, co, h, wd), dtype=x.dtype)
         for b, i0, i1 in items:
             off = b * plane + i0 * wp - start
-            out[b, :, i0:i1] = grid[:, off:off + (i1 - i0) * wp].reshape(
-                co, i1 - i0, wp)[:, :, :wd]
+            _epilogue(out[b, :, i0:i1], grid[:, off:off + (i1 - i0) * wp]
+                      .reshape(co, i1 - i0, wp)[:, :, :wd], b3, relu)
         del grid
     return out
 

@@ -20,7 +20,7 @@ from .errors import ShapeError
 from .msdn import MsdnWeights, msdn_forward
 from .tensor_core import (
     ConvLayer, avg_pool2, bicubic_upsample, concat_channels, nearest_up2,
-    parameter, parameters, prelu, relu,
+    parameter, parameters, prelu,
 )
 
 BANDS = 4
@@ -58,20 +58,21 @@ class HeadWeights:
 
     def __init__(self, config, rng, dtype=np.float32):
         c = config.channels
-        self.stem = ConvLayer("head.stem", BANDS, c, 3, rng, dtype)
+        self.stem = ConvLayer("head.stem", BANDS, c, 3, rng, dtype, relu=True)
         self.blocks = []
         for i in range(config.head_blocks):
             self.blocks.append((
-                ConvLayer(f"head.block{i}.conv1", c, c, 3, rng, dtype),
+                ConvLayer(f"head.block{i}.conv1", c, c, 3, rng, dtype,
+                          relu=True),
                 ConvLayer(f"head.block{i}.conv2", c, c, 3, rng, dtype),
             ))
 
 
 def head(ms, weights):
     """Encode a (n, 4, h, w) MS image into (n, C, h, w) features."""
-    feat = relu(weights.stem(ms))
+    feat = weights.stem(ms)
     for c1, c2 in weights.blocks:
-        feat = feat + c2(relu(c1(feat)))
+        feat = feat + c2(c1(feat))
     return feat
 
 
@@ -92,10 +93,16 @@ class InjectionBlockWeights:
 
 def injection_block(y, block):
     """x_p from prelu(y), x_n from prelu(-y), fused and added back to y."""
-    # nested, so both halves are freed once concatenated
-    return block.fuse(concat_channels(
-        block.conv_pos(prelu(y, block.slope_pos)),
-        block.conv_neg(prelu(-y, block.slope_neg)))) + y
+    # x_n first and each plane dropped after its last use, so a tape-free
+    # pass holds at most one prelu output beside y; the graph, concat
+    # order (x_p, x_n) included, is the same whatever runs first
+    x_n = block.conv_neg(prelu(-y, block.slope_neg))
+    x_p = block.conv_pos(prelu(y, block.slope_pos))
+    both = concat_channels(x_p, x_n)
+    del x_p, x_n
+    fused = block.fuse(both)
+    del both
+    return fused + y
 
 
 class NinWeights:
@@ -132,10 +139,12 @@ def nin_forward(details, weights):
             feat = avg_pool2(feat)
         feat = injection_block(feat, blk)
         skips.append(feat)
-    # each skip is popped as the decoder consumes it, and so freed after use
+    # each skip is popped as the decoder consumes it, and so freed after
+    # use; feat is rebound to the upsampled sum before the block runs
     feat = skips.pop()
     for blk in weights.decoder:
-        feat = injection_block(nearest_up2(feat) + skips.pop(), blk)
+        feat = nearest_up2(feat) + skips.pop()
+        feat = injection_block(feat, blk)
     return weights.project(embedded + feat)
 
 

@@ -241,7 +241,9 @@ def ergas(x, y, ratio=0.25):
     def blocks():       # each band of X, then each band of X - Y
         for s in range(0, n, _BLOCK):
             xb = _f64(xf[:, s:s + _BLOCK])
-            yield (*xb, *(xb - _f64(yf[:, s:s + _BLOCK])))
+            # Y's block is widened inside the subtraction, not copied first
+            yield (*xb, *np.subtract(xb, yf[:, s:s + _BLOCK],
+                                     dtype=np.float64))
 
     sums = _sums(blocks, [t for k in range(bands)
                           for t in ((k,), (bands + k, bands + k))])

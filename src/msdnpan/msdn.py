@@ -7,6 +7,11 @@ detail map and combined with a weighted-coefficient map so the channel
 sum yields a single synthetic detail plane. At inference time this
 replaces any use of a real high-resolution panchromatic input.
 
+Every relu here is the epilogue of the convolution before it
+(`ConvLayer(..., relu=True)`). A tape-free pass drops each whole plane at
+its last use, and writes the query's 1x1 projection and its memory product
+over the arrays they read.
+
 These layers trust the shapes the model hands them; `pansharpen_with_details`
 checks the MS batch once, and one validated ModelConfig sizes every weight.
 """
@@ -16,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor_core import (
-    ConvLayer, concat_channels, kaiming_normal, parameter, relu, reshape,
-    sigmoid, tile_mul,
+    ConvLayer, concat_channels, kaiming_normal, parameter, reshape, sigmoid,
+    tile_mul,
 )
 
 SPATIAL_KERNEL = 7      # spatial-attention conv extent
@@ -34,9 +39,11 @@ class MsdnWeights:
         # N learnable tiles of s*s pixels, stored flat as (N, s*s)
         self.memory = parameter(
             "msdn.bank.items", kaiming_normal(rng, (n, s * s), s * s, dtype))
-        self.query_conv = ConvLayer("msdn.query_conv", c, n, 3, rng, dtype)
+        self.query_conv = ConvLayer("msdn.query_conv", c, n, 3, rng, dtype,
+                                    relu=True)
         self.query_proj = ConvLayer("msdn.query_proj", n, n, 1, rng, dtype)
-        self.decode_conv = ConvLayer("msdn.decode_conv", n, c, 3, rng, dtype)
+        self.decode_conv = ConvLayer("msdn.decode_conv", n, c, 3, rng, dtype,
+                                     relu=True)
         self.detail_proj = ConvLayer("msdn.detail_proj", c, c, 1, rng, dtype)
         self.spatial_conv = ConvLayer(
             "msdn.spatial_conv", 2, 1, SPATIAL_KERNEL, rng, dtype)
@@ -44,7 +51,7 @@ class MsdnWeights:
         self.coeff_out = ConvLayer("msdn.coeff_out", c, c, 1, rng, dtype)
         hidden = max(c // REDUCTION, 1)
         self.channel_squeeze = ConvLayer("msdn.channel_squeeze", c, hidden, 1,
-                                         rng, dtype)
+                                         rng, dtype, relu=True)
         self.channel_excite = ConvLayer("msdn.channel_excite", hidden, c, 1,
                                         rng, dtype)
 
@@ -55,13 +62,16 @@ def expand_memory(memory, scale, query):
     memory is the (N, scale*scale) bank of flat tiles and query an
     (n, N, H, W) tensor whose extents are multiples of scale. Returns the
     product, (n, N, H, W); the tiled (N, H, W) plane is never built.
+    Tape-free, the product is written over query's array.
     """
     return tile_mul(query, reshape(memory, (memory.shape[0], scale, scale)))
 
 
 def encode_query(features, weights):
-    """Per-pixel memory addressing weights: 1x1 conv over relu(3x3 conv)."""
-    return weights.query_proj(relu(weights.query_conv(features)))
+    """Per-pixel memory addressing weights: 1x1 conv over relu(3x3 conv).
+    The 3x3's output is read by the 1x1 alone, so tape-free the 1x1 writes
+    over it."""
+    return weights.query_proj(weights.query_conv(features), overwrite=True)
 
 
 def spatial_attention(features, weights):
@@ -73,7 +83,7 @@ def spatial_attention(features, weights):
 
 def decode_memory(addressed, weights):
     """Detail feature map M_D from the memory-gated query."""
-    feat = relu(weights.decode_conv(addressed))
+    feat = weights.decode_conv(addressed)
     del addressed   # so a tape-free pass frees the query here
     gated = feat * spatial_attention(feat, weights)
     del feat
@@ -83,13 +93,15 @@ def decode_memory(addressed, weights):
 def channel_attention(features, weights):
     """Squeeze-and-excitation gate: pooled 1x1 bottleneck, sigmoid output."""
     pooled = features.mean(axis=(2, 3), keepdims=True)
-    return sigmoid(weights.channel_excite(relu(weights.channel_squeeze(pooled))))
+    return sigmoid(weights.channel_excite(weights.channel_squeeze(pooled)))
 
 
 def weighted_coefficients(features, weights):
     """Coefficient map M_C re-weighted per channel by attention."""
     a = weights.coeff_in(features)
-    return weights.coeff_out(channel_attention(a, weights) * a)
+    gated = channel_attention(a, weights) * a
+    del a   # so a tape-free pass frees it before coeff_out's output exists
+    return weights.coeff_out(gated)
 
 
 def compose_spatial_details(detail, coeff):

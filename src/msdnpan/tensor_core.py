@@ -14,14 +14,21 @@ graph, so Python's GC reclaims old graphs once the loss goes out of scope.
 
 A node never holds a Tensor, and each closure captures exactly the arrays
 its backward reads: its inputs for mul, conv2d or log, its output for exp,
-sigmoid or relu, only shapes for add, reshape or pooling. An intermediate
-that the model code drops is therefore freed unless some backward reads
-it. A forward op computes only its output (a relu or prelu mask, say, is
-derived when backward runs), so a forward pass over frozen tensors records
-and keeps nothing.
+sigmoid or a convolution with a fused relu, only shapes for add, reshape
+or pooling. An intermediate that the model code drops is therefore freed
+unless some backward reads it. A forward op computes only its output (a
+relu or prelu mask, say, is derived when backward runs), so a forward pass
+over frozen tensors records and keeps nothing.
+
+Relu exists only as a convolution epilogue: the backend adds the bias and
+takes max(., 0) as it writes each band of the output, so no pre-activation
+plane is ever built. While no tape records, two ops write over an input
+their caller gives up: `tile_mul` over q, and a 1x1 `conv2d` asked to
+overwrite over x, in column blocks. Under a tape both leave their inputs
+alone.
 
 Only what the models need is implemented: elementwise arithmetic with numpy
-broadcasting, a handful of activations, stride-1 same-padded convolution,
+broadcasting, sigmoid and prelu, stride-1 same-padded convolution,
 separable bicubic upsampling, pooling, reshape, a product with periodically
 repeated tiles, and sum/mean/max reductions. float32 and float64 are
 supported; gradients take the dtype of the data they belong to. Fixed
@@ -298,16 +305,6 @@ def log(a):
     return _from_op(np.log(x), (a,), bw)
 
 
-def relu(a):
-    out = np.maximum(a.data, 0)
-
-    def bw(g):
-        # out > 0 exactly where the input is, so the input may be freed
-        return (g * (out > 0),)
-
-    return _from_op(out, (a,), bw)
-
-
 def sigmoid(a):
     # exp(-|x|) cannot overflow; the mask picks numerator 1 (x >= 0) or e
     pos = a.data >= 0
@@ -445,7 +442,9 @@ def tile_mul(q, tiles):
     i (index (y, x) reads the tile at (y % th, x % tw)).
 
     Only one row of tiles, (N, th, W), is built; it broadcasts over q's
-    H/th bands, so no (N, H, W) plane exists in either pass.
+    H/th bands, so no (N, H, W) plane exists in either pass. The caller
+    gives q up: while no tape records (neither input requires grad), the
+    product is written over q's array when it has q's dtype.
     """
     if q.data.ndim != 4 or tiles.data.ndim != 3:
         raise ShapeError(f"tile_mul expects (n, N, H, W) and (N, th, tw), "
@@ -458,7 +457,12 @@ def tile_mul(q, tiles):
     row = np.tile(tiles.data, (1, 1, w // tw)).reshape(1, slots, 1, th, w)
     bands = (n, slots, h // th, th, w)
     x = q.data
-    out = (x.reshape(bands) * row).reshape(x.shape)
+    xb = x.reshape(bands)
+    if (q.requires_grad or tiles.requires_grad
+            or np.result_type(x, row) != x.dtype):
+        out = (xb * row).reshape(x.shape)
+    else:   # no tape records: the product goes over q's array
+        out = np.multiply(xb, row, out=xb).reshape(x.shape)
 
     def bw(g):
         gq = (g.reshape(bands) * row).reshape(x.shape)
@@ -509,10 +513,14 @@ def nearest_up2(a):
 # ---------------------------------------------------------------------------
 # convolution
 
-def conv2d(x, weight, bias=None):
+def conv2d(x, weight, bias=None, relu=False, overwrite=False):
     """Stride-1 cross-correlation with same padding (pad = k // 2).
 
-    x: (n, ci, h, w); weight: (co, ci, k, k); bias: (co,) or None.
+    x: (n, ci, h, w); weight: (co, ci, k, k); bias: (co,) or None. With
+    relu the output is max(conv + bias, 0), applied as the backend writes
+    it, and the backward masks its gradient by that kept output. With
+    overwrite the caller gives x up: while no tape records, a 1x1
+    convolution with co == ci writes its output over x's array.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be rank 4, got rank {x.data.ndim}")
@@ -526,22 +534,25 @@ def conv2d(x, weight, bias=None):
     k = weight.data.shape[2]
     if k != weight.data.shape[3] or k % 2 == 0:
         raise ShapeError("conv2d kernels must be square with odd extent")
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    overwrite = overwrite and not any(p.requires_grad for p in parents)
     xd, wd = x.data, weight.data
-    out = backend.conv2d_forward(xd, wd)
-    parents = [x, weight]
-    if bias is not None:
-        out += bias.data.reshape(1, -1, 1, 1)
-        parents.append(bias)
-    # plain bools, so that the closure holds no Tensor
+    out = backend.conv2d_forward(xd, wd, None if bias is None else bias.data,
+                                 relu=relu, overwrite=overwrite)
+    # plain values, so that the closure holds no Tensor, and the output
+    # only where the relu mask needs it
     grad_x, has_bias = x.requires_grad, bias is not None
+    kept = out if relu else None
 
     def bw(g):
+        if kept is not None:
+            g = g * (kept > 0)
         g = np.ascontiguousarray(g)
         gx = backend.conv2d_grad_input(g, wd) if grad_x else None
         gw = backend.conv2d_grad_weight(xd, g, k)
         return (gx, gw, g.sum(axis=(0, 2, 3))) if has_bias else (gx, gw)
 
-    return _from_op(out, tuple(parents), bw)
+    return _from_op(out, parents, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -627,10 +638,11 @@ def kaiming_normal(rng, shape, fan_in, dtype):
 
 
 class ConvLayer:
-    """Square odd-kernel convolution layer with bias, Kaiming-initialised."""
+    """Square odd-kernel convolution layer with bias, Kaiming-initialised;
+    with relu, max(., 0) is fused into its output."""
 
     def __init__(self, name, in_channels, out_channels, kernel_size, rng,
-                 dtype=np.float32):
+                 dtype=np.float32, relu=False):
         k = kernel_size
         self.weight = parameter(
             name + ".weight",
@@ -638,7 +650,8 @@ class ConvLayer:
                            in_channels * k * k, dtype),
         )
         self.bias = parameter(name + ".bias", np.zeros(out_channels, dtype))
+        self.relu = relu
 
-    def __call__(self, x):
+    def __call__(self, x, overwrite=False):
         # conv2d checks the kernel extent and the input channels
-        return conv2d(x, self.weight, self.bias)
+        return conv2d(x, self.weight, self.bias, self.relu, overwrite)

@@ -122,6 +122,19 @@ def _case_conv(rng, ci, co, k, size):
     return _projected(rng, lambda: tc.conv2d(x, w, b), [x, w, b])
 
 
+def _case_conv_relu(rng, margin=0.01):
+    """A 3x3 convolution with its fused relu. The leaves are redrawn until
+    every pre-activation sits at least margin from the kink, so the finite
+    differences stay two-sided."""
+    while True:
+        x = _leaf(rng, (2, 3, 5, 5))
+        w = _leaf(rng, (4, 3, 3, 3))
+        b = _leaf(rng, (4,))
+        if np.abs(tc.conv2d(x, w, b).data).min() >= margin:
+            break
+    return _projected(rng, lambda: tc.conv2d(x, w, b, relu=True), [x, w, b])
+
+
 def _case_concat(rng):
     a = _leaf(rng, (2, 2, 3, 3))
     b = _leaf(rng, (2, 3, 3, 3))
@@ -221,7 +234,6 @@ def cases(seed=0):
         ("log", *_case_unary(r(8), tc.log,
                              tc.Tensor(r(108).uniform(0.5, 1.5, (3, 4)),
                                        requires_grad=True))),
-        ("relu", *_case_unary(r(9), tc.relu, _leaf_off_kink(r(109), (3, 4)))),
         ("sigmoid", *_case_unary(r(10), tc.sigmoid, _leaf(r(110), (3, 4)))),
         ("prelu_channel", *_case_prelu(r(12))),
         ("sum", *_case_reduce(r(13), tc.reduce_sum, (1, 2), False)),
@@ -236,6 +248,7 @@ def cases(seed=0):
         ("conv2d_3x3", *_case_conv(r(21), 3, 4, 3, (5, 5))),
         ("conv2d_1x1", *_case_conv(r(22), 3, 2, 1, (4, 4))),
         ("conv2d_7x7", *_case_conv(r(23), 2, 1, 7, (8, 8))),
+        ("conv2d_3x3_relu", *_case_conv_relu(r(9))),
         ("bicubic_up2", *_case_bicubic(r(24), 2)),
         ("bicubic_up3", *_case_bicubic(r(25), 3)),
         ("injection_block", *_case_injection_block(r(33))),

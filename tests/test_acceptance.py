@@ -8,12 +8,16 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 import gradcheck
 from acceptance_report import record, record_raw
 from msdnpan.classic_fusion import inject
 from msdnpan.cli import build_parser, main
-from msdnpan.data_pipeline import load_tensor, synth_scene
+from msdnpan.data_pipeline import (
+    generate_dataset, load_manifest, load_sample, load_split, load_tensor,
+    synth_scene,
+)
 from msdnpan.injection_net import (
     ModelConfig, PansharpenModel, pansharpen, pansharpen_with_details,
 )
@@ -271,3 +275,53 @@ def test_c10_ablation_grid(tmp_path, capsys):
     assert record(distinct == 5, "criterion 10",
                   "memory sizes {16, 32, 64} and depths {1, 2, 3} ran via "
                   "CLI flags and produced the comparison table above")
+
+
+def _split_means(preds, scenes, details=None):
+    """Mean SAM, ERGAS, SCC and Q of predictions over scenes, plus the
+    mean P_s/hp correlation when detail planes are given."""
+    rows = [(sam(p, s.gt), ergas(p, s.gt), scc(p, s.gt), q4(p, s.gt))
+            for p, s in zip(preds, scenes)]
+    means = [float(np.mean(col)) for col in zip(*rows)]
+    if details is not None:
+        means.append(float(np.mean([pearson(d, s.hp)
+                                    for d, s in zip(details, scenes)])))
+    return means
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the shipped objective leaves the model at bicubic on held-out scenes: "
+    "ERGAS 3.2877 against 3.2865, SCC 0.1433 against 0.1443, P_s/hp 0.0004"))
+def test_c11_held_out_beats_bicubic(tmp_path):
+    """MS-only sharpening against bicubic on scenes it never trained on.
+
+    The desk preset trains for 30 epochs on the train split of
+    generate_dataset(40, 64, seed=0) and is scored on all 32 scenes of
+    generate_dataset(32, 64, seed=1). The gate, fixed before any run: the
+    model beats bicubic on both mean ERGAS and mean SCC. SAM, Q and the
+    P_s/hp correlation are printed and not gated.
+    """
+    generate_dataset(tmp_path / "train", 40, 64, seed=0)
+    generate_dataset(tmp_path / "held", 32, 64, seed=1)
+    t0 = time.perf_counter()
+    model = model_from_checkpoint(train(
+        load_split(load_manifest(tmp_path / "train"), "train"),
+        desk_config(epochs=30, seed=0)))
+    elapsed = time.perf_counter() - t0
+    held = load_manifest(tmp_path / "held")
+    scenes = [load_sample(held.root, sid, with_pan=False)
+              for sid in sorted(held.ids)]
+    ms = Tensor(np.stack([s.ms for s in scenes]))
+    out, details = pansharpen_with_details(ms, model)
+    ours = _split_means(out.data, scenes, details.data)
+    cubic = _split_means(bicubic_upsample(ms, 4).data, scenes)
+    record_raw(f"held-out comparison ({len(scenes)} scenes, "
+               f"{elapsed:.0f}s of training):")
+    record_raw("             sam    ergas      scc       q4   P_s/hp")
+    for label, vals in (("model", ours), ("bicubic", cubic)):
+        record_raw(f"  {label:>7} " + " ".join(f"{v:>8.4f}" for v in vals))
+    ok = ours[1] < cubic[1] and ours[2] > cubic[2]
+    assert record(ok, "criterion 11",
+                  f"held-out MS-only model against bicubic: ERGAS "
+                  f"{ours[1]:.3f} vs {cubic[1]:.3f}, SCC {ours[2]:.3f} vs "
+                  f"{cubic[2]:.3f} (needs lower ERGAS and higher SCC)")

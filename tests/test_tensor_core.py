@@ -31,7 +31,7 @@ def test_int_input_promotes_to_float64():
 
 def test_float32_is_preserved():
     t = Tensor(np.ones((2, 2), dtype=np.float32))
-    out = tc.relu(t + t)
+    out = tc.sigmoid(t + t)
     assert out.dtype == np.float32
 
 
@@ -229,13 +229,13 @@ def test_conv2d_skips_input_gradient_of_a_constant_input(monkeypatch):
         return grad_input(gy, w)
 
     monkeypatch.setattr(tc.backend, "conv2d_grad_input", counting)
-    stem = tc.ConvLayer("stem", 4, 8, 3, np.random.default_rng(12))
+    stem = tc.ConvLayer("stem", 4, 8, 3, np.random.default_rng(12), relu=True)
     ms = Tensor(np.ones((2, 4, 6, 6), np.float32))
-    g_ms, gw = tc.backward(tc.relu(stem(ms)).sum(), [ms, stem.weight])
+    g_ms, gw = tc.backward(stem(ms).sum(), [ms, stem.weight])
     assert calls == [] and g_ms is None and gw.any()
 
     ms = Tensor(np.ones((2, 4, 6, 6), np.float32), requires_grad=True)
-    (g_ms,) = tc.backward(tc.relu(stem(ms)).sum(), [ms])
+    (g_ms,) = tc.backward(stem(ms).sum(), [ms])
     assert calls == [(2, 8, 6, 6)] and g_ms.shape == ms.shape
 
 
@@ -384,16 +384,91 @@ def test_dropped_intermediate_is_freed_when_no_backward_reads_it():
 
 
 def test_conv_output_feeding_relu_is_freed():
+    """A fused relu builds no pre-activation array: its closure holds the
+    input, the weight and the activated output, which masks the gradient.
+    A conv without relu holds no output, so a dropped one is freed."""
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((1, 2, 6, 6)))
     w = tc.parameter("w", rng.standard_normal((3, 2, 3, 3)))
+    r = tc.conv2d(x, w, relu=True)
+    held = [cell.cell_contents for cell in r._node.backward.__closure__]
+    arrays = [v for v in held if isinstance(v, np.ndarray)]
+    assert len(arrays) == 3 and any(v is r.data for v in arrays)
+    assert any(v is x.data for v in arrays)
+    mask = (r.data > 0).astype(r.dtype)
+    np.testing.assert_array_equal(tc.backward(r.sum(), [w])[0],
+                                  tc.backend.conv2d_grad_weight(x.data, mask, 3))
+
     h = tc.conv2d(x, w)
-    r = tc.relu(h)
-    gw = tc.backward(r.sum(), [w])[0]
+    s = h * 2.0
     dead = weakref.ref(h.data)
-    del h               # relu's backward reads its output, not its input
+    del h               # neither conv's nor scale's backward reads it
     assert dead() is None
-    np.testing.assert_array_equal(tc.backward(r.sum(), [w])[0], gw)
+    np.testing.assert_array_equal(tc.backward(s.sum(), [w])[0],
+                                  tc.backend.conv2d_grad_weight(
+                                      x.data, np.full(s.shape, 2.0), 3))
+
+
+def _tile_mul_grad_tiles(g, q, th, tw):
+    # tile_mul's own tiles-gradient formula, on the values q had
+    n, slots, h, w = q.shape
+    return (g * q).sum(axis=0).reshape(slots, h // th, th, w // tw,
+                                       tw).sum(axis=(1, 3))
+
+
+@pytest.mark.parametrize("shape", [(1, 64, 128, 128), (2, 16, 100, 100)])
+def test_tape_free_ops_write_over_their_input_and_taped_ones_do_not(shape):
+    """Tape-free, tile_mul and a 1x1 conv asked to overwrite write their
+    output over q's and x's array, bit-equal to the out-of-place result;
+    the 1x1 runs in several column blocks here, the last one partial for
+    the second shape. Under a tape both leave their input untouched and
+    give the gradients of the out-of-place ops."""
+    rng = np.random.default_rng(21)
+    n, c, h, w = shape
+    q0 = rng.standard_normal(shape).astype(np.float32)
+    tiles = rng.standard_normal((c, 4, 4)).astype(np.float32)
+    layer = tc.ConvLayer("p", c, c, 1, rng)
+    layer.bias.data[...] = rng.standard_normal(c)
+    g = rng.standard_normal(shape).astype(np.float32)
+    row = np.tile(tiles, (1, 1, w // 4)).reshape(1, c, 1, 4, w)
+    ref_tile = (q0.reshape(n, c, h // 4, 4, w) * row).reshape(shape)
+    ref_conv = tc.conv2d(Tensor(q0), layer.weight, layer.bias)
+    assert not np.shares_memory(ref_conv.data, q0)
+
+    for p in (layer.weight, layer.bias):
+        p.requires_grad = False
+    q = Tensor(q0.copy())
+    out = tc.tile_mul(q, Tensor(tiles))
+    assert np.shares_memory(out.data, q.data)
+    assert np.array_equal(out.data, ref_tile)
+    x = Tensor(q0.copy())
+    out = layer(x, overwrite=True)
+    assert np.shares_memory(out.data, x.data)
+    assert np.array_equal(out.data, ref_conv.data)
+    empty = Tensor(np.zeros((0,) + shape[1:], np.float32))
+    assert layer(empty, overwrite=True).shape == empty.shape
+
+    q = Tensor(q0.copy(), requires_grad=True)
+    tt = Tensor(tiles, requires_grad=True)
+    out = tc.tile_mul(q, tt)
+    assert np.array_equal(out.data, ref_tile) and np.array_equal(q.data, q0)
+    gq, gt = tc.backward((out * Tensor(g)).sum(), [q, tt])
+    assert np.array_equal(gq, (g.reshape(n, c, h // 4, 4, w) * row)
+                          .reshape(shape))
+    assert np.array_equal(gt, _tile_mul_grad_tiles(g, q0, 4, 4))
+
+    for p in (layer.weight, layer.bias):
+        p.requires_grad = True
+    grads = []
+    for overwrite in (False, True):
+        x = Tensor(q0.copy(), requires_grad=True)
+        out = layer(x, overwrite=overwrite)
+        assert np.array_equal(out.data, ref_conv.data)
+        assert np.array_equal(x.data, q0)
+        grads.append(tc.backward((out * Tensor(g)).sum(),
+                                 [x, layer.weight, layer.bias]))
+    for a, b in zip(*grads):
+        assert np.array_equal(a, b)
 
 
 def test_no_backward_closure_holds_a_tensor():
@@ -484,11 +559,16 @@ def test_relu_and_sigmoid_match_the_branching_formulas(dtype):
     g = rng.standard_normal((2, 3, 5, 6)).astype(dtype)
 
     x = _activation_input(rng, dtype, 3.0)
-    out, gx = _forward_and_grads(tc.relu, x, g)
-    assert out.dtype == gx.dtype == dtype
-    assert np.array_equal(out, np.where(x > 0, x, 0.0))
-    assert np.array_equal(out, x * (x > 0))     # the mask product it replaced
-    assert np.array_equal(gx, g * (x > 0))
+    for k in (1, 3):
+        # relu as the epilogue of an identity convolution, banded for k 3
+        eye = np.zeros((3, 3, k, k), dtype)
+        eye[:, :, k // 2, k // 2] = np.eye(3)
+        out, gx = _forward_and_grads(
+            lambda t: tc.conv2d(t, Tensor(eye), relu=True), x, g)
+        assert out.dtype == gx.dtype == dtype
+        assert np.array_equal(out, np.where(x > 0, x, 0.0))
+        assert np.array_equal(out, x * (x > 0))  # the mask product it replaced
+        assert np.array_equal(gx, g * (x > 0))
 
     x = _activation_input(rng, dtype, 30.0)
     out, gx = _forward_and_grads(tc.sigmoid, x, g)
