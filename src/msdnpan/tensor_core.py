@@ -23,9 +23,9 @@ over frozen tensors records and keeps nothing.
 Relu exists only as a convolution epilogue: the backend adds the bias and
 takes max(., 0) as it writes each band of the output, so no pre-activation
 plane is ever built. While no tape records, two ops write over an input
-their caller gives up: `tile_mul` over q, and a 1x1 `conv2d` asked to
-overwrite over x, in column blocks. Under a tape both leave their inputs
-alone.
+their caller gives up: `tile_mul` writes over q, and a 1x1 `conv2d` asked
+to overwrite writes over x, in column blocks. Under a tape both leave
+their inputs alone.
 
 Only what the models need is implemented: elementwise arithmetic with numpy
 broadcasting, sigmoid and prelu, stride-1 same-padded convolution,
@@ -208,19 +208,22 @@ def backward(root, leaves):
     for node in reversed(order):
         if node.backward is None:
             continue
-        # an intermediate's gradient is dropped once its closure has run
+        # an intermediate's gradient is dropped once its closure has run;
+        # the closure's argument is then its only reference (no loop
+        # variable still holds the last one), so a closure that rebinds it,
+        # as a fused relu's mask does, frees it
         key = id(node)
-        g = grads.get(key) if key in wanted else grads.pop(key, None)
-        if g is None:
+        if grads.get(key) is None:
             continue
-        for parent, dtype, pg in zip(node.parents, node.dtypes,
-                                     node.backward(g)):
+        pgs = node.backward(grads[key] if key in wanted else grads.pop(key))
+        for parent, dtype, pg in zip(node.parents, node.dtypes, pgs):
             if pg is None or parent is None:
                 continue
             # out of place: the same array may reach several parents
             pg = np.asarray(pg, dtype=dtype)
             seen_g = grads.get(id(parent))
             grads[id(parent)] = pg if seen_g is None else seen_g + pg
+        pgs = pg = seen_g = None
     return [grads.get(id(t._node)) for t in leaves]
 
 

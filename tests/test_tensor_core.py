@@ -1,5 +1,6 @@
 """Autodiff core semantics; finite-difference checks are in test_gradients."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -407,6 +408,30 @@ def test_conv_output_feeding_relu_is_freed():
     np.testing.assert_array_equal(tc.backward(s.sum(), [w])[0],
                                   tc.backend.conv2d_grad_weight(
                                       x.data, np.full(s.shape, 2.0), 3))
+
+
+def test_fused_relu_backward_frees_the_unmasked_gradient():
+    """backward keeps no reference to the gradient it hands a closure, so
+    the fused relu's unmasked gradient is freed once masked and the conv's
+    backward runs beside the masked one alone. Basis, in planes of the
+    output: 2.27 (the unmasked and masked gradients and the bool mask, as
+    the separate relu op peaked); with the last gradient also held by a
+    loop variable through the next closure, 3.0 (unmasked, masked and the
+    input gradient)."""
+    rng = np.random.default_rng(3)
+    shape = (1, 8, 128, 128)
+    x = Tensor(rng.standard_normal(shape).astype(np.float32),
+               requires_grad=True)
+    w = tc.parameter("w", rng.standard_normal((8, 8, 1, 1)).astype(np.float32))
+    loss = (tc.conv2d(x, w, relu=True) * 2.0).sum()
+    plane = x.data.nbytes
+    tracemalloc.start()
+    try:
+        tc.backward(loss, [x, w])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * plane, f"backward peak {peak / plane:.2f} planes"
 
 
 def _tile_mul_grad_tiles(g, q, th, tw):
