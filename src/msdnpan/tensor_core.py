@@ -13,12 +13,21 @@ them as read-only. The tape is dynamic: every forward call builds a fresh
 graph, so Python's GC reclaims old graphs once the loss goes out of scope.
 
 A node never holds a Tensor, and each closure captures exactly the arrays
-its backward reads: its inputs for mul, conv2d or log, its output for exp,
-sigmoid or a convolution with a fused relu, only shapes for add, reshape
-or pooling. An intermediate that the model code drops is therefore freed
-unless some backward reads it. A forward op computes only its output (a
-relu or prelu mask, say, is derived when backward runs), so a forward pass
-over frozen tensors records and keeps nothing.
+its backward reads, or a recipe for them: its inputs for mul, conv2d or
+log, its output for exp, sigmoid or a convolution with a fused relu, only
+shapes for add, reshape or pooling. A recipe is a function that rebuilds
+an op's output by the op's own numpy expression, in the same order, so
+the rebuilt array is bit-equal to the forward one. A taped output of
+prelu, mul or tile_mul carries one built from arrays the op's backward
+holds anyway, and one of scale or bicubic_upsample a recipe that holds the
+op's input (for the upsample, 1/16 the size) while the output Tensor
+lives. The two ops that read an input in backward, conv2d (for its weight
+gradient) and prelu, keep that input's recipe where it has one, in place
+of its array, and call it when their backward runs. An intermediate that
+the model code drops is therefore freed unless some backward reads it and
+nothing rebuilds it. A forward op computes only its output (a relu or
+prelu mask, say, is derived when backward runs), so a forward pass over
+frozen tensors records and keeps nothing, recipes included.
 
 Relu exists only as a convolution epilogue: the backend adds the bias and
 takes max(., 0) as it writes each band of the output, so no pre-activation
@@ -65,9 +74,10 @@ class _Node:
 
 
 class Tensor:
-    """A dense array plus its graph node (None when it needs no gradient)."""
+    """A dense array plus its graph node (None when it needs no gradient)
+    and, for some taped op outputs, a recipe that rebuilds the array."""
 
-    __slots__ = ("data", "name", "_node")
+    __slots__ = ("data", "name", "_node", "_recipe")
 
     def __init__(self, data, requires_grad=False, dtype=None, name=None):
         arr = np.asarray(data, dtype=dtype)
@@ -76,6 +86,7 @@ class Tensor:
         self.data = arr
         self.name = name
         self._node = _Node() if requires_grad else None
+        self._recipe = None
 
     @property
     def requires_grad(self):
@@ -157,12 +168,22 @@ def _as_tensor(x, dtype):
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _from_op(data, parents, bw):
+def _from_op(data, parents, bw, recipe=None):
     out = Tensor(data)
     nodes = tuple(p._node for p in parents)
     if any(n is not None for n in nodes):
         out._node = _Node(nodes, tuple(p.data.dtype for p in parents), bw)
+        out._recipe = recipe
     return out
+
+
+def _keep(t):
+    """What a backward closure holds to read t's array: t's recipe where it
+    has one, else a function that returns the array."""
+    if t._recipe is not None:
+        return t._recipe
+    data = t.data
+    return lambda: data
 
 
 def _unbroadcast(g, shape):
@@ -252,12 +273,11 @@ def sub(a, b):
 
 def mul(a, b):
     x, y = a.data, b.data
-    out = x * y
 
     def bw(g):
         return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
 
-    return _from_op(out, (a, b), bw)
+    return _from_op(x * y, (a, b), bw, lambda: x * y)
 
 
 def div(a, b):
@@ -273,12 +293,12 @@ def div(a, b):
 
 def scale(a, factor):
     factor = float(factor)
-    out = a.data * factor
+    x = a.data
 
     def bw(g):
         return (g * factor,)
 
-    return _from_op(out, (a,), bw)
+    return _from_op(x * factor, (a,), bw, lambda: x * factor)
 
 
 def absolute(a):
@@ -327,24 +347,31 @@ def prelu(a, slope):
     if slope.data.shape != (channels,):
         raise ShapeError(f"slope of shape {slope.data.shape} is not one value "
                          f"per channel of an input with {channels} channels")
-    x = a.data
-    sl = slope.data.reshape((1, -1) + (1,) * (x.ndim - 2))
-    reduce_axes = tuple(i for i in range(x.ndim) if i != 1)
-    # x * slope where x <= 0, else x: branch-free, and exact because one of
-    # the two terms is always zero. The second term is added in channel
-    # blocks of about backend.BAND_BYTES, so only a block of it is live
-    out = np.minimum(x, 0).astype(np.result_type(x, sl), copy=False)
-    out *= sl
-    step = max(1, backend.BAND_BYTES * channels // max(1, x.nbytes))
-    for c in range(0, channels, step):
-        out[:, c:c + step] += np.maximum(x[:, c:c + step], 0)
+    ndim = a.data.ndim
+    sl = slope.data.reshape((1, -1) + (1,) * (ndim - 2))
+    reduce_axes = tuple(i for i in range(ndim) if i != 1)
+    step = max(1, backend.BAND_BYTES * channels // max(1, a.data.nbytes))
+    keep_x = _keep(a)
+
+    def forward(x):
+        # x * slope where x <= 0, else x: branch-free, and exact because one
+        # of the two terms is always zero. The second term is added in
+        # channel blocks of about backend.BAND_BYTES, so only a block of it
+        # is live
+        out = np.minimum(x, 0).astype(np.result_type(x, sl), copy=False)
+        out *= sl
+        for c in range(0, channels, step):
+            out[:, c:c + step] += np.maximum(x[:, c:c + step], 0)
+        return out
 
     def bw(g):
+        x = keep_x()
         pos = x > 0
         return (g * (pos + sl * ~pos),
                 (g * np.minimum(x, 0)).sum(axis=reduce_axes))
 
-    return _from_op(out, (a, slope), bw)
+    return _from_op(forward(a.data), (a, slope), bw,
+                    lambda: forward(keep_x()))
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +488,13 @@ def tile_mul(q, tiles):
     bands = (n, slots, h // th, th, w)
     x = q.data
     xb = x.reshape(bands)
+
+    def product():
+        return (xb * row).reshape(x.shape)
+
     if (q.requires_grad or tiles.requires_grad
             or np.result_type(x, row) != x.dtype):
-        out = (xb * row).reshape(x.shape)
+        out = product()
     else:   # no tape records: the product goes over q's array
         out = np.multiply(xb, row, out=xb).reshape(x.shape)
 
@@ -474,7 +505,7 @@ def tile_mul(q, tiles):
             slots, h // th, th, w // tw, tw).sum(axis=(1, 3))
         return gq, gt
 
-    return _from_op(out, (q, tiles), bw)
+    return _from_op(out, (q, tiles), bw, product)
 
 
 def avg_pool2(a):
@@ -542,9 +573,11 @@ def conv2d(x, weight, bias=None, relu=False, overwrite=False):
     xd, wd = x.data, weight.data
     out = backend.conv2d_forward(xd, wd, None if bias is None else bias.data,
                                  relu=relu, overwrite=overwrite)
-    # plain values, so that the closure holds no Tensor, and the output
-    # only where the relu mask needs it
+    # plain values, so that the closure holds no Tensor, the input's
+    # recipe where it has one, and the output only where the relu mask
+    # needs it
     grad_x, has_bias = x.requires_grad, bias is not None
+    keep_x = _keep(x)
     kept = out if relu else None
 
     def bw(g):
@@ -552,7 +585,7 @@ def conv2d(x, weight, bias=None, relu=False, overwrite=False):
             g = g * (kept > 0)
         g = np.ascontiguousarray(g)
         gx = backend.conv2d_grad_input(g, wd) if grad_x else None
-        gw = backend.conv2d_grad_weight(xd, g, k)
+        gw = backend.conv2d_grad_weight(keep_x(), g, k)
         return (gx, gw, g.sum(axis=(0, 2, 3))) if has_bias else (gx, gw)
 
     return _from_op(out, parents, bw)
@@ -596,18 +629,23 @@ def bicubic_upsample(x, factor):
         raise ShapeError("bicubic_upsample expects rank >= 2")
     if factor == 1:
         return reshape(x, x.data.shape)
-    h, w = x.data.shape[-2:]
+    xd = x.data
+    h, w = xd.shape[-2:]
+    shape = xd.shape[:-2] + (h * factor, w * factor)
     # allocate the output first: one too large fails (MemoryError) before
     # the interpolation matrices' Python loops run
-    out = np.empty(x.data.shape[:-2] + (h * factor, w * factor), x.data.dtype)
-    ah = _bicubic_matrix(h, factor).astype(x.data.dtype)
-    aw = _bicubic_matrix(w, factor).astype(x.data.dtype)
-    np.matmul(ah @ x.data, aw.T, out=out)
+    out = np.empty(shape, xd.dtype)
+    ah = _bicubic_matrix(h, factor).astype(xd.dtype)
+    aw = _bicubic_matrix(w, factor).astype(xd.dtype)
+
+    def upsample(buf):
+        return np.matmul(ah @ xd, aw.T, out=buf)
 
     def bw(g):
         return (ah.T @ (g @ aw),)
 
-    return _from_op(out, (x,), bw)
+    return _from_op(upsample(out), (x,), bw,
+                    lambda: upsample(np.empty(shape, xd.dtype)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,12 @@ per workload:
 - the traced run's per-layer rows, as run.py prints them;
 - run.py's ``env`` (numpy and BLAS versions, CPU counts, backend, commit).
 
+It also writes ``traced_peaks_mib``: tracemalloc peaks, in MiB, measured
+in a subprocess that imports the checkout's ``src`` (``traced_peaks``):
+one seeded training part (``trainer._part``: forward, loss and backward)
+of the desk config on two 64x64 scenes and of the full config on eight,
+and the tape-free full-config ``pansharpen`` of one MS 16/32/64 image.
+
 The checkout must have no uncommitted change under ``src/`` or
 ``perfbench/``, so that the commit in the name describes the code.
 
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -44,6 +51,8 @@ SEEDS = {
     "baseline-eval": (31, 32, 33, 34, 35),
 }
 TRACE_SEED = 41
+PART_SCENES = {"desk": 2, "full": 8}     # 64x64 scenes per traced part
+INFER_MS = (16, 32, 64)
 
 
 def _spec(checkout):
@@ -70,6 +79,67 @@ def run_once(checkout, workload, seed, seconds, trace=0):
     env = next((json.loads(line[len("# env "):]) for line in lines
                 if line.startswith("# env ")), None)
     return json.loads(lines[-1]), env
+
+
+def _traced_peaks_here():
+    """Print the traced peaks of the msdnpan on sys.path as one JSON line."""
+    import tracemalloc
+
+    import numpy as np
+
+    from msdnpan import trainer
+    from msdnpan.data_pipeline import synth_scene
+    from msdnpan.injection_net import (
+        BANDS, ModelConfig, PansharpenModel, pansharpen,
+    )
+    from msdnpan.tensor_core import Tensor
+
+    def peak_mib(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return round(tracemalloc.get_traced_memory()[1] / 2 ** 20, 2)
+        finally:
+            tracemalloc.stop()
+
+    peaks = {}
+    for name, count in PART_SCENES.items():
+        cfg = (trainer.desk_config(seed=1) if name == "desk"
+               else trainer.TrainConfig())
+        model = PansharpenModel(cfg.model, np.random.default_rng(0))
+        scenes = [synth_scene(100 + i, 64) for i in range(count)]
+        ms, gt, hp = (np.stack([getattr(s, attr) for s in scenes])
+                      for attr in ("ms", "gt", "hp"))
+        peaks[f"part.{name}.{count}x64"] = peak_mib(
+            trainer._part, model, ms, gt, hp, cfg.loss_weight, 1.0)
+    # frozen as `infer` freezes it, with a drawn output projection so that
+    # the NIN's planes are not all zero
+    model = PansharpenModel(ModelConfig(), np.random.default_rng((5, 0)))
+    w = model.nin.project.weight
+    w.data[...] = np.random.default_rng(9).normal(0.0, 0.1, w.shape)
+    for p in model.parameters():
+        p.requires_grad = False
+    for size in INFER_MS:
+        ms = Tensor(np.random.default_rng(0).random((1, BANDS, size, size),
+                                                    np.float32))
+        pansharpen(ms, model)   # warm-up: first-call caches
+        peaks[f"pansharpen.full.ms{size}"] = peak_mib(pansharpen, ms, model)
+    print(json.dumps(peaks))
+
+
+def traced_peaks(checkout):
+    """`_traced_peaks_here` run against the checkout's src: a dict of MiB."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(checkout).resolve() / "src"), str(here)]))
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import bench_record; bench_record._traced_peaks_here()"],
+        env=env, capture_output=True, text=True, timeout=1200)
+    if res.returncode:
+        raise SystemExit(f"{checkout}: traced peaks exited {res.returncode}"
+                         f"\n{res.stderr[-2000:]}")
+    return json.loads(res.stdout.strip().splitlines()[-1])
 
 
 def summary(values):
@@ -118,6 +188,7 @@ def record(checkout, out_dir):
                                      in traced["metrics"].items()}},
         }
         result["env"] = env
+    result["traced_peaks_mib"] = traced_peaks(checkout)
     path = Path(out_dir) / f"BENCH_{commit}.json"
     path.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path}")

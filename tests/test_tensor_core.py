@@ -386,28 +386,112 @@ def test_dropped_intermediate_is_freed_when_no_backward_reads_it():
 
 def test_conv_output_feeding_relu_is_freed():
     """A fused relu builds no pre-activation array: its closure holds the
-    input, the weight and the activated output, which masks the gradient.
-    A conv without relu holds no output, so a dropped one is freed."""
+    weight, the activated output, which masks the gradient, and a keeper
+    that returns the input itself (a leaf has no recipe), so it reaches
+    exactly those three arrays. A conv without relu holds no output, and
+    scale's backward reads none; the recipe on scale's output holds the
+    conv output while that output lives, so a dropped conv output is freed
+    once the scale's output is dropped too."""
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((1, 2, 6, 6)))
     w = tc.parameter("w", rng.standard_normal((3, 2, 3, 3)))
     r = tc.conv2d(x, w, relu=True)
     held = [cell.cell_contents for cell in r._node.backward.__closure__]
     arrays = [v for v in held if isinstance(v, np.ndarray)]
-    assert len(arrays) == 3 and any(v is r.data for v in arrays)
-    assert any(v is x.data for v in arrays)
+    keepers = [v for v in held if callable(v)]
+    assert len(arrays) == 2 and any(v is r.data for v in arrays)
+    assert len(keepers) == 1 and keepers[0]() is x.data
     mask = (r.data > 0).astype(r.dtype)
     np.testing.assert_array_equal(tc.backward(r.sum(), [w])[0],
                                   tc.backend.conv2d_grad_weight(x.data, mask, 3))
 
     h = tc.conv2d(x, w)
     s = h * 2.0
+    loss = s.sum()
     dead = weakref.ref(h.data)
-    del h               # neither conv's nor scale's backward reads it
+    del h
+    assert dead() is not None   # s's recipe rebuilds s from it
+    del s               # neither conv's, scale's nor sum's backward reads it
     assert dead() is None
-    np.testing.assert_array_equal(tc.backward(s.sum(), [w])[0],
+    np.testing.assert_array_equal(tc.backward(loss, [w])[0],
                                   tc.backend.conv2d_grad_weight(
-                                      x.data, np.full(s.shape, 2.0), 3))
+                                      x.data, np.full((1, 3, 6, 6), 2.0), 3))
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _recipe_cases(dtype):
+    """(name, taped output) of every op whose output carries a recipe."""
+    rng = np.random.default_rng(21)
+    x = tc.parameter("x", rng.standard_normal((2, 6, 8, 8)).astype(dtype))
+    col = tc.parameter("col", rng.standard_normal((6, 1, 1)).astype(dtype))
+    tiles = tc.parameter("tiles", rng.standard_normal((6, 2, 4)).astype(dtype))
+    slope = tc.parameter("slope", np.linspace(-0.5, 1.5, 6).astype(dtype))
+    return [("prelu", tc.prelu(x, slope)),
+            ("mul", x * col),           # (2, 6, 8, 8) times (6, 1, 1)
+            ("mul_left", tc.mul(col, x)),
+            ("scale", x * -1.0),
+            ("tile_mul", tc.tile_mul(x, tiles)),
+            ("bicubic_upsample", tc.bicubic_upsample(x, 4)),
+            ("prelu_of_scale", tc.prelu(-x, slope))]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_each_recipe_rebuilds_its_forward_array_bit_for_bit(dtype):
+    for name, out in _recipe_cases(dtype):
+        again = out._recipe()
+        assert again is not out.data, name
+        assert _bits(again) == _bits(out.data), name
+
+
+def test_prelu_recipe_repeats_the_channel_block_loop():
+    """Above backend.BAND_BYTES the positive part is added in several
+    channel blocks; the recipe adds it in the same blocks."""
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.standard_normal((1, 8, 256, 256)).astype(np.float32),
+               requires_grad=True)
+    assert x.data.nbytes > tc.backend.BAND_BYTES    # two blocks of four
+    slope = tc.parameter("slope", np.linspace(-0.7, 2.5, 8, dtype=np.float32))
+    out = tc.prelu(x, slope)
+    assert _bits(out._recipe()) == _bits(out.data)
+
+
+def test_tape_free_outputs_carry_no_recipe():
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.standard_normal((1, 2, 4, 4)))
+    outs = [tc.prelu(x, Tensor(np.full(2, 0.25))), x * x, x * 3.0,
+            tc.tile_mul(x, Tensor(np.ones((2, 2, 2)))),
+            tc.bicubic_upsample(x, 2)]
+    assert all(out._node is None and out._recipe is None for out in outs)
+
+
+@pytest.mark.parametrize("op", ["prelu", "mul", "tile_mul"])
+def test_conv_fed_a_recipe_matches_conv_fed_the_plane(op):
+    """A conv whose input carries a recipe keeps the recipe and rebuilds
+    the input in backward; its weight gradient is the one a conv fed the
+    materialized plane computes, bit for bit, and the recipe's output is
+    not kept."""
+    rng = np.random.default_rng(24)
+    q = tc.parameter("q", rng.standard_normal((2, 4, 8, 8)).astype(np.float32))
+    other = {"prelu": (4,), "mul": (1, 4, 8, 8), "tile_mul": (4, 2, 2)}[op]
+    b = tc.parameter("b", rng.standard_normal(other).astype(np.float32))
+    make = {"prelu": tc.prelu, "mul": tc.mul, "tile_mul": tc.tile_mul}[op]
+    w = tc.parameter("w", rng.standard_normal((3, 4, 3, 3)).astype(np.float32))
+    g_up = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
+
+    def weight_grad(feed_plane):
+        fed = make(q, b)
+        if feed_plane:
+            fed = Tensor(fed.data.copy())
+        dead = weakref.ref(fed.data)
+        loss = (tc.conv2d(fed, w) * Tensor(g_up)).sum()
+        del fed
+        assert (dead() is None) == (not feed_plane)
+        return tc.backward(loss, [w])[0]
+
+    assert _bits(weight_grad(False)) == _bits(weight_grad(True))
 
 
 def test_fused_relu_backward_frees_the_unmasked_gradient():

@@ -870,8 +870,10 @@ def test_train_frees_each_steps_graph():
 def test_part_graph_keeps_only_what_backward_reads():
     # Tracemalloc peak of one seeded desk part on two 64x64 scenes: 22.2 MiB
     # when every node kept its inputs' Tensors, and with them every
-    # intermediate array; 15.9 MiB once each backward closure keeps only
-    # the arrays it reads.
+    # intermediate array; 15.08 MiB, at the start of backward, when each
+    # backward closure keeps exactly the arrays it reads; 9.95 MiB once conv2d
+    # and prelu keep the recipe of an input that prelu, mul, tile_mul,
+    # scale or bicubic_upsample made in place of its array.
     cfg = desk_config(seed=1)
     model = PansharpenModel(cfg.model, np.random.default_rng(0))
     scenes = _scenes(2, size=64)
@@ -884,7 +886,7 @@ def test_part_graph_keeps_only_what_backward_reads():
     finally:
         tracemalloc.stop()
     assert grad.shape == (sum(p.data.size for p in model.parameters()),)
-    assert peak < 19 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+    assert peak <= 11.5 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_part_worker_loop_frees_each_jobs_graph(tmp_path):
