@@ -429,7 +429,14 @@ def _recipe_cases(dtype):
     col = tc.parameter("col", rng.standard_normal((6, 1, 1)).astype(dtype))
     tiles = tc.parameter("tiles", rng.standard_normal((6, 2, 4)).astype(dtype))
     slope = tc.parameter("slope", np.linspace(-0.5, 1.5, 6).astype(dtype))
+    # above backend.BAND_BYTES, so prelu adds its positive part in more
+    # than one channel block, and its recipe in the same blocks
+    big = tc.parameter("big", rng.standard_normal((1, 8, 256, 256))
+                       .astype(dtype))
+    assert big.data.nbytes > tc.backend.BAND_BYTES
     return [("prelu", tc.prelu(x, slope)),
+            ("prelu_blocks", tc.prelu(big, tc.parameter(
+                "slope8", np.linspace(-0.7, 2.5, 8).astype(dtype)))),
             ("mul", x * col),           # (2, 6, 8, 8) times (6, 1, 1)
             ("mul_left", tc.mul(col, x)),
             ("scale", x * -1.0),
@@ -444,18 +451,6 @@ def test_each_recipe_rebuilds_its_forward_array_bit_for_bit(dtype):
         again = out._recipe()
         assert again is not out.data, name
         assert _bits(again) == _bits(out.data), name
-
-
-def test_prelu_recipe_repeats_the_channel_block_loop():
-    """Above backend.BAND_BYTES the positive part is added in several
-    channel blocks; the recipe adds it in the same blocks."""
-    rng = np.random.default_rng(22)
-    x = Tensor(rng.standard_normal((1, 8, 256, 256)).astype(np.float32),
-               requires_grad=True)
-    assert x.data.nbytes > tc.backend.BAND_BYTES    # two blocks of four
-    slope = tc.parameter("slope", np.linspace(-0.7, 2.5, 8, dtype=np.float32))
-    out = tc.prelu(x, slope)
-    assert _bits(out._recipe()) == _bits(out.data)
 
 
 def test_tape_free_outputs_carry_no_recipe():
